@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .blocks import (Block, Geometry, ancestors, children, contains,
-                     covering_block, lcs, overlaps)
+                     covering_block, descendants, lcs, overlaps)
 from .activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                          Homogeneous, Parametric, ScaleTruncated,
                          VolumeTruncated)
@@ -136,12 +136,7 @@ class TruncatedSystem:
 
     def blocks(self) -> list[Block]:
         """All blocks of the system, sorted top scale first."""
-        out = [self.window]
-        frontier = [self.window]
-        while frontier and frontier[0].scale > -self.depth:
-            frontier = [c for f in frontier for c in children(f, self.geo)]
-            out.extend(frontier)
-        return out
+        return descendants(self.window, -self.depth, self.geo)
 
 
 def _logaddexp(a: float, b: float) -> float:

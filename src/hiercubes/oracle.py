@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .blocks import Block, Geometry, ancestors, children, contains, overlaps
+from .blocks import (Block, Geometry, ancestors, children, contains,
+                     descendants, parent)
 from .activities import ActivityModel, Homogeneous
 from .logreal import logsumexp_iter
 from .analytics import TruncatedSystem
@@ -56,12 +57,8 @@ class ExactDistribution:
         return sum(p for cfg, p in zip(self.support, self.probs) if want <= cfg)
 
     def blocks(self) -> list[Block]:
-        out = [self.window]
-        frontier = [self.window]
-        while frontier and frontier[0].scale > -self.depth:
-            frontier = [c for f in frontier for c in children(f, self.geometry)]
-            out.extend(frontier)
-        return out
+        """All blocks of the system, top scale first."""
+        return descendants(self.window, -self.depth, self.geometry)
 
 
 def support_count(geo: Geometry, window: Block, depth: int) -> int:
@@ -108,20 +105,26 @@ def hierarchical_distribution(ratios: Callable[[Block], float], geo: Geometry,
 
     P(omega = config) = prod_{B in config} rho(B) * prod (1 - rho(B')) over
     the blocks neither in the configuration nor below one of its members.
+    Configurations are int masks over the numbered blocks (see `_Numbering`);
+    the cost is blocks x support.
     """
     n = support_count(geo, window, depth)
     if n > cap:
         raise SupportCapExceeded(n)
-    blocks = _system_blocks(geo, window, depth)
+    num = _Numbering(geo, window, depth)
+    rho = [ratios(b) for b in num.blocks]
     support = _hardcore_configs(geo, window, depth)
     probs = []
-    for cfg in support:
+    for m in map(num.mask, support):
+        covered = 0
+        for i in num.bits(m):
+            covered |= num.sub[i]
         p = 1.0
-        for b in blocks:
-            if b in cfg:
-                p *= ratios(b)
-            elif not any(contains(m, b, geo) for m in cfg):
-                p *= 1.0 - ratios(b)
+        for i, r in enumerate(rho):
+            if m >> i & 1:
+                p *= r
+            elif not covered >> i & 1:
+                p *= 1.0 - r
         probs.append(p)
     return ExactDistribution(geo, window, depth, support, probs, 0.0)
 
@@ -133,15 +136,6 @@ def mandelbrot_distribution(p: float, geo: Geometry, window: Block,
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
     return hierarchical_distribution(lambda b: p, geo, window, depth)
-
-
-def _system_blocks(geo: Geometry, window: Block, depth: int) -> list[Block]:
-    out = [window]
-    frontier = [window]
-    while frontier and frontier[0].scale > -depth:
-        frontier = [c for f in frontier for c in children(f, geo)]
-        out.extend(frontier)
-    return out
 
 
 def _hardcore_configs(geo: Geometry, window: Block, depth: int) -> list[frozenset]:
@@ -157,15 +151,57 @@ def _hardcore_configs(geo: Geometry, window: Block, depth: int) -> list[frozense
     return configs(window)
 
 
+class _Numbering:
+    """The blocks of a truncated system numbered top-down, bit i for block i.
+
+    A configuration becomes the int mask of its members' bits.  `anc[i]` is
+    the mask of the strict ancestors of block i inside the window and
+    `sub[i]` the mask of its subtree, block i included, so block i overlaps
+    exactly the blocks of `anc[i] | sub[i]`.
+    """
+
+    def __init__(self, geo: Geometry, window: Block, depth: int):
+        self.blocks = descendants(window, -depth, geo)
+        self.bit = {b: i for i, b in enumerate(self.blocks)}
+        n = len(self.blocks)
+        up = [self.bit[parent(b, geo)] if i else -1
+              for i, b in enumerate(self.blocks)]
+        self.anc = [0] * n
+        for i in range(1, n):             # parents precede their children
+            self.anc[i] = self.anc[up[i]] | 1 << up[i]
+        self.sub = [1 << i for i in range(n)]
+        for i in range(n - 1, 0, -1):     # children follow their parents
+            self.sub[up[i]] |= self.sub[i]
+
+    def mask(self, cfg) -> int:
+        m = 0
+        for b in cfg:
+            m |= 1 << self.bit[b]
+        return m
+
+    def bits(self, m: int):
+        """Indices of the set bits of m, in increasing order."""
+        while m:
+            low = m & -m
+            yield low.bit_length() - 1
+            m ^= low
+
+
+def _numbered(dist: ExactDistribution) -> tuple[_Numbering, list[int]]:
+    num = _Numbering(dist.geometry, dist.window, dist.depth)
+    return num, [num.mask(cfg) for cfg in dist.support]
+
+
 # ---------------------------------------------------------------------------
 # identity verifiers
 # ---------------------------------------------------------------------------
 
-def _report(check: str, max_residual: float, worst_block, worst_event) -> dict:
+def _report(check: str, num: _Numbering, max_residual: float, worst_block,
+            worst_event: Optional[int]) -> dict:
     return {"check": check,
             "max_residual": max_residual,
             "worst_case_block": str(worst_block) if worst_block is not None else None,
-            "worst_case_event": sorted(str(b) for b in worst_event)
+            "worst_case_event": sorted(str(num.blocks[i]) for i in num.bits(worst_event))
             if worst_event is not None else None}
 
 
@@ -175,35 +211,30 @@ def verify_gnz(dist: ExactDistribution, model: ActivityModel) -> dict:
     For every block B and every occupancy pattern sigma of the remaining
     blocks:  P(omega = sigma + B) = z(B) * P(omega = sigma) * 1[sigma avoids
     every block intersecting B].  Also records the per-block worst residual.
+    Patterns are int masks over the numbered blocks, with probabilities
+    looked up by mask; the cost is blocks x support.
     """
-    geo = dist.geometry
+    num, masks = _numbered(dist)
+    prob = dict(zip(masks, dist.probs))
     worst = 0.0
     worst_block, worst_event = None, None
     per_block: dict[str, float] = {}
-    for b in dist.blocks():
-        z = math.exp(model.log_activity(b)) if model.log_activity(b) > -math.inf else 0.0
+    for i, b in enumerate(num.blocks):
+        z = math.exp(model.log_activity(b))
+        bit, hits = 1 << i, num.anc[i] | num.sub[i]
         block_worst = 0.0
-        patterns = {cfg - {b} for cfg in dist.support}
-        for sigma in patterns:
-            with_b = sigma | {b}
-            lhs = dist.prob(with_b) if _is_hardcore(with_b, geo) else 0.0
-            clear = not any(overlaps(s, b, geo) for s in sigma)
-            rhs = z * dist.prob(sigma) if clear else 0.0
+        for sigma in {m & ~bit for m in masks}:
+            lhs = prob.get(sigma | bit, 0.0)
+            rhs = 0.0 if sigma & hits else z * prob.get(sigma, 0.0)
             r = abs(lhs - rhs)
             if r > block_worst:
                 block_worst = r
             if r > worst:
                 worst, worst_block, worst_event = r, b, sigma
         per_block[str(b)] = block_worst
-    rep = _report("gnz", worst, worst_block, worst_event)
+    rep = _report("gnz", num, worst, worst_block, worst_event)
     rep["per_block"] = per_block
     return rep
-
-
-def _is_hardcore(cfg, geo: Geometry) -> bool:
-    cfg = list(cfg)
-    return all(not overlaps(cfg[i], cfg[k], geo)
-               for i in range(len(cfg)) for k in range(i + 1, len(cfg)))
 
 
 def verify_topdown(dist: ExactDistribution, ratios: Callable[[Block], float]) -> dict:
@@ -211,26 +242,25 @@ def verify_topdown(dist: ExactDistribution, ratios: Callable[[Block], float]) ->
 
     For every block B and every pattern pi of the blocks outside B's subtree:
     P(omega contains B, outside-pattern pi) = rho(B) * P(omega avoids B's
-    strict ancestors, outside-pattern pi).
+    strict ancestors, outside-pattern pi).  Patterns are int masks over the
+    numbered blocks; the cost is blocks x support.
     """
-    geo = dist.geometry
+    num, masks = _numbered(dist)
     worst = 0.0
     worst_block, worst_event = None, None
-    for b in dist.blocks():
+    for i, b in enumerate(num.blocks):
         rho = ratios(b)
-        anc = set(ancestors(b, dist.window.scale, geo)) - {b}
-        groups: dict[frozenset, list[int]] = {}
-        for i, cfg in enumerate(dist.support):
-            pi = frozenset(x for x in cfg if not contains(b, x, geo))
-            groups.setdefault(pi, []).append(i)
-        for pi, idxs in groups.items():
-            lhs = sum(dist.probs[i] for i in idxs if b in dist.support[i])
-            rhs = rho * sum(dist.probs[i] for i in idxs
-                            if not (dist.support[i] & anc))
+        bit, anc, outside = 1 << i, num.anc[i], ~num.sub[i]
+        groups: dict[int, list[tuple[int, float]]] = {}
+        for m, p in zip(masks, dist.probs):
+            groups.setdefault(m & outside, []).append((m, p))
+        for pi, group in groups.items():
+            lhs = sum(p for m, p in group if m & bit)
+            rhs = rho * sum(p for m, p in group if not m & anc)
             r = abs(lhs - rhs)
             if r > worst:
                 worst, worst_block, worst_event = r, b, pi
-    return _report("topdown", worst, worst_block, worst_event)
+    return _report("topdown", num, worst, worst_block, worst_event)
 
 
 def verify_hierarchical_formula(dist: ExactDistribution,
@@ -239,29 +269,27 @@ def verify_hierarchical_formula(dist: ExactDistribution,
 
     For every configuration in the support: P(omega contains all of it) =
     prod rho over its blocks times prod (1 - rho) over their strict ancestors
-    inside the window; overlapping sets get probability zero.
+    inside the window.  Every support configuration is hard-core, so no
+    ancestor is itself a member.  Configurations are int masks over the
+    numbered blocks; the superset sums make the cost support^2.
     """
-    geo = dist.geometry
+    num, masks = _numbered(dist)
+    rho = [ratios(b) for b in num.blocks]
     worst = 0.0
     worst_event = None
-    for cfg in dist.support:
-        lhs = dist.prob_superset(cfg)
-        if not _is_hardcore(cfg, geo):
-            rhs = 0.0
-        else:
-            anc = set()
-            for b in cfg:
-                anc.update(ancestors(b, dist.window.scale, geo))
-            anc -= set(cfg)
-            rhs = 1.0
-            for b in cfg:
-                rhs *= ratios(b)
-            for a in anc:
-                rhs *= 1.0 - ratios(a)
+    for want in masks:
+        lhs = sum(p for m, p in zip(masks, dist.probs) if m & want == want)
+        anc = 0
+        rhs = 1.0
+        for i in num.bits(want):
+            anc |= num.anc[i]
+            rhs *= rho[i]
+        for i in num.bits(anc):
+            rhs *= 1.0 - rho[i]
         r = abs(lhs - rhs)
         if r > worst:
-            worst, worst_event = r, cfg
-    return _report("hierarchical_formula", worst, None, worst_event)
+            worst, worst_event = r, want
+    return _report("hierarchical_formula", num, worst, None, worst_event)
 
 
 def gibbs_ratio_function(model: ActivityModel, window: Block,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .blocks import Block, Geometry, children, contains, format_block, overlaps
+from .blocks import Block, Geometry, ancestors, children, format_block
 from .activities import ActivityModel
 from .analytics import (TruncatedSystem, UncertifiedComputation,
                         check_condition_ii, scale_profile)
@@ -42,15 +42,27 @@ class Configuration:
     covered_by_ancestor: Optional[int] = None
 
     def validate(self, geo: Geometry) -> None:
-        bs = list(self.blocks)
-        if self.covered_by_ancestor is not None and bs:
+        """Raise InvalidConfiguration unless the blocks are distinct, lie in
+        the truncated system and are hard-core.
+
+        Hard-core means no block has a strict ancestor among the blocks, so
+        each block's parent chain is walked up to the window's scale, where
+        it must end at the window: O(blocks x depth).
+        """
+        if self.covered_by_ancestor is not None and self.blocks:
             raise InvalidConfiguration("covered configurations carry no blocks")
-        for i, b1 in enumerate(bs):
-            if b1.scale < -self.depth or not contains(self.window, b1, geo):
-                raise InvalidConfiguration(f"block {b1} outside the truncated system")
-            for b2 in bs[i + 1:]:
-                if overlaps(b1, b2, geo):
-                    raise InvalidConfiguration(f"blocks {b1} and {b2} overlap")
+        members = set(self.blocks)
+        if len(members) != len(self.blocks):
+            raise InvalidConfiguration("a block occurs twice")
+        for b in self.blocks:
+            if b.scale < -self.depth:
+                raise InvalidConfiguration(f"block {b} outside the truncated system")
+            chain = ancestors(b, self.window.scale, geo)
+            if (chain[-1] if chain else b) != self.window:
+                raise InvalidConfiguration(f"block {b} outside the truncated system")
+            for a in chain:
+                if a in members:
+                    raise InvalidConfiguration(f"blocks {a} and {b} overlap")
 
     def to_json_obj(self) -> dict:
         obj = {"window": format_block(self.window), "depth": self.depth,
@@ -132,7 +144,7 @@ def sample_bernoulli_max(ratios: dict[Block, float], geo: Geometry,
                 if _uniform(seed, index, "occ", b.scale, b.index) < r]
     occ = set(occupied)
     maximal = [b for b in occupied
-               if not any(o != b and contains(o, b, geo) for o in occ)]
+               if not any(a in occ for a in ancestors(b, window.scale, geo))]
     return _make_config(maximal, window, depth, seed, geo)
 
 

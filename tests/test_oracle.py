@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hiercubes.blocks import Geometry, block
+from hiercubes.blocks import (Geometry, ancestors, block, contains, descendants,
+                              overlaps, parse_block)
 from hiercubes.activities import (EffectiveDesign, Explicit, Homogeneous,
                                   TailRule)
 from hiercubes.analytics import partition_function
@@ -113,6 +115,80 @@ def test_gnz_detects_wrong_activity():
     dist = enumerate_system(model, W, 2)
     rep = verify_gnz(dist, Homogeneous.constant(GEO, 1.5, range(-2, 1)))
     assert rep["max_residual"] > 0.01
+
+
+@st.composite
+def explicit_systems(draw):
+    """A random Explicit system with at most 3 levels at d=1 or 1 level at
+    d=2, activities in [0.1, 3], and one of its blocks to perturb."""
+    d = draw(st.sampled_from([1, 2]))
+    scale = draw(st.integers(-1, 1))
+    levels = draw(st.integers(max(scale, 0), 3)) if d == 1 else 1
+    geo = Geometry(d)
+    window = block(scale, *draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    bs = descendants(window, scale - levels, geo)
+    acts = draw(st.lists(st.floats(0.1, 3.0), min_size=len(bs), max_size=len(bs)))
+    return geo, window, levels - scale, dict(zip(bs, acts)), draw(st.sampled_from(bs))
+
+
+def _gnz_residual(dist, model, b, sigma):
+    """The balance residual of one (block, pattern) case, from Block tests."""
+    z = math.exp(model.log_activity(b))
+    clear = not any(overlaps(s, b, dist.geometry) for s in sigma)
+    return abs(dist.prob(sigma | {b}) - (z * dist.prob(sigma) if clear else 0.0))
+
+
+def _topdown_residual(dist, rho, b, pi):
+    """The top-down residual of one (block, outside pattern) case."""
+    geo = dist.geometry
+    anc = set(ancestors(b, dist.window.scale, geo))
+    group = [(cfg, p) for cfg, p in zip(dist.support, dist.probs)
+             if frozenset(x for x in cfg if not contains(b, x, geo)) == pi]
+    lhs = sum(p for cfg, p in group if b in cfg)
+    rhs = rho(b) * sum(p for cfg, p in group if not cfg & anc)
+    return abs(lhs - rhs)
+
+
+def _formula_residual(dist, rho, cfg):
+    """The product-formula residual of one configuration."""
+    anc = {a for b in cfg for a in ancestors(b, dist.window.scale, dist.geometry)}
+    rhs = math.prod(rho(b) for b in cfg) * math.prod(1.0 - rho(a) for a in anc)
+    return abs(dist.prob_superset(cfg) - rhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(explicit_systems())
+def test_verifiers_on_random_explicit_models(system):
+    geo, window, depth, acts, target = system
+    model = Explicit.from_values(geo, acts)
+    dist = enumerate_system(model, window, depth)
+    rho = gibbs_ratio_function(model, window, depth)
+    for rep in (verify_gnz(dist, model), verify_topdown(dist, rho),
+                verify_hierarchical_formula(dist, rho)):
+        assert rep["max_residual"] < 1e-12
+
+    # a wrong activity or ratio at one block is flagged.  Floors: the empty
+    # pattern has probability 1/Xi >= 1/132499 (z = 3 on 3 levels), so z + 1
+    # moves a GNZ case by more than 7e-6; each of at most 3 strict ancestors
+    # stays unoccupied with probability >= 1.21/4.21, so rho + 0.05 moves one
+    # of at most 677 top-down cases by more than 0.05 * 0.287**3 / 677 > 1e-6
+    bumped = lambda b: rho(b) + (0.05 if b == target else 0.0)
+    wrong = Explicit.from_values(geo, {**acts, target: acts[target] + 1.0})
+    gnz = verify_gnz(dist, wrong)
+    top = verify_topdown(dist, bumped)
+    formula = verify_hierarchical_formula(dist, bumped)
+    for rep in (gnz, top, formula):
+        assert rep["max_residual"] > 1e-6
+
+    # the reported worst cases attain the reported maxima
+    event = lambda rep: frozenset(map(parse_block, rep["worst_case_event"]))
+    b = parse_block(gnz["worst_case_block"])
+    assert _gnz_residual(dist, wrong, b, event(gnz)) == gnz["max_residual"]
+    assert max(gnz["per_block"].values()) == gnz["max_residual"]
+    b = parse_block(top["worst_case_block"])
+    assert _topdown_residual(dist, bumped, b, event(top)) == top["max_residual"]
+    assert _formula_residual(dist, bumped, event(formula)) == \
+        pytest.approx(formula["max_residual"], rel=1e-12, abs=1e-15)
 
 
 # -- hierarchical distributions and the percolation counterexample ---------------

@@ -2,9 +2,10 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from hiercubes.blocks import Geometry, block
+from hiercubes.blocks import Geometry, block, descendants, overlaps
 from hiercubes.activities import (EffectiveDesign, Homogeneous, Parametric,
                                   TailRule)
 from hiercubes.oracle import enumerate_system, gibbs_ratio_function
@@ -45,6 +46,42 @@ def test_configuration_validation_rejects_overlap():
     cfg = Configuration(blocks=(W, block(-1, 0)), window=W, depth=2, seed=0)
     with pytest.raises(InvalidConfiguration):
         cfg.validate(GEO)
+
+
+@pytest.mark.parametrize("blocks,window,depth,covered", [
+    ((block(-2, 1), block(0, 0)), block(1, 0), 3, None),    # two scales apart
+    ((block(-1, 0), block(-1, 0)), W, 2, None),              # duplicated
+    ((block(0, 1),), W, 2, None),                            # beside the window
+    ((block(1, 0),), W, 2, None),                            # above the window
+    ((block(-3, 0),), W, 2, None),                           # below -depth
+    ((block(-1, 0),), W, 2, 2),                              # covered, with blocks
+], ids=["overlap-two-scales", "duplicate", "beside-window", "above-window",
+        "below-depth", "covered-with-blocks"])
+def test_configuration_validation_rejects(blocks, window, depth, covered):
+    cfg = Configuration(blocks, window, depth, seed=0, covered_by_ancestor=covered)
+    with pytest.raises(InvalidConfiguration):
+        cfg.validate(GEO)
+
+
+def test_configuration_validation_accepts_valid():
+    Configuration((block(-2, 0), block(-2, 1), block(-1, 1)), W, 2, 0).validate(GEO)
+    Configuration((), W, 2, 0, covered_by_ancestor=3).validate(GEO)
+    for i in range(20):
+        sample_gibbs(unit_model(), W, 4, seed=3, index=i).validate(GEO)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from(descendants(block(1, 0), -2, GEO)), max_size=6))
+def test_configuration_validation_matches_pairwise(members):
+    # the ancestor walk accepts exactly the pairwise-disjoint block sets
+    bs = sorted(members)
+    disjoint = all(not overlaps(a, b, GEO) for i, a in enumerate(bs) for b in bs[i + 1:])
+    cfg = Configuration(tuple(bs), block(1, 0), 2, seed=0)
+    if disjoint:
+        cfg.validate(GEO)
+    else:
+        with pytest.raises(InvalidConfiguration):
+            cfg.validate(GEO)
 
 
 def test_configuration_json_roundtrip_fields():
