@@ -419,9 +419,17 @@ _KINDS = {}
 
 
 def model_from_json_obj(obj: dict) -> ActivityModel:
+    """Rebuild a model from its JSON object; a missing key is a ValueError."""
+    try:
+        return _model_from_json_obj(obj)
+    except KeyError as exc:
+        raise ValueError(f"model JSON is missing the key {exc.args[0]!r}") from None
+
+
+def _model_from_json_obj(obj: dict) -> ActivityModel:
     kind = obj.get("kind")
     if kind in ("volume_truncated", "scale_truncated"):
-        inner = model_from_json_obj(obj["inner"])
+        inner = _model_from_json_obj(obj["inner"])
         if kind == "volume_truncated":
             return VolumeTruncated(inner, parse_block(obj["window"]))
         return ScaleTruncated(inner, int(obj["depth"]))

@@ -18,10 +18,11 @@ from pathlib import Path
 from .blocks import Block, Geometry, ancestors, block, format_block, parse_block
 from .activities import (ActivityModel, EffectiveDesign, Explicit, Homogeneous,
                          Parametric, TailRule, load_model)
-from .analytics import (TruncatedSystem, UncertifiedComputation,
+from .analytics import (UncertifiedComputation,
                         check_condition_ii, critical_mu, decay_profile,
                         exact_marginal, existence_report, log_tail_ratio,
                         pair_covariance, pressure_profile, scale_profile)
+from .logreal import log1p_exp
 from .oracle import (enumerate_system, gibbs_ratio_function,
                      condensation_table, fragmentation_table,
                      mandelbrot_gnz_report, verify_gnz,
@@ -76,7 +77,7 @@ def cmd_analyze(args) -> int:
             rows = [{"j": j,
                      "log_z": sp.log_z[j],
                      "log_zhat": sp.log_zhat[j],
-                     "rho": math.exp(sp.log_zhat[j] - _l1p(sp.log_zhat[j]))
+                     "rho": math.exp(sp.log_zhat[j] - log1p_exp(sp.log_zhat[j]))
                      if sp.log_zhat[j] > -math.inf else 0.0,
                      "p_partial": sp.pressure_partial[j]}
                     for j in range(sp.j_lo, sp.j_hi + 1)]
@@ -86,11 +87,6 @@ def cmd_analyze(args) -> int:
     if report.verdict == "undecided":
         return EXIT_UNDECIDED
     return EXIT_OK
-
-
-def _l1p(lzh: float) -> float:
-    from .logreal import log1p_exp
-    return log1p_exp(lzh)
 
 
 def cmd_sample(args) -> int:
@@ -149,21 +145,25 @@ def cmd_correlate(args) -> int:
     geo = model.geometry
     window = parse_block(args.window)
     out = _out_dir(args)
-    sys_ = TruncatedSystem(model, window, args.depth)
+    pairs = _distance_pairs(geo, window, args.depth)
     rows = []
-    for l, b1, b2 in _distance_pairs(geo, window, args.depth):
-        cv = pair_covariance(model, b1, b2, window, args.depth)
-        batch = estimate_chunked(model, window, args.depth, args.samples,
-                                 {"pair": [b1, b2], "b1": [b1], "b2": [b2]},
+    if pairs:
+        # one batch of draws serves every pair: its probes are keyed by lcs scale
+        probes = {}
+        for l, b1, b2 in pairs:
+            probes.update({f"{l}:pair": [b1, b2], f"{l}:b1": [b1], f"{l}:b2": [b2]})
+        batch = estimate_chunked(model, window, args.depth, args.samples, probes,
                                  seed=args.seed)
-        p12, err = batch.estimate("pair")
-        mc_cov = p12 - batch.estimate("b1")[0] * batch.estimate("b2")[0]
-        rows.append({"lcs_scale": l,
-                     "distance": float(geo.M) ** (geo.d * l),
-                     "cov_exact": cv["cov"],
-                     "cov_factored": cv["factored_cov"],
-                     "cov_mc": mc_cov,
-                     "stderr": err})
+        for l, b1, b2 in pairs:
+            cv = pair_covariance(model, b1, b2, window, args.depth)
+            p12, err = batch.estimate(f"{l}:pair")
+            mc_cov = p12 - batch.estimate(f"{l}:b1")[0] * batch.estimate(f"{l}:b2")[0]
+            rows.append({"lcs_scale": l,
+                         "distance": float(geo.M) ** (geo.d * l),
+                         "cov_exact": cv["cov"],
+                         "cov_factored": cv["factored_cov"],
+                         "cov_mc": mc_cov,
+                         "stderr": err})
     _write_csv(out / "correlate.csv", rows)
     if model.is_homogeneous:
         try:
@@ -367,6 +367,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.tol <= 0:
         print("tol must be > 0", file=sys.stderr)
+        return EXIT_VALIDATION
+    if getattr(args, "samples", 1) < 1:
+        print("samples must be >= 1", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         return args.fn(args)

@@ -4,16 +4,23 @@ All randomness comes from a counter-based generator: a keyed blake2b hash of
 (seed, sample index, block) mapped to a uniform in [0,1).  Draws are therefore
 a pure function of their coordinates, so serial and parallel runs, and any
 chunking of a batch, produce bit-identical results.
+
+The top-down walk runs on (scale, index) pairs, with index a plain int tuple
+and children found by index arithmetic; a `Block` is built only for an
+occupied block.  A draw costs one uniform and one ratio lookup per visited
+block, and its validation O(blocks x depth).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .blocks import Block, Geometry, ancestors, children, format_block
+from .blocks import INDEX_LIMIT, Block, Geometry, IndexRangeError, format_block
 from .activities import ActivityModel
 from .analytics import (TruncatedSystem, UncertifiedComputation,
                         check_condition_ii, scale_profile)
@@ -46,23 +53,22 @@ class Configuration:
         the truncated system and are hard-core.
 
         Hard-core means no block has a strict ancestor among the blocks, so
-        each block's parent chain is walked up to the window's scale, where
-        it must end at the window: O(blocks x depth).
+        each block's parent chain is walked on (scale, index) tuples up to
+        the window's scale, where it must end at the window, and looked up in
+        the set of members: O(blocks x depth).
         """
         if self.covered_by_ancestor is not None and self.blocks:
             raise InvalidConfiguration("covered configurations carry no blocks")
-        members = set(self.blocks)
+        members = {(b.scale, b.index) for b in self.blocks}
         if len(members) != len(self.blocks):
             raise InvalidConfiguration("a block occurs twice")
+        top = self.window.scale
         for b in self.blocks:
-            if b.scale < -self.depth:
+            hit, end = _walk_up(b.scale, b.index, top, geo.M, members)
+            if b.scale < -self.depth or b.scale > top or end != self.window.index:
                 raise InvalidConfiguration(f"block {b} outside the truncated system")
-            chain = ancestors(b, self.window.scale, geo)
-            if (chain[-1] if chain else b) != self.window:
-                raise InvalidConfiguration(f"block {b} outside the truncated system")
-            for a in chain:
-                if a in members:
-                    raise InvalidConfiguration(f"blocks {a} and {b} overlap")
+            if hit is not None:
+                raise InvalidConfiguration(f"blocks {Block(*hit)} and {b} overlap")
 
     def to_json_obj(self) -> dict:
         obj = {"window": format_block(self.window), "depth": self.depth,
@@ -73,9 +79,30 @@ class Configuration:
         return obj
 
 
+def _walk_up(scale: int, index: tuple, top: int, M: int,
+             members: set) -> tuple[Optional[tuple], tuple]:
+    """Walk the parent chain of (scale, index) up to scale `top`.
+
+    Returns the lowest strict ancestor that is in `members`, as a
+    (scale, index) pair or None, and the index reached at `top` (`index`
+    itself when scale >= top).
+    """
+    hit = None
+    while scale < top:
+        scale += 1
+        index = tuple(m // M for m in index)
+        if hit is None and (scale, index) in members:
+            hit = (scale, index)
+    return hit, index
+
+
+_BLOCK_ORDER = operator.attrgetter("scale", "index")   # the order of Block.__lt__
+
+
 def _make_config(blocks: Iterable[Block], window: Block, depth: int, seed: int,
                  geo: Geometry, covered: Optional[int] = None) -> Configuration:
-    cfg = Configuration(tuple(sorted(blocks)), window, depth, seed, covered)
+    cfg = Configuration(tuple(sorted(blocks, key=_BLOCK_ORDER)), window, depth,
+                        seed, covered)
     cfg.validate(geo)
     return cfg
 
@@ -99,16 +126,60 @@ def _uniform(seed: int, index: int, *tokens) -> float:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _sample_topdown(ratio: Callable[[Block], float], geo: Geometry,
-                    window: Block, depth: int, seed: int, index: int) -> list[Block]:
+_Ratio = Callable[[int, tuple], float]
+
+
+def _ratio_lookup(sys: TruncatedSystem) -> _Ratio:
+    """The (scale, index) -> occupation ratio lookup of a truncated system.
+
+    Scale lane (the model is scale-wise constant in the window): one
+    `sys.rho` per scale, taken on the scale's first block in the window.
+    Block lane: `sys.rho` of the block, computed on its first visit and kept.
+    """
+    window = sys.window
+    if sys.model.homogeneous_within(window):
+        by_scale = {}
+        for j in range(window.scale, -sys.depth - 1, -1):
+            shift = sys.geo.M ** (window.scale - j)
+            by_scale[j] = sys.rho(Block(j, tuple(m * shift for m in window.index)))
+        return lambda scale, index: by_scale[scale]
+    memo: dict = {}
+
+    def block_rho(scale: int, index: tuple) -> float:
+        r = memo.get((scale, index))
+        if r is None:
+            r = memo[scale, index] = sys.rho(Block(scale, index))
+        return r
+    return block_rho
+
+
+def _sample_topdown(ratio: _Ratio, geo: Geometry, window: Block, depth: int,
+                    seed: int, index: int) -> list[Block]:
+    """One top-down draw: the occupied blocks, in visit order.
+
+    Walks (scale, index) pairs depth first.  Each visited block draws one
+    uniform and is occupied when it falls below `ratio(scale, index)`, which
+    prunes its subtree; otherwise its children, in the order of
+    `blocks.children`, are visited down to scale -depth.  Raises
+    IndexRangeError before drawing when a bottom-scale index would reach
+    INDEX_LIMIT.
+    """
+    M = geo.M
+    bottom = -depth
+    levels = window.scale - bottom
+    if levels > 0 and (max(window.index) + 1) * M ** levels > INDEX_LIMIT:
+        raise IndexRangeError(f"index at scale {bottom} below {window} exceeds 2**128")
+    offsets = list(itertools.product(range(M), repeat=geo.d))
+    add = operator.add
     out: list[Block] = []
-    stack = [window]
+    stack = [(window.scale, window.index)]
     while stack:
-        b = stack.pop()
-        if _uniform(seed, index, "occ", b.scale, b.index) < ratio(b):
-            out.append(b)                      # occupied: prune the subtree
-        elif b.scale > -depth:
-            stack.extend(children(b, geo))
+        scale, m = stack.pop()
+        if _uniform(seed, index, "occ", scale, m) < ratio(scale, m):
+            out.append(Block(scale, m))        # occupied: prune the subtree
+        elif scale > bottom:
+            base = [x * M for x in m]
+            stack.extend([(scale - 1, tuple(map(add, base, offs))) for offs in offsets])
     return out
 
 
@@ -120,8 +191,8 @@ def sample_gibbs(model: ActivityModel, window: Block, depth: int, seed: int,
     from the truncated activity, so the sampled law is exactly the truncated
     one); recurse into the children otherwise.
     """
-    sys = TruncatedSystem(model, window, depth)
-    blocks = _sample_topdown(sys.rho, model.geometry, window, depth, seed, index)
+    ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
+    blocks = _sample_topdown(ratio, model.geometry, window, depth, seed, index)
     return _make_config(blocks, window, depth, seed, model.geometry)
 
 
@@ -130,7 +201,7 @@ def sample_mandelbrot(p: float, geo: Geometry, window: Block, depth: int,
     """Truncated fractal percolation: constant retention probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
-    blocks = _sample_topdown(lambda b: p, geo, window, depth, seed, index)
+    blocks = _sample_topdown(lambda scale, m: p, geo, window, depth, seed, index)
     return _make_config(blocks, window, depth, seed, geo)
 
 
@@ -142,9 +213,9 @@ def sample_bernoulli_max(ratios: dict[Block, float], geo: Geometry,
     the pruned top-down sampler for the same ratios."""
     occupied = [b for b, r in ratios.items()
                 if _uniform(seed, index, "occ", b.scale, b.index) < r]
-    occ = set(occupied)
+    occ = {(b.scale, b.index) for b in occupied}
     maximal = [b for b in occupied
-               if not any(a in occ for a in ancestors(b, window.scale, geo))]
+               if _walk_up(b.scale, b.index, window.scale, geo.M, occ)[0] is None]
     return _make_config(maximal, window, depth, seed, geo)
 
 
@@ -201,8 +272,8 @@ def sample_gibbs_infinite(model: ActivityModel, window: Block, depth: int,
     u = _uniform(seed, index, "chain", window.scale, window.index)
     acc = p_none
     if u < acc:
-        sys = TruncatedSystem(model, window, depth)
-        blocks = _sample_topdown(sys.rho, geo, window, depth, seed, index)
+        ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
+        blocks = _sample_topdown(ratio, geo, window, depth, seed, index)
         return _make_config(blocks, window, depth, seed, geo)
     for k, pk in rows:
         acc += pk
@@ -261,12 +332,12 @@ def estimate(model: ActivityModel, window: Block, depth: int, N: int,
     if N < 1:
         raise ValueError("N must be >= 1")
     probes = {pid: tuple(sorted(bs)) for pid, bs in probes.items()}
-    sys = TruncatedSystem(model, window, depth)
+    ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
     geo = model.geometry
     hits = {pid: 0 for pid in probes}
     empty = 0
     for i in range(start_index, start_index + N):
-        blocks = _sample_topdown(sys.rho, geo, window, depth, seed, i)
+        blocks = _sample_topdown(ratio, geo, window, depth, seed, i)
         got = set(blocks)
         if not got:
             empty += 1

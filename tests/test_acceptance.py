@@ -24,8 +24,8 @@ from hiercubes.cli import main, run_validation_suite
 from hiercubes.oracle import (condensation_table, enumerate_system,
                               fragmentation_table, gibbs_ratio_function,
                               mandelbrot_gnz_report, verify_gnz)
-from hiercubes.sampler import (_sample_topdown, estimate_chunked,
-                               sample_bernoulli_max)
+from hiercubes.sampler import (_ratio_lookup, _sample_topdown,
+                               estimate_chunked, sample_bernoulli_max)
 
 GEO = Geometry(1)
 GEO2 = Geometry(2)
@@ -81,8 +81,8 @@ def test_criterion_3_sampler_chi_square():
     crit = chi2.ppf(1 - 1e-3, len(dist.support) - 1)
     expected = {cfg: n * p for cfg, p in zip(dist.support, dist.probs)}
 
-    sys_ = TruncatedSystem(m, W, 2)
-    h_top = Counter(frozenset(_sample_topdown(sys_.rho, GEO, W, 2, 1001, i))
+    ratio = _ratio_lookup(TruncatedSystem(m, W, 2))
+    h_top = Counter(frozenset(_sample_topdown(ratio, GEO, W, 2, 1001, i))
                     for i in range(n))
     stat_top = sum((h_top.get(cfg, 0) - e) ** 2 / e
                    for cfg, e in expected.items())

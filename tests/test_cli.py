@@ -1,11 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from hiercubes.cli import (EXIT_OK, EXIT_UNDECIDED, EXIT_VALIDATION, main,
-                           run_validation_suite)
+import hiercubes
+from hiercubes.activities import load_model
+from hiercubes.blocks import parse_block
+from hiercubes.cli import (EXIT_OK, EXIT_UNDECIDED, EXIT_VALIDATION,
+                           _distance_pairs, main, run_validation_suite)
+from hiercubes.sampler import estimate_chunked
 
 
 def write_model(tmp_path, obj, name="model.json"):
@@ -122,6 +129,26 @@ def test_correlate_tables(tmp_path):
     assert len(drows) == 9
 
 
+def test_correlate_matches_per_pair_estimates(tmp_path):
+    # one shared batch gives the numbers of one estimate per distance pair
+    m = write_model(tmp_path, UNIT_DEPTH8)
+    out = tmp_path / "o"
+    assert main(["correlate", "--model", m, "--out", str(out),
+                 "--window", "0:(0)", "--depth", "4", "--samples", "300",
+                 "--jmax", "4", "--seed", "4"]) == EXIT_OK
+    with (out / "correlate.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    model, window = load_model(m), parse_block("0:(0)")
+    pairs = _distance_pairs(model.geometry, window, 4)
+    assert [int(r["lcs_scale"]) for r in rows] == [l for l, _, _ in pairs]
+    for r, (l, b1, b2) in zip(rows, pairs):
+        batch = estimate_chunked(model, window, 4, 300,
+                                 {"pair": [b1, b2], "b1": [b1], "b2": [b2]}, seed=4)
+        p12, err = batch.estimate("pair")
+        assert float(r["cov_mc"]) == p12 - batch.estimate("b1")[0] * batch.estimate("b2")[0]
+        assert float(r["stderr"]) == err
+
+
 # -- critical ------------------------------------------------------------------
 
 def test_critical_zero_coupling(tmp_path):
@@ -178,3 +205,34 @@ def test_diagnose_builtin_tables(tmp_path):
     names = {p.name for p in out.iterdir()}
     assert any("fragmentation" in n for n in names)
     assert any("condensation" in n for n in names)
+
+
+# -- inputs that must fail with a message, not a traceback -----------------------
+
+def run_cli(*argv):
+    src = str(Path(hiercubes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "hiercubes.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_model_without_dimension_is_rejected(tmp_path):
+    obj = {k: v for k, v in UNIT_DEPTH8.items() if k != "d"}
+    m = write_model(tmp_path, obj)
+    res = run_cli("analyze", "--model", m, "--out", str(tmp_path / "o"))
+    assert res.returncode == EXIT_VALIDATION
+    assert "Traceback" not in res.stderr and "'d'" in res.stderr
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("sample", ["--format", "svg"]),
+    ("correlate", []),
+], ids=["sample-svg", "correlate"])
+def test_zero_samples_rejected(tmp_path, command, extra):
+    m = write_model(tmp_path, UNIT_DEPTH8)
+    res = run_cli(command, "--model", m, "--out", str(tmp_path / "o"),
+                  "--window", "0:(0)", "--depth", "2", "--seed", "1",
+                  "--samples", "0", *extra)
+    assert res.returncode == EXIT_VALIDATION
+    assert "Traceback" not in res.stderr and "samples" in res.stderr

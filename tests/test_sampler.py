@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from hiercubes.blocks import Geometry, block, descendants, overlaps
-from hiercubes.activities import (EffectiveDesign, Homogeneous, Parametric,
-                                  TailRule)
+from hiercubes.blocks import (Geometry, IndexRangeError, block, descendants,
+                              format_block, overlaps)
+from hiercubes.activities import (EffectiveDesign, Explicit, Homogeneous,
+                                  Parametric, TailRule)
 from hiercubes.oracle import enumerate_system, gibbs_ratio_function
 from hiercubes.sampler import (Configuration, InvalidConfiguration,
                                SampleBatch, ancestor_chain_cdf, estimate,
@@ -219,3 +221,87 @@ def test_batch_merge_counts():
     b = SampleBatch(5, {"p": 1}, 1)
     m = a.merge(b)
     assert m.count == 15 and m.probe_hits["p"] == 4 and m.empty_count == 3
+
+
+# -- the pinned stream ----------------------------------------------------------------
+# sha256 of the sorted draws of fixed seeds and indices: any change to the
+# blake2b stream, the visit order or the occupation ratios changes them.
+
+def draws_digest(configs) -> str:
+    lines = sorted(" ".join(format_block(b) for b in cfg.blocks)
+                   + f"|{cfg.covered_by_ancestor}" for cfg in configs)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def explicit_d2(depth=3):
+    g2 = Geometry(2)
+    bs = descendants(block(0, 0, 0), -depth, g2)
+    return Explicit.from_values(
+        g2, {b: 0.05 + ((7 * b.scale + 3 * b.index[0] + 5 * b.index[1]) % 11) / 4
+             for b in bs})
+
+
+PINNED_DRAWS = {
+    "gibbs-scale-lane-d1": (
+        lambda i: sample_gibbs(Homogeneous.constant(GEO, 0.7, range(-6, 2)),
+                               block(1, 1), 7, seed=5, index=i), 60,
+        "df9c4b710aa98ddfac7567c9296ea81328b4ef643006c815270ba3be0919e43f"),
+    "gibbs-scale-lane-d2": (
+        lambda i: sample_gibbs(Homogeneous.constant(Geometry(2), 0.4, range(-3, 1)),
+                               block(0, 0, 0), 3, seed=6, index=i), 30,
+        "a72b565cfa4ad7dcbbb9d9a514e6d29b007de5a9797860bf8e87f861be07757f"),
+    "gibbs-scale-lane-d2-M3": (
+        lambda i: sample_gibbs(Homogeneous.constant(Geometry(2, 3), 0.3, range(-2, 1)),
+                               block(0, 1, 2), 2, seed=7, index=i), 30,
+        "a0b4855ab358daa6220995fcfbaaa2962ed2a38136cc8a26d02348e79e4278e3"),
+    "gibbs-block-lane-d2": (
+        lambda i: sample_gibbs(explicit_d2(), block(0, 0, 0), 3, seed=8, index=i), 30,
+        "d8b299fc62c38597da29a39fbdfd7960f4bba36273af83fe128094d4e6bcd6bb"),
+    "bernoulli-max": (
+        lambda i: sample_bernoulli_max(
+            {b: 0.3 for b in descendants(block(1, 1), -3, GEO)}, GEO, block(1, 1), 3,
+            seed=11, index=i), 60,
+        "6c62aa339a87d9abbf1abb7c55e3372f03ff0da1df0e75ab47eec5824ef98314"),
+    "mandelbrot": (
+        lambda i: sample_mandelbrot(0.35, GEO, W, 6, seed=9, index=i), 60,
+        "f32929bf79616579cb671893307a4709de1fb1c0b7e92d9e0e418b369c67e8ae"),
+    "gibbs-infinite": (
+        # even indices can be covered; odd ones run the finite branch
+        lambda i: sample_gibbs_infinite(Parametric(GEO, mu=0.0, J=0.2, alpha=0.5),
+                                        (W, block(3, 1))[i % 2], 1, seed=10, index=i), 80,
+        "823fa5c8bed86b54e8fc134033a296d3f32ddc2cb94835679119d96d5f0bcccb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DRAWS))
+def test_draws_are_pinned(case):
+    draw, n, digest = PINNED_DRAWS[case]
+    assert draws_digest(draw(i) for i in range(n)) == digest
+
+
+ESTIMATE_HITS = {"top": 0, "mid": 8, "pair": 19, "deep": 160}
+ESTIMATE_EMPTY = 0
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_estimate_hits_are_pinned(chunks):
+    probes = {"top": [W], "mid": [block(-3, 2)], "pair": [block(-4, 0), block(-4, 15)],
+              "deep": [block(-5, 7)]}
+    batch = estimate_chunked(unit_model(), W, 5, N=400, probes=probes, seed=12,
+                             chunks=chunks)
+    assert (batch.probe_hits, batch.empty_count) == (ESTIMATE_HITS, ESTIMATE_EMPTY)
+
+
+def test_bottom_scale_index_overflow_raises_before_drawing():
+    # 2**128 is the index limit: the bottom scale of window 0:(0) at depth 129
+    # holds index 2**129 - 1, so the draw is refused even where the window
+    # itself would be occupied
+    with pytest.raises(IndexRangeError):
+        sample_mandelbrot(1.0, GEO, W, 129, seed=1)
+    with pytest.raises(IndexRangeError):
+        sample_gibbs(Homogeneous.constant(GEO, 1.0, range(-129, 1)), W, 129, seed=1)
+    with pytest.raises(IndexRangeError):
+        sample_mandelbrot(0.5, GEO, block(0, 2**127), 1, seed=1)
+    assert sample_mandelbrot(1.0, GEO, W, 128, seed=1).blocks == (W,)
+    assert sample_mandelbrot(1.0, GEO, block(0, 2**127 - 1), 1, seed=1).blocks \
+        == (block(0, 2**127 - 1),)
