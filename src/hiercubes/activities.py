@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .blocks import Block, Geometry, contains, format_block, parse_block
-from .logreal import LogReal, log1p_exp
+from .logreal import log1p_exp
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class ActivityModel:
 
     def log_activity(self, b: Block) -> float:
         raise NotImplementedError
-
-    def activity(self, b: Block) -> LogReal:
-        """The activity of a block as a LogReal (total function)."""
-        return LogReal.from_log(self.log_activity(b))
 
     @property
     def is_homogeneous(self) -> bool:
@@ -415,27 +411,36 @@ def activity_from_effective(target: dict[int, float], geometry: Geometry,
     return EffectiveDesign.from_values(geometry, target, tail_up)
 
 
-_KINDS = {}
-
-
 def model_from_json_obj(obj: dict) -> ActivityModel:
-    """Rebuild a model from its JSON object; a missing key is a ValueError."""
+    """Rebuild a model from its JSON object; malformed input is a ValueError."""
     try:
         return _model_from_json_obj(obj)
     except KeyError as exc:
         raise ValueError(f"model JSON is missing the key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"model JSON has a value of the wrong type: {exc}") from None
+
+
+def _expect(value, kind: type, what: str):
+    """`value` if it is a `kind`, else a ValueError naming `what`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"model JSON: {what} must be a {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 def _model_from_json_obj(obj: dict) -> ActivityModel:
-    kind = obj.get("kind")
+    kind = _expect(obj, dict, "a model").get("kind")
     if kind in ("volume_truncated", "scale_truncated"):
         inner = _model_from_json_obj(obj["inner"])
         if kind == "volume_truncated":
-            return VolumeTruncated(inner, parse_block(obj["window"]))
+            window = parse_block(_expect(obj["window"], str, "'window'"))
+            return VolumeTruncated(inner, window)
         return ScaleTruncated(inner, int(obj["depth"]))
     geo = Geometry(int(obj["d"]), int(obj.get("M", 2)))
     if kind == "homogeneous":
-        table = {int(j): float(v) for j, v in obj.get("table", {}).items()}
+        table = {int(j): float(v)
+                 for j, v in _expect(obj.get("table", {}), dict, "'table'").items()}
         return Homogeneous.from_values(
             geo, table,
             TailRule.from_json_obj(obj.get("tail_down")),
@@ -443,10 +448,12 @@ def _model_from_json_obj(obj: dict) -> ActivityModel:
     if kind == "parametric":
         return Parametric(geo, float(obj["mu"]), float(obj["J"]), float(obj["alpha"]))
     if kind == "explicit":
-        entries = {parse_block(k): float(v) for k, v in obj.get("entries", {}).items()}
+        entries = {parse_block(k): float(v)
+                   for k, v in _expect(obj.get("entries", {}), dict, "'entries'").items()}
         return Explicit.from_values(geo, entries, float(obj.get("default", 0.0)))
     if kind == "effective":
-        table = {int(j): float(v) for j, v in obj.get("zhat_table", {}).items()}
+        table = {int(j): float(v)
+                 for j, v in _expect(obj.get("zhat_table", {}), dict, "'zhat_table'").items()}
         return EffectiveDesign.from_values(
             geo, table, TailRule.from_json_obj(obj.get("zhat_tail_up")))
     raise ValueError(f"unknown activity model kind {kind!r}")

@@ -20,7 +20,7 @@ Key per-scale quantities (homogeneous activity z_j):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .blocks import (Block, Geometry, ancestors, children, contains,
@@ -518,7 +518,7 @@ def check_condition_ii(model: ActivityModel, anchor: Optional[Block] = None,
                             "effective activities vanish along the chain")
 
     inner = model
-    while isinstance(inner, VolumeTruncated):
+    if isinstance(inner, VolumeTruncated):
         # zhat vanishes above the window: finite sum
         return ConditionVerdict("holds", detail="volume-truncated activity: "
                                                 "finitely many ancestors carry weight")
@@ -545,6 +545,15 @@ def check_condition_ii(model: ActivityModel, anchor: Optional[Block] = None,
         j_max *= 2
     return ConditionVerdict("undecided",
                             detail=f"no decision after j_max = {j_max_cap}")
+
+
+def _require_condition_ii(model: ActivityModel, what: str) -> None:
+    """The one certification gate of the infinite-volume computations: raise
+    UncertifiedComputation unless condition (ii) holds for the model."""
+    cii = check_condition_ii(model)
+    if not cii.holds:
+        raise UncertifiedComputation(
+            f"{what} refused: condition (ii) is '{cii.status}' ({cii.detail})")
 
 
 def _condition_ii_design(model: EffectiveDesign) -> ConditionVerdict:
@@ -652,18 +661,16 @@ def _strict_ancestor_set(blocks, up_to_scale: int, geo: Geometry) -> set:
 def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int,
                              tol: float) -> float:
     geo = model.geometry
-    cii = check_condition_ii(model)
-    if not cii.holds:
-        raise UncertifiedComputation(
-            f"infinite-volume marginal refused: condition (ii) is "
-            f"'{cii.status}' ({cii.detail})")
-    top_scale = max(b.scale for b in blocks)
-    j_hi = _chain_cut_scale(model, top_scale)
-    prof = scale_profile(model, j_hi, depth=depth)
+    _require_condition_ii(model, "infinite-volume marginal")
     cover = covering_block(blocks[0], blocks[0], geo)
     for b in blocks[1:]:
         cover = covering_block(cover, b, geo)
-    sys = TruncatedSystem(model, cover, depth) if cover.scale >= -depth else None
+    if cover.scale < -depth:
+        return 0.0      # every block lies below the depth truncation
+    top_scale = max(b.scale for b in blocks)
+    j_hi = _chain_cut_scale(model, top_scale)
+    prof = scale_profile(model, j_hi, depth=depth)
+    sys = TruncatedSystem(model, cover, depth)
     log_p = 0.0
     for b in blocks:
         log_p += sys.log_rho(b)
@@ -722,13 +729,6 @@ def _common_chain_R(model: ActivityModel, set1, set2,
     """R over the common strict-ancestor set of two disjoint block sets."""
     geo = model.geometry
     lcs_scale = min(lcs(a, b, geo) for a in set1 for b in set2)
-    cover = covering_block(set1[0], set2[0], geo)
-    for a in set1:
-        for b in set2:
-            c = covering_block(a, b, geo)
-            if c.scale == lcs_scale:
-                cover = c
-    anc1 = {a for b in set1 for a in ancestors(b, max(window.scale if window else lcs_scale + 200, b.scale), geo)}
     if window is not None:
         sys = TruncatedSystem(model, window, depth)
         anc2 = {a for b in set2 for a in ancestors(b, window.scale, geo)}
@@ -787,10 +787,7 @@ def pressure_profile(model: ActivityModel, tol: float = DEFAULT_TOL,
     prof = scale_profile(model, j_max)
     geo = model.geometry
     partial = dict(prof.pressure_partial)
-    p_end = partial[prof.j_hi]
-    # remainder bound: sum_{k > j_max} M**(-d k) zhat_k, under the tail envelope
-    tail_term = prof.log_zhat[prof.j_hi]
-    p = p_end  # increments decay doubly exponentially once zhat does
+    p = partial[prof.j_hi]  # increments decay doubly exponentially once zhat does
     inner = model
     while isinstance(inner, ScaleTruncated):
         inner = inner.inner
@@ -836,10 +833,7 @@ def log_tail_ratio(model: ActivityModel, j: int, j_hi: Optional[int] = None) -> 
 
 def tail_ratio_R(model: ActivityModel, j: int, tol: float = DEFAULT_TOL) -> float:
     """R_j as a float (0.0 when it underflows; use log_tail_ratio then)."""
-    cii = check_condition_ii(model)
-    if not cii.holds:
-        raise UncertifiedComputation(
-            f"tail ratio refused: condition (ii) is '{cii.status}'")
+    _require_condition_ii(model, "tail ratio")
     lr = log_tail_ratio(model, j)
     return math.exp(lr) if lr > -700 else 0.0
 
@@ -852,10 +846,7 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
     tail_p(j) = sum_{k >= j} M**(-d k) log(1 + zhat_k) is summed directly so
     no catastrophic cancellation against the pressure limit occurs.
     """
-    cii = check_condition_ii(model)
-    if not cii.holds:
-        raise UncertifiedComputation(
-            f"decay profile refused: condition (ii) is '{cii.status}'")
+    _require_condition_ii(model, "decay profile")
     geo = model.geometry
     prof = scale_profile(model, j_max + 90)
     inner = model

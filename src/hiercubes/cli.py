@@ -16,20 +16,18 @@ import sys
 from pathlib import Path
 
 from .blocks import Block, Geometry, ancestors, block, format_block, parse_block
-from .activities import (ActivityModel, EffectiveDesign, Explicit, Homogeneous,
-                         Parametric, TailRule, load_model)
-from .analytics import (UncertifiedComputation,
-                        check_condition_ii, critical_mu, decay_profile,
-                        exact_marginal, existence_report, log_tail_ratio,
-                        pair_covariance, pressure_profile, scale_profile)
+from .activities import (EffectiveDesign, Explicit, Homogeneous, TailRule,
+                         load_model)
+from .analytics import (UncertifiedComputation, critical_mu, decay_profile,
+                        existence_report, pair_covariance, pressure_profile,
+                        scale_profile)
 from .logreal import log1p_exp
 from .oracle import (enumerate_system, gibbs_ratio_function,
                      condensation_table, fragmentation_table,
                      mandelbrot_gnz_report, verify_gnz,
                      verify_hierarchical_formula, verify_topdown)
 from .render import render_svg
-from .sampler import Configuration, estimate_chunked, sample_gibbs, \
-    sample_gibbs_infinite, sample_mandelbrot
+from .sampler import estimate_chunked, sample_gibbs, sample_gibbs_infinite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -228,7 +226,7 @@ def run_validation_suite(tol: float = 1e-12) -> dict:
         dist = enumerate_system(model, window, depth)
         ratios = gibbs_ratio_function(model, window, depth)
         checks = [verify_gnz(dist, model), verify_topdown(dist, ratios)]
-        if len(dist.support) <= 5000:
+        if len(dist.probs) <= 5000:
             checks.append(verify_hierarchical_formula(dist, ratios))
         worst = max(c["max_residual"] for c in checks)
         passed = worst < tol
@@ -373,7 +371,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -4,16 +4,18 @@ The enumeration oracle lists every hard-core configuration of a finite block
 system with its weight, independently of the recursive analytics, and the
 verifiers check the defining identities (GNZ balance, top-down conditionals,
 the product formula for inclusion probabilities) exhaustively on that support.
+Configurations are int masks over the blocks numbered top-down (`_Numbering`),
+listed by one enumerator, `_enumerate`, for the Gibbs and the hierarchical laws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
-from .blocks import (Block, Geometry, ancestors, children, contains,
-                     descendants, parent)
+from .blocks import Block, Geometry, ancestors, children, contains, descendants
 from .activities import ActivityModel, Homogeneous
 from .logreal import logsumexp_iter
 from .analytics import TruncatedSystem
@@ -27,38 +29,86 @@ class SupportCapExceeded(RuntimeError):
         self.size = size
 
 
+class _Numbering:
+    """The blocks of a truncated system numbered top-down, bit i for block i.
+
+    A configuration is the int mask of its members' bits.  `kids[i]` lists
+    the numbers of block i's children in `blocks.children` order (empty at
+    the bottom scale), `anc[i]` is the mask of the strict ancestors of block
+    i inside the window and `sub[i]` the mask of its subtree, block i
+    included, so block i overlaps exactly the blocks of `anc[i] | sub[i]`.
+    """
+
+    def __init__(self, geo: Geometry, window: Block, depth: int):
+        self.blocks = descendants(window, -depth, geo)
+        self.bit = {b: i for i, b in enumerate(self.blocks)}
+        self.kids = [[self.bit[c] for c in children(b, geo)]
+                     if b.scale > -depth else [] for b in self.blocks]
+        n = len(self.blocks)
+        self.anc = [0] * n
+        self.sub = [1 << i for i in range(n)]
+        for i in range(n):                # parents precede their children
+            for c in self.kids[i]:
+                self.anc[c] = self.anc[i] | 1 << i
+        for i in range(n - 1, -1, -1):    # children follow their parents
+            for c in self.kids[i]:
+                self.sub[i] |= self.sub[c]
+
+    def mask(self, cfg) -> Optional[int]:
+        """The mask of a set of blocks, or None if one lies outside the system."""
+        bits = {self.bit.get(b) for b in cfg}
+        return None if None in bits else sum(1 << i for i in bits)
+
+    def bits(self, m: int):
+        """Indices of the set bits of m, in increasing order."""
+        while m:
+            low = m & -m
+            yield low.bit_length() - 1
+            m ^= low
+
+
 @dataclass
 class ExactDistribution:
     """The full distribution of a finite block system.
 
-    `support` lists the hard-core configurations (frozensets of blocks) with
-    positive weight; `probs` are the normalized probabilities in the same
-    order; `log_partition` is the log of the unnormalized mass.
+    `masks` lists the hard-core configurations with positive weight as int
+    masks over `num` (bit i for block `num.blocks[i]`), in the depth-first
+    order of the enumerator; `probs` are the normalized probabilities in the
+    same order; `log_partition` is the log of the unnormalized mass.
+    `support` lists the same configurations as frozensets of blocks, built
+    on first use; the oracle itself never builds them.
     """
 
     geometry: Geometry
     window: Block
     depth: int
-    support: list[frozenset]
+    num: _Numbering
+    masks: list[int]
     probs: list[float]
     log_partition: float
-    index: dict = field(repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        if not self.index:
-            self.index = {cfg: i for i, cfg in enumerate(self.support)}
+    @cached_property
+    def support(self) -> list[frozenset]:
+        blocks = self.num.blocks
+        return [frozenset(blocks[i] for i in self.num.bits(m)) for m in self.masks]
+
+    @cached_property
+    def _prob_of_mask(self) -> dict[int, float]:
+        return dict(zip(self.masks, self.probs))
 
     def prob(self, cfg) -> float:
-        i = self.index.get(frozenset(cfg))
-        return self.probs[i] if i is not None else 0.0
+        m = self.num.mask(cfg)
+        return 0.0 if m is None else self._prob_of_mask.get(m, 0.0)
 
     def prob_superset(self, blocks) -> float:
-        want = frozenset(blocks)
-        return sum(p for cfg, p in zip(self.support, self.probs) if want <= cfg)
+        want = self.num.mask(blocks)
+        if want is None:
+            return 0.0
+        return sum(p for m, p in zip(self.masks, self.probs) if m & want == want)
 
     def blocks(self) -> list[Block]:
         """All blocks of the system, top scale first."""
-        return descendants(self.window, -self.depth, self.geometry)
+        return list(self.num.blocks)
 
 
 def support_count(geo: Geometry, window: Block, depth: int) -> int:
@@ -69,33 +119,42 @@ def support_count(geo: Geometry, window: Block, depth: int) -> int:
     return counts[window.scale]
 
 
-def enumerate_system(model: ActivityModel, window: Block, depth: int,
-                     cap: int = SUPPORT_CAP) -> ExactDistribution:
-    """All hard-core configurations of the truncated system with weights."""
-    geo = model.geometry
+def _enumerate(geo: Geometry, window: Block, depth: int, cap: int,
+               log_weight: Callable[[Block], float]
+               ) -> tuple[_Numbering, list[tuple[int, float]]]:
+    """The numbering and every hard-core configuration as (mask, log weight),
+    depth-first: a block alone, then the products of its children's lists.
+    A block of log weight -inf is never occupied.  A system of more than
+    `cap` configurations raises SupportCapExceeded before any work."""
     n = support_count(geo, window, depth)
     if n > cap:
         raise SupportCapExceeded(n)
+    num = _Numbering(geo, window, depth)
+    lz = [log_weight(b) for b in num.blocks]
 
-    def configs(b: Block) -> list[tuple[frozenset, float]]:
-        occupied = []
-        lz = model.log_activity(b)
-        if lz > -math.inf:
-            occupied.append((frozenset([b]), lz))
-        if b.scale == -depth:
-            return occupied + [(frozenset(), 0.0)]
-        combined = [(frozenset(), 0.0)]
-        for c in children(b, geo):
+    def configs(i: int) -> list[tuple[int, float]]:
+        own = [(1 << i, lz[i])] if lz[i] > -math.inf else []
+        if not num.kids[i]:
+            return own + [(0, 0.0)]
+        combined = [(0, 0.0)]
+        for c in num.kids[i]:
             sub = configs(c)
-            combined = [(acc | cfg, w_acc + w)
-                        for acc, w_acc in combined for cfg, w in sub]
-        return occupied + combined
+            combined = [(acc | m, w_acc + w)
+                        for acc, w_acc in combined for m, w in sub]
+        return own + combined
 
-    all_cfgs = configs(window)
-    log_partition = logsumexp_iter(w for _, w in all_cfgs)
-    support = [cfg for cfg, _ in all_cfgs]
-    probs = [math.exp(w - log_partition) for _, w in all_cfgs]
-    return ExactDistribution(geo, window, depth, support, probs, log_partition)
+    return num, configs(0)
+
+
+def enumerate_system(model: ActivityModel, window: Block, depth: int,
+                     cap: int = SUPPORT_CAP) -> ExactDistribution:
+    """All hard-core configurations of the truncated system with weights."""
+    num, configs = _enumerate(model.geometry, window, depth, cap, model.log_activity)
+    log_partition = logsumexp_iter(w for _, w in configs)
+    masks = [m for m, _ in configs]
+    probs = [math.exp(w - log_partition) for _, w in configs]
+    return ExactDistribution(model.geometry, window, depth, num, masks, probs,
+                             log_partition)
 
 
 def hierarchical_distribution(ratios: Callable[[Block], float], geo: Geometry,
@@ -105,17 +164,14 @@ def hierarchical_distribution(ratios: Callable[[Block], float], geo: Geometry,
 
     P(omega = config) = prod_{B in config} rho(B) * prod (1 - rho(B')) over
     the blocks neither in the configuration nor below one of its members.
-    Configurations are int masks over the numbered blocks (see `_Numbering`);
-    the cost is blocks x support.
+    The support is every hard-core configuration; the cost is blocks x
+    support.
     """
-    n = support_count(geo, window, depth)
-    if n > cap:
-        raise SupportCapExceeded(n)
-    num = _Numbering(geo, window, depth)
+    num, configs = _enumerate(geo, window, depth, cap, lambda b: 0.0)
     rho = [ratios(b) for b in num.blocks]
-    support = _hardcore_configs(geo, window, depth)
+    masks = [m for m, _ in configs]
     probs = []
-    for m in map(num.mask, support):
+    for m in masks:
         covered = 0
         for i in num.bits(m):
             covered |= num.sub[i]
@@ -126,7 +182,7 @@ def hierarchical_distribution(ratios: Callable[[Block], float], geo: Geometry,
             elif not covered >> i & 1:
                 p *= 1.0 - r
         probs.append(p)
-    return ExactDistribution(geo, window, depth, support, probs, 0.0)
+    return ExactDistribution(geo, window, depth, num, masks, probs, 0.0)
 
 
 def mandelbrot_distribution(p: float, geo: Geometry, window: Block,
@@ -136,60 +192,6 @@ def mandelbrot_distribution(p: float, geo: Geometry, window: Block,
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
     return hierarchical_distribution(lambda b: p, geo, window, depth)
-
-
-def _hardcore_configs(geo: Geometry, window: Block, depth: int) -> list[frozenset]:
-    def configs(b: Block) -> list[frozenset]:
-        own = [frozenset([b])]
-        if b.scale == -depth:
-            return own + [frozenset()]
-        combined = [frozenset()]
-        for c in children(b, geo):
-            sub = configs(c)
-            combined = [acc | cfg for acc in combined for cfg in sub]
-        return own + combined
-    return configs(window)
-
-
-class _Numbering:
-    """The blocks of a truncated system numbered top-down, bit i for block i.
-
-    A configuration becomes the int mask of its members' bits.  `anc[i]` is
-    the mask of the strict ancestors of block i inside the window and
-    `sub[i]` the mask of its subtree, block i included, so block i overlaps
-    exactly the blocks of `anc[i] | sub[i]`.
-    """
-
-    def __init__(self, geo: Geometry, window: Block, depth: int):
-        self.blocks = descendants(window, -depth, geo)
-        self.bit = {b: i for i, b in enumerate(self.blocks)}
-        n = len(self.blocks)
-        up = [self.bit[parent(b, geo)] if i else -1
-              for i, b in enumerate(self.blocks)]
-        self.anc = [0] * n
-        for i in range(1, n):             # parents precede their children
-            self.anc[i] = self.anc[up[i]] | 1 << up[i]
-        self.sub = [1 << i for i in range(n)]
-        for i in range(n - 1, 0, -1):     # children follow their parents
-            self.sub[up[i]] |= self.sub[i]
-
-    def mask(self, cfg) -> int:
-        m = 0
-        for b in cfg:
-            m |= 1 << self.bit[b]
-        return m
-
-    def bits(self, m: int):
-        """Indices of the set bits of m, in increasing order."""
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
-
-
-def _numbered(dist: ExactDistribution) -> tuple[_Numbering, list[int]]:
-    num = _Numbering(dist.geometry, dist.window, dist.depth)
-    return num, [num.mask(cfg) for cfg in dist.support]
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +216,7 @@ def verify_gnz(dist: ExactDistribution, model: ActivityModel) -> dict:
     Patterns are int masks over the numbered blocks, with probabilities
     looked up by mask; the cost is blocks x support.
     """
-    num, masks = _numbered(dist)
-    prob = dict(zip(masks, dist.probs))
+    num, masks, prob = dist.num, dist.masks, dist._prob_of_mask
     worst = 0.0
     worst_block, worst_event = None, None
     per_block: dict[str, float] = {}
@@ -245,7 +246,7 @@ def verify_topdown(dist: ExactDistribution, ratios: Callable[[Block], float]) ->
     strict ancestors, outside-pattern pi).  Patterns are int masks over the
     numbered blocks; the cost is blocks x support.
     """
-    num, masks = _numbered(dist)
+    num, masks = dist.num, dist.masks
     worst = 0.0
     worst_block, worst_event = None, None
     for i, b in enumerate(num.blocks):
@@ -273,7 +274,7 @@ def verify_hierarchical_formula(dist: ExactDistribution,
     ancestor is itself a member.  Configurations are int masks over the
     numbered blocks; the superset sums make the cost support^2.
     """
-    num, masks = _numbered(dist)
+    num, masks = dist.num, dist.masks
     rho = [ratios(b) for b in num.blocks]
     worst = 0.0
     worst_event = None

@@ -8,7 +8,7 @@ palette keyed on scale mod 8.
 
 from __future__ import annotations
 
-from .blocks import Block, Geometry, format_block
+from .blocks import Geometry, format_block
 from .sampler import Configuration
 
 PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2",

@@ -22,8 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from .blocks import INDEX_LIMIT, Block, Geometry, IndexRangeError, format_block
 from .activities import ActivityModel
-from .analytics import (TruncatedSystem, UncertifiedComputation,
-                        check_condition_ii, scale_profile)
+from .analytics import TruncatedSystem, _require_condition_ii, scale_profile
 from .logreal import log1p_exp
 
 CHAIN_TAIL_CUT = 1e-14
@@ -262,11 +261,7 @@ def sample_gibbs_infinite(model: ActivityModel, window: Block, depth: int,
     window; when an ancestor is occupied the draw reports only the covering
     scale, otherwise the finite sampler runs inside the window.
     """
-    cii = check_condition_ii(model)
-    if not cii.holds:
-        raise UncertifiedComputation(
-            f"infinite-volume sampling refused: condition (ii) is "
-            f"'{cii.status}' ({cii.detail})")
+    _require_condition_ii(model, "infinite-volume sampling")
     geo = model.geometry
     rows, p_none = ancestor_chain_cdf(model, window, depth)
     u = _uniform(seed, index, "chain", window.scale, window.index)

@@ -16,6 +16,7 @@ from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  partition_function, partition_function_limit,
                                  pressure_profile, scale_profile,
                                  series_summand_bounds, tail_ratio_R)
+from hiercubes.sampler import sample_gibbs_infinite
 
 GEO = Geometry(1)
 GEO2 = Geometry(2)
@@ -255,6 +256,30 @@ def test_infinite_marginal_refused_without_certificate():
     m = Parametric(GEO, mu=2.0, J=1.0, alpha=0.5)      # condition (ii) fails
     with pytest.raises(UncertifiedComputation):
         exact_marginal(m, [block(0, 0)], None, 6)
+
+
+def test_infinite_marginal_below_the_depth_is_zero():
+    m = Parametric(GEO, -1.0, 1.0, 0.5)
+    assert exact_marginal(m, [block(-5, 0)], None, 2) == 0.0
+    assert exact_marginal(m, [block(-5, 0), block(-4, 3)], None, 2) == 0.0
+    # the windowed branch answers the same
+    assert exact_marginal(m, [block(-5, 0)], W, 2) == 0.0
+
+
+@pytest.mark.parametrize("what,call", [
+    ("infinite-volume marginal", lambda m: exact_marginal(m, [block(0, 0)], None, 6)),
+    ("tail ratio", lambda m: tail_ratio_R(m, 0)),
+    ("decay profile", lambda m: decay_profile(m, 4)),
+    ("infinite-volume sampling",
+     lambda m: sample_gibbs_infinite(m, block(0, 0), 1, seed=1)),
+], ids=["marginal", "tail-ratio", "decay", "sampling"])
+def test_refusals_share_one_message_format(what, call):
+    m = Parametric(GEO, mu=2.0, J=1.0, alpha=0.5)      # condition (ii) fails
+    cii = check_condition_ii(m)
+    with pytest.raises(UncertifiedComputation) as exc:
+        call(m)
+    assert str(exc.value) == \
+        f"{what} refused: condition (ii) is '{cii.status}' ({cii.detail})"
 
 
 @settings(max_examples=40, deadline=None)

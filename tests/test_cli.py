@@ -217,12 +217,23 @@ def run_cli(*argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def test_model_without_dimension_is_rejected(tmp_path):
-    obj = {k: v for k, v in UNIT_DEPTH8.items() if k != "d"}
-    m = write_model(tmp_path, obj)
+@pytest.mark.parametrize("obj,says", [
+    ({k: v for k, v in UNIT_DEPTH8.items() if k != "d"}, "'d'"),
+    ([1, 2], "a model must be a dict"),
+    ({**UNIT_DEPTH8, "table": [1, 2]}, "'table' must be a dict"),
+    ({"kind": "volume_truncated", "window": 5, "inner": UNIT_DEPTH8},
+     "'window' must be a str"),
+    ({"kind": "scale_truncated", "depth": 2, "inner": 7}, "a model must be a dict"),
+    ({**UNIT_DEPTH8, "tail_down": 3}, "wrong type"),
+    ({**UNIT_DEPTH8, "d": None}, "wrong type"),
+    (None, "Is a directory"),
+], ids=["no-dimension", "top-level-list", "table-list", "window-int", "inner-int",
+        "tail-int", "dimension-null", "directory"])
+def test_malformed_model_is_rejected(tmp_path, obj, says):
+    m = str(tmp_path) if obj is None else write_model(tmp_path, obj)
     res = run_cli("analyze", "--model", m, "--out", str(tmp_path / "o"))
     assert res.returncode == EXIT_VALIDATION
-    assert "Traceback" not in res.stderr and "'d'" in res.stderr
+    assert "Traceback" not in res.stderr and says in res.stderr
 
 
 @pytest.mark.parametrize("command,extra", [

@@ -1,13 +1,15 @@
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiercubes.blocks import (Geometry, ancestors, block, contains, descendants,
-                              overlaps, parse_block)
+                              format_block, overlaps, parse_block)
 from hiercubes.activities import (EffectiveDesign, Explicit, Homogeneous,
                                   TailRule)
 from hiercubes.analytics import partition_function
+from hiercubes.cli import _validation_matrix
 from hiercubes.oracle import (ExactDistribution, SupportCapExceeded,
                               condensation_table, enumerate_system,
                               fragmentation_table, gibbs_ratio_function,
@@ -284,3 +286,63 @@ def test_blocks_listing():
 def test_prob_of_missing_config_is_zero():
     dist = enumerate_system(unit_model(), W, 1)
     assert dist.prob(frozenset([block(-5, 0)])) == 0.0
+
+
+# -- pinned outputs -----------------------------------------------------------------
+
+def _pin_digest(dist, reports) -> str:
+    """sha256 of a distribution's support, probabilities and log partition,
+    and of the verifier reports on it."""
+    h = hashlib.sha256()
+    for cfg, p in zip(dist.support, dist.probs):
+        h.update(f"{sorted(format_block(b) for b in cfg)} {p!r}\n".encode())
+    h.update(f"{dist.log_partition!r}\n".encode())
+    for rep in reports:
+        h.update(repr([rep["max_residual"], rep["worst_case_block"],
+                       rep["worst_case_event"], rep.get("per_block")]).encode())
+    return h.hexdigest()
+
+
+PINNED = {
+    "d1-const1-depth1":
+        "d10a2b89c4094fbfcc51394088baf5f95413913519929a85c79cf5e4bfc9ce9d",
+    "d1-const1-depth2":
+        "2811f4f09ec9f69f98f741e7cab9392009b4e86db80d8230b9f7cf1d239b6a0a",
+    "d1-const1-depth3":
+        "ca921740d4be9bad163d58646f13442c5325082ed9c7030201af0a9cef88dba8",
+    "d1-const05-depth2":
+        "5b4662931eaa81d3d8ae69dbd0d7e764c87b28175c6e30f06916efe9fb15e7d4",
+    "d1-graded-depth3":
+        "d40dffae13fdb31cda51fd2c8d3898ec8ca15fcaa9e999fb5dcc7db26da3c29b",
+    "d1-explicit-depth2":
+        "980484ec616f8a1005476c5db156ee257bb287445c140fc38a46d8fd41e09823",
+    "d1-design-depth2":
+        "997f5e497a69f8ebcf0371c3631eaa8dbbb1fefeeb16ff4da324a436c134753b",
+    "d1-shifted-window":
+        "561c9bd4d865d1ef6b0488b476ec2dc120919b66baf3e1eaf8f3e42db2aa3c23",
+    "d2-const1-depth1":
+        "1532874c8bdac844609e2882e47e4e639fdd98fc6eb7684233674dc8bd203cea",
+    "d2-const07-depth1":
+        "bf55d78e2d3006268bd11dd8ba0ac6f78dc0529ef61e647f499e06bc0badd13a",
+    "d1-graded-depth2":
+        "f3acf78720ea86ef0e3103e396f6308c52d4545fc6f15669440da2416a9e46fa",
+    "d2-explicit-depth1":
+        "8b2cc827431f12d8c2da14fa2e000d19c7367e4d3457996613d5a1194ed69b3e",
+    "mandelbrot-p05-depth2":
+        "36cf5fee0e32615a3babe5e548c020a768c2ce082121abbb3466bd9c864adc02",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_oracle_outputs_pinned(name):
+    if name.startswith("mandelbrot"):
+        dist = mandelbrot_distribution(0.5, GEO, W, 2)
+        rho = lambda b: 0.5
+        reports = [mandelbrot_gnz_report(0.5, GEO, W, 2)]
+    else:
+        _, model, window, depth = next(s for s in _validation_matrix() if s[0] == name)
+        dist = enumerate_system(model, window, depth)
+        rho = gibbs_ratio_function(model, window, depth)
+        reports = [verify_gnz(dist, model)]
+    reports += [verify_topdown(dist, rho), verify_hierarchical_formula(dist, rho)]
+    assert _pin_digest(dist, reports) == PINNED[name]
