@@ -1,26 +1,27 @@
 """Exact log-space analytics for the hierarchical hard-core gas.
 
-Everything extensive lives in log domain.  Two computation lanes exist:
+Everything extensive lives in log domain.  Inhomogeneous models use a block
+lane with per-block memoization at small truncation depth.  For scale-wise
+constant activities z_j the tree recursion is one scalar recursion, built only
+by `_build_profile` into a `ScaleProfile` that the scale lane of
+`TruncatedSystem` and every infinite-volume quantity read.  Its float order,
+from log Xi = p = 0 below the first scale:
 
-* a scale lane for scale-wise constant activities, where partition functions
-  and effective activities depend on the scale only and the tree recursion
-  collapses to a scalar iteration;
-* a block lane with per-block memoization for explicit/inhomogeneous models
-  at small truncation depth.
+    below      = M**d * log Xi_{j-1}
+    log Xi_j   = logaddexp(log z_j, below)
+    log zhat_j = log z_j - below
+    p_j        = p_{j-1} + log(1 + zhat_j) / M**(d j)
 
-Key per-scale quantities (homogeneous activity z_j):
-
-    log Xi_j   = logaddexp(log z_j, M**d * log Xi_{j-1})
-    zhat_j     = z_j * exp(-M**(d j) * p_{j-1})
-    p_j        = p_{j-1} + M**(-d j) * log(1 + zhat_j)
-    rho_j      = zhat_j / (1 + zhat_j) = z_j / Xi_j
-    R_j        = prod_{k >= j} (1 + zhat_k) - 1
+so rho_j = zhat_j / (1 + zhat_j) = z_j / Xi_j.  p_j equals M**(-d j) log Xi_j
+but is accumulated, not divided out, so it saturates where log Xi_j overflows.
+`_log_R` gives R_j = prod_{k >= j} (1 + zhat_k) - 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .blocks import (Block, Geometry, ancestors, children, contains,
@@ -43,20 +44,27 @@ class UncertifiedComputation(RuntimeError):
 # truncated finite systems (volume window + downward depth)
 # ---------------------------------------------------------------------------
 
+def _check_system(geo: Geometry, window: Block, depth: int) -> None:
+    """Raise ValueError unless `window` down to scale -depth is a system of `geo`."""
+    if window.d != geo.d:
+        raise ValueError(f"window {window} has dimension {window.d}, not {geo.d}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if -depth > window.scale:
+        raise ValueError(f"depth {depth} does not reach below window scale {window.scale}")
+
+
 class TruncatedSystem:
     """The finite system of blocks inside `window` at scales >= -depth.
 
     Provides partition functions, effective activities and occupation ratios
-    of the doubly truncated activity z_window^(depth).  Memoized per block, or
-    per scale when the model is scale-wise constant inside the window.
+    of the doubly truncated activity z_window^(depth).  Memoized per block, or,
+    when the model is scale-wise constant inside the window, read from one
+    scale profile from -depth up to the window's scale.
     """
 
     def __init__(self, model: ActivityModel, window: Block, depth: int):
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
-        if -depth > window.scale:
-            raise ValueError(f"depth {depth} does not reach below window scale "
-                             f"{window.scale}")
+        _check_system(model.geometry, window, depth)
         self.model = model
         self.window = window
         self.depth = depth
@@ -73,30 +81,22 @@ class TruncatedSystem:
             return -math.inf
         return self.model.log_activity(b)
 
-    def _key(self, b: Block):
-        return b.scale if self._scalewise else b
+    @cached_property
+    def _profile(self) -> "ScaleProfile":
+        """The scale lane, from -depth up to the window (built directly: a volume
+        truncation, scale-wise constant in its window, has no `scale_profile`)."""
+        return _build_profile(self.model, -self.depth, self.window.scale)
 
     def log_xi(self, b: Block) -> float:
         """log of the partition function of the subtree below b."""
         if b.scale < -self.depth:
             return 0.0
-        key = self._key(b)
-        cached = self._xi_memo.get(key)
-        if cached is not None:
-            return cached
         if self._scalewise:
-            # scalar iteration from the bottom scale up
-            branching = self.geo.branching
-            val = 0.0
-            for j in range(-self.depth, b.scale + 1):
-                lz = self.model.log_activity_at_scale(j)
-                val = _logaddexp(lz, branching * val)
-                self._xi_memo[j] = val
-            return self._xi_memo[b.scale]
-        lz = self.log_activity(b)
-        children_sum = sum(self.log_xi(c) for c in children(b, self.geo))
-        val = _logaddexp(lz, children_sum)
-        self._xi_memo[key] = val
+            return self._profile.log_xi[b.scale]
+        val = self._xi_memo.get(b)
+        if val is None:
+            children_sum = sum(self.log_xi(c) for c in children(b, self.geo))
+            val = self._xi_memo[b] = _logaddexp(self.log_activity(b), children_sum)
         return val
 
     def log_zhat(self, b: Block) -> float:
@@ -104,11 +104,10 @@ class TruncatedSystem:
         lz = self.log_activity(b)
         if lz == -math.inf:
             return -math.inf
+        if self._scalewise:
+            return self._profile.log_zhat[b.scale]
         if b.scale <= -self.depth:
             return lz
-        if self._scalewise:
-            self.log_xi(b)  # fill the scale memo
-            return lz - self.geo.branching * self._xi_memo[b.scale - 1]
         return lz - sum(self.log_xi(c) for c in children(b, self.geo))
 
     def log_rho(self, b: Block) -> float:
@@ -121,7 +120,7 @@ class TruncatedSystem:
     def rho(self, b: Block) -> float:
         if not self.in_system(b):
             return 0.0
-        key = self._key(b)
+        key = b.scale if self._scalewise else b
         cached = self._rho_memo.get(key)
         if cached is None:
             cached = self._rho_memo[key] = math.exp(self.log_rho(b))
@@ -155,10 +154,7 @@ def partition_function(model: ActivityModel, window: Block, depth: int) -> LogRe
 
 def effective_activity(model: ActivityModel, b: Block, depth: int) -> LogReal:
     """zhat(b) = z(b) / prod of the children's partition functions."""
-    sys = TruncatedSystem(model, b, depth) if depth >= -b.scale else None
-    if sys is None:
-        raise ValueError(f"depth {depth} does not reach block scale {b.scale}")
-    return LogReal.from_log(sys.log_zhat(b))
+    return LogReal.from_log(TruncatedSystem(model, b, depth).log_zhat(b))
 
 
 def occupation_ratio(model: ActivityModel, b: Block, depth: int) -> float:
@@ -219,12 +215,19 @@ def partition_function_limit(model: ActivityModel, window: Block,
                        False, depth // 2, "undecided: max depth exhausted")
 
 
+def _unwrap(model: ActivityModel) -> tuple[ActivityModel, bool]:
+    """The model inside its truncations, and whether one truncates scales."""
+    scale_truncated = False
+    while isinstance(model, (VolumeTruncated, ScaleTruncated)):
+        scale_truncated |= isinstance(model, ScaleTruncated)
+        model = model.inner
+    return model, scale_truncated
+
+
 def _downward_mass_certificate(model: ActivityModel, window: Block) -> str:
     """Closed-form status of sum of z(B) over B inside `window`, if available."""
-    inner = model
-    while isinstance(inner, (VolumeTruncated,)):
-        inner = inner.inner
-    if isinstance(inner, ScaleTruncated):
+    inner, scale_truncated = _unwrap(model)
+    if scale_truncated:
         return "convergent"  # finitely many active scales below
     if isinstance(inner, Homogeneous) and inner.homogeneous_within(window):
         rule = inner.tail_down
@@ -234,7 +237,6 @@ def _downward_mass_certificate(model: ActivityModel, window: Block) -> str:
                 step = inner.geometry.branching * rule.ratio
                 if step >= 1.0:
                     return "divergent"
-        return ""
     return ""
 
 
@@ -244,27 +246,56 @@ def _downward_mass_certificate(model: ActivityModel, window: Block) -> str:
 
 @dataclass
 class ScaleProfile:
-    """Per-scale quantities of an untruncated scale-wise constant activity.
+    """The scale recursion of a scale-wise constant activity (see the module
+    docstring), with nothing active below scale j_lo.
 
-    Arrays are indexed by scale j in [j_lo, j_hi].  `log_zhat[j]` is -inf when
-    the activity vanishes at that scale; `finite_xi` is False when the
-    downward activity mass diverges (then every partition function is infinite
-    and all effective activities vanish).
+    Arrays are indexed by scale j in [j_lo, j_hi].  `log_xi[j]` is the log
+    partition function of a block of scale j; it saturates at +inf, where
+    the effective activities above vanish.  `log_zhat[j]` is -inf when the
+    activity vanishes at that scale.
     """
 
     geometry: Geometry
     j_lo: int
     j_hi: int
     log_z: dict[int, float]
+    log_xi: dict[int, float]
     log_zhat: dict[int, float]
     log1p_zhat: dict[int, float]
     pressure_partial: dict[int, float]   # p_j, accumulated through scale j
-    finite_xi: bool = True
+
+
+def _build_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
+    """The one scale recursion, from j_lo up to j_hi, for a model that is
+    scale-wise constant on those scales."""
+    geo, branching = model.geometry, model.geometry.branching
+    log_z, log_xi, log_zhat, log1p_zhat, p_partial = {}, {}, {}, {}, {}
+    xi = p = 0.0
+    vol = float(geo.M) ** (geo.d * j_lo)  # M**(d j), updated multiplicatively
+    for j in range(j_lo, j_hi + 1):
+        lz = model.log_activity_at_scale(j)
+        below = branching * xi
+        if lz == -math.inf:
+            xi, lzh, l1p = below, -math.inf, 0.0
+        else:
+            lzh = lz - below
+            l1p = log1p_exp(lzh)
+            # _logaddexp(lz, below), sharing log1p_exp's log1p where lz <= below
+            xi = below + l1p if lzh <= 0 else lz + math.log1p(math.exp(-lzh))
+            p += l1p / vol
+        log_z[j] = lz
+        log_xi[j] = xi
+        log_zhat[j] = lzh
+        log1p_zhat[j] = l1p
+        p_partial[j] = p
+        vol *= branching
+    return ScaleProfile(geo, j_lo, j_hi, log_z, log_xi, log_zhat, log1p_zhat,
+                        p_partial)
 
 
 def scale_profile(model: ActivityModel, j_hi: int,
                   depth: Optional[int] = None) -> ScaleProfile:
-    """Build the scalar recursion for a scale-wise constant model.
+    """The scale recursion of a scale-wise constant model up to scale j_hi.
 
     `depth` bounds the scales from below at -depth (downward truncation);
     without it the profile starts at the model's lowest active scale, or deep
@@ -272,29 +303,8 @@ def scale_profile(model: ActivityModel, j_hi: int,
     """
     if not model.is_homogeneous:
         raise ValueError("scale profiles need a scale-wise constant activity")
-    geo = model.geometry
-    if depth is not None:
-        j_lo = -depth
-    else:
-        j_lo = _profile_start_scale(model)
-    p = 0.0
-    log_z, log_zhat, log1p_zhat, p_partial = {}, {}, {}, {}
-    vol = float(geo.M) ** (geo.d * j_lo)  # M**(d j), updated multiplicatively
-    for j in range(j_lo, j_hi + 1):
-        lz = model.log_activity_at_scale(j)
-        if lz == -math.inf:
-            lzh = -math.inf
-            l1p = 0.0
-        else:
-            lzh = lz - vol * p
-            l1p = log1p_exp(lzh)
-            p += l1p / vol
-        log_z[j] = lz
-        log_zhat[j] = lzh
-        log1p_zhat[j] = l1p
-        p_partial[j] = p
-        vol *= geo.branching
-    return ScaleProfile(geo, j_lo, j_hi, log_z, log_zhat, log1p_zhat, p_partial)
+    j_lo = -depth if depth is not None else _profile_start_scale(model)
+    return _build_profile(model, j_lo, j_hi)
 
 
 def _profile_start_scale(model: ActivityModel) -> int:
@@ -305,7 +315,6 @@ def _profile_start_scale(model: ActivityModel) -> int:
     # M**(-d j) z_j drops under 1e-18; diverges if the downward mass does
     geo = model.geometry
     j = 0
-    log_branch = geo.d * math.log(geo.M)
     for _ in range(2000):
         contrib = model.log_activity_at_scale(j) - geo.d * j * math.log(geo.M)
         if contrib < math.log(1e-18):
@@ -359,10 +368,8 @@ def check_condition_i(model: ActivityModel, max_depth: int = 24) -> ConditionVer
     downward mass sum M**(d j) z_{-j}; inhomogeneous models are scanned per
     the finite-partition-function subcube test.
     """
-    inner = model
-    while isinstance(inner, VolumeTruncated):
-        inner = inner.inner
-    if isinstance(inner, ScaleTruncated) or isinstance(inner, (Parametric, EffectiveDesign)):
+    inner, scale_truncated = _unwrap(model)
+    if scale_truncated or isinstance(inner, (Parametric, EffectiveDesign)):
         return ConditionVerdict("holds", detail="no downward activity tail")
     if isinstance(inner, Homogeneous):
         return _condition_i_homogeneous(inner)
@@ -517,24 +524,22 @@ def check_condition_ii(model: ActivityModel, anchor: Optional[Block] = None,
             "holds", detail="automatic: some partition function is infinite, so "
                             "effective activities vanish along the chain")
 
-    inner = model
-    if isinstance(inner, VolumeTruncated):
+    if isinstance(model, VolumeTruncated):
         # zhat vanishes above the window: finite sum
         return ConditionVerdict("holds", detail="volume-truncated activity: "
                                                 "finitely many ancestors carry weight")
-    if isinstance(inner, ScaleTruncated):
-        inner2 = inner.inner
-        if isinstance(inner2, (Explicit,)) and inner2.log_default == -math.inf:
-            return ConditionVerdict("holds", detail="finitely many active blocks")
+    inner = _unwrap(model)[0]
     if isinstance(inner, Explicit) and inner.log_default == -math.inf:
         return ConditionVerdict("holds", detail="finitely many active blocks")
 
-    if isinstance(inner, EffectiveDesign):
-        return _condition_ii_design(inner)
+    # a scale truncation changes effective activities: design models take
+    # the closed form only untruncated
+    if isinstance(model, EffectiveDesign):
+        return _condition_ii_design(model)
 
     if not model.is_homogeneous:
         return ConditionVerdict("undecided",
-                                detail=f"no chain summation for {type(inner).__name__}")
+                                detail=f"no chain summation for {type(model).__name__}")
 
     anchor_scale = anchor.scale
     while j_max <= j_max_cap:
@@ -576,7 +581,10 @@ def _condition_ii_design(model: EffectiveDesign) -> ConditionVerdict:
 
 def _classify_zhat_tail(prof: ScaleProfile, anchor_scale: int,
                         tol: float) -> Optional[ConditionVerdict]:
-    lzh = [prof.log_zhat[j] for j in range(anchor_scale, prof.j_hi + 1)]
+    lzh = [prof.log_zhat[j]    # the activity vanishes below the profile
+           for j in range(max(anchor_scale, prof.j_lo), prof.j_hi + 1)]
+    if not lzh:
+        return None
     tail = lzh[-10:]
     # divergence is about the behaviour of the terms, never their magnitude:
     # a huge leading term with a collapsing tail still sums to a finite value
@@ -616,13 +624,11 @@ def existence_report(model: ActivityModel) -> ExistenceReport:
 # marginals and covariances of hierarchical measures
 # ---------------------------------------------------------------------------
 
-def _validate_disjoint(blocks, geo: Geometry) -> bool:
-    blocks = list(blocks)
-    for i, b1 in enumerate(blocks):
-        for b2 in blocks[i + 1:]:
-            if overlaps(b1, b2, geo):
-                return False
-    return True
+def _hard_core(blocks, geo: Geometry) -> bool:
+    """Whether no block of the distinct `blocks` is a strict ancestor of another."""
+    members = set(blocks)
+    top = max(b.scale for b in members)
+    return not any(a in members for b in members for a in ancestors(b, top, geo))
 
 
 def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
@@ -637,13 +643,12 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
     if not blocks:
         return 1.0
     geo = model.geometry
-    if not _validate_disjoint(blocks, geo):
+    if not _hard_core(blocks, geo):
         return 0.0
     if window is not None:
         sys = TruncatedSystem(model, window, depth)
-        for b in blocks:
-            if not sys.in_system(b):
-                return 0.0
+        if not all(sys.in_system(b) for b in blocks):
+            return 0.0
         log_p = sum(sys.log_rho(b) for b in blocks)
         for a in _strict_ancestor_set(blocks, window.scale, geo):
             log_p += sys.log_one_minus_rho(a)
@@ -667,18 +672,19 @@ def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int,
         cover = covering_block(cover, b, geo)
     if cover.scale < -depth:
         return 0.0      # every block lies below the depth truncation
-    top_scale = max(b.scale for b in blocks)
-    j_hi = _chain_cut_scale(model, top_scale)
-    prof = scale_profile(model, j_hi, depth=depth)
-    sys = TruncatedSystem(model, cover, depth)
+    _check_system(geo, cover, depth)
+    j_hi = _chain_cut_scale(model, max(b.scale for b in blocks))
+    prof = scale_profile(model, max(j_hi, cover.scale), depth=depth)
+    log_zhat = prof.log_zhat          # no scale below -depth is active
     log_p = 0.0
     for b in blocks:
-        log_p += sys.log_rho(b)
-    for a in _strict_ancestor_set(blocks, cover.scale, geo):
-        log_p += sys.log_one_minus_rho(a)
-    # ancestors of the covering block out to infinity, scale-wise
-    for j in range(cover.scale + 1, j_hi + 1):
-        lzh = prof.log_zhat[j]
+        lzh = log_zhat.get(b.scale, -math.inf)
+        log_p += lzh - log1p_exp(lzh) if lzh > -math.inf else -math.inf
+    # the strict ancestors up to the covering block, then its ancestors out
+    # to the chain cut, scale-wise
+    above = [a.scale for a in _strict_ancestor_set(blocks, cover.scale, geo)]
+    for j in above + list(range(cover.scale + 1, j_hi + 1)):
+        lzh = log_zhat.get(j, -math.inf)
         if lzh > -math.inf:
             log_p += -log1p_exp(lzh)
     return math.exp(log_p)
@@ -752,7 +758,7 @@ def config_covariance(model: ActivityModel, set1, set2,
     p2 = exact_marginal(model, set2, window, depth)
     joint = exact_marginal(model, set1 + set2, window, depth)
     cov = joint - p1 * p2
-    if not _validate_disjoint(set1 + set2, geo):
+    if not _hard_core(set1 + set2, geo):
         factored_joint = 0.0
     else:
         factored_joint = p1 * p2 * (1 + _common_chain_R(model, set1, set2, window, depth))
@@ -788,9 +794,7 @@ def pressure_profile(model: ActivityModel, tol: float = DEFAULT_TOL,
     geo = model.geometry
     partial = dict(prof.pressure_partial)
     p = partial[prof.j_hi]  # increments decay doubly exponentially once zhat does
-    inner = model
-    while isinstance(inner, ScaleTruncated):
-        inner = inner.inner
+    inner = _unwrap(model)[0]
     if isinstance(inner, Parametric):
         theta, exact = inner.mu, True
     else:
@@ -804,8 +808,10 @@ def pressure_profile(model: ActivityModel, tol: float = DEFAULT_TOL,
     return PressureProfile(partial, p, theta, exact, (prof.j_lo, prof.j_hi))
 
 
-def _log_R_terms(prof: ScaleProfile, j: int) -> list[float]:
-    """log of log(1+zhat_k) for k >= j, stable for tiny zhat."""
+def _log_R(prof: ScaleProfile, j: int) -> Optional[tuple[float, float, float]]:
+    """(log R_j, lead, rel), with log S_j = lead + log1p(rel) for S_j = log(1 +
+    R_j) = sum_{k >= j} log(1 + zhat_k), stable far below double underflow;
+    None when every zhat_k vanishes."""
     terms = []
     for k in range(j, prof.j_hi + 1):
         lzh = prof.log_zhat[k]
@@ -815,20 +821,23 @@ def _log_R_terms(prof: ScaleProfile, j: int) -> list[float]:
             terms.append(lzh)  # log(log1p(zhat)) = log zhat + O(zhat)
         else:
             terms.append(math.log(log1p_exp(lzh)))
-    return terms
+    if not terms:
+        return None
+    lead = max(terms)
+    rel = sum(math.exp(t - lead) for t in terms) - 1.0
+    log_S = lead + math.log1p(rel)
+    if log_S > -30:
+        S = math.exp(min(log_S, 700.0))
+        return (log_expm1(S) if S < 700 else S), lead, rel
+    return log_S, lead, rel             # R = expm1(S) = S (1 + O(S))
 
 
 def log_tail_ratio(model: ActivityModel, j: int, j_hi: Optional[int] = None) -> float:
     """log R_j with R_j = prod_{k >= j}(1 + zhat_k) - 1, stable far below
     double underflow."""
     prof = scale_profile(model, j_hi if j_hi is not None else max(j + 80, 80))
-    terms = _log_R_terms(prof, j)
-    if not terms:
-        return -math.inf
-    log_S = logsumexp_iter(terms)       # S = sum log(1+zhat_k) = log prod
-    if log_S > -30:
-        return log_expm1(math.exp(min(log_S, 700.0))) if log_S < 700 else math.exp(min(log_S, 700.0))
-    return log_S                        # R = expm1(S) = S (1 + O(S))
+    r = _log_R(prof, j)
+    return -math.inf if r is None else r[0]
 
 
 def tail_ratio_R(model: ActivityModel, j: int, tol: float = DEFAULT_TOL) -> float:
@@ -849,33 +858,22 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
     _require_condition_ii(model, "decay profile")
     geo = model.geometry
     prof = scale_profile(model, j_max + 90)
-    inner = model
-    while isinstance(inner, ScaleTruncated):
-        inner = inner.inner
-    parametric = isinstance(inner, Parametric)
+    parametric = isinstance(_unwrap(model)[0], Parametric)
     rows = []
     for j in range(0, j_max + 1):
         vol = float(geo.M) ** (geo.d * j)
-        terms = _log_R_terms(prof, j)
-        if not terms:
+        r = _log_R(prof, j)
+        if r is None:
             rows.append({"j": j, "log_R": -math.inf, "scaled_log_R": -math.inf,
                          "residual": None})
             continue
-        lead = max(terms)
-        rel = sum(math.exp(t - lead) for t in terms) - 1.0
-        log_S = lead + math.log1p(rel)
-        if log_S > -30:
-            S = math.exp(min(log_S, 700.0))
-            log_R = log_expm1(S) if S < 700 else S
-        else:
-            log_R = log_S
+        log_R, lead, rel = r
         row = {"j": j, "log_R": log_R, "scaled_log_R": log_R / vol, "residual": None}
         if parametric and prof.log_zhat[j] > -math.inf:
             # delta = log R_j - log zhat_j, computed without cancellation
-            corr = 0.0
-            if log_S > -30:
-                S = math.exp(min(log_S, 700.0))
-                corr = (log_expm1(S) - log_S) if S < 700 else 0.0
+            log_S = lead + math.log1p(rel)
+            S = math.exp(min(log_S, 700.0))
+            corr = log_R - log_S if log_S > -30 and S < 700 else 0.0
             delta = (lead - prof.log_zhat[j]) + math.log1p(rel) + corr
             log_tail_terms = [math.log(prof.log1p_zhat[k]) - geo.d * k * math.log(geo.M)
                               if prof.log1p_zhat[k] > 0 and prof.log_zhat[k] >= -30
@@ -932,8 +930,8 @@ def critical_mu(J: float, alpha: float, tol: float,
     the bisection trace, and whether a Gibbs measure appears to survive at
     mu_c (True/False/"undecided").
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     geo = geometry or Geometry(1)
     lo, hi = bracket
     trace = []

@@ -21,7 +21,6 @@ from .activities import (EffectiveDesign, Explicit, Homogeneous, TailRule,
 from .analytics import (UncertifiedComputation, critical_mu, decay_profile,
                         existence_report, pair_covariance, pressure_profile,
                         scale_profile)
-from .logreal import log1p_exp
 from .oracle import (enumerate_system, gibbs_ratio_function,
                      condensation_table, fragmentation_table,
                      mandelbrot_gnz_report, verify_gnz,
@@ -75,7 +74,7 @@ def cmd_analyze(args) -> int:
             rows = [{"j": j,
                      "log_z": sp.log_z[j],
                      "log_zhat": sp.log_zhat[j],
-                     "rho": math.exp(sp.log_zhat[j] - log1p_exp(sp.log_zhat[j]))
+                     "rho": math.exp(sp.log_zhat[j] - sp.log1p_zhat[j])
                      if sp.log_zhat[j] > -math.inf else 0.0,
                      "p_partial": sp.pressure_partial[j]}
                     for j in range(sp.j_lo, sp.j_hi + 1)]
@@ -363,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        print("tol must be > 0", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("tol must be finite and > 0", file=sys.stderr)
         return EXIT_VALIDATION
     if getattr(args, "samples", 1) < 1:
         print("samples must be >= 1", file=sys.stderr)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .blocks import Block, Geometry, ancestors, children, contains, descendants
 from .activities import ActivityModel, Homogeneous
 from .logreal import logsumexp_iter
-from .analytics import TruncatedSystem
+from .analytics import TruncatedSystem, _check_system
 
 SUPPORT_CAP = 10**7
 
@@ -113,6 +113,7 @@ class ExactDistribution:
 
 def support_count(geo: Geometry, window: Block, depth: int) -> int:
     """Number of hard-core configurations: c(B) = 1 + prod over children."""
+    _check_system(geo, window, depth)
     counts: dict[int, int] = {-depth: 2}
     for j in range(-depth + 1, window.scale + 1):
         counts[j] = 1 + counts[j - 1] ** geo.branching

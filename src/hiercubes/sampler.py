@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Optional
 
 from .blocks import INDEX_LIMIT, Block, Geometry, IndexRangeError, format_block
 from .activities import ActivityModel
-from .analytics import TruncatedSystem, _require_condition_ii, scale_profile
-from .logreal import log1p_exp
+from .analytics import (TruncatedSystem, _check_system, _require_condition_ii,
+                        scale_profile)
 
 CHAIN_TAIL_CUT = 1e-14
 
@@ -229,7 +229,6 @@ def ancestor_chain_cdf(model: ActivityModel, window: Block,
     """
     geo = model.geometry
     j0 = window.scale
-    j_hi = j0 + 1
     # extend until the remaining zhat tail (which bounds the remaining chain
     # mass) drops below the cut
     prof = scale_profile(model, j0 + 200, depth=depth)
@@ -245,9 +244,9 @@ def ancestor_chain_cdf(model: ActivityModel, window: Block,
         if lzh == -math.inf:
             rows.append((k, 0.0))
             continue
-        log_rho = lzh - log1p_exp(lzh)
+        log_rho = lzh - prof.log1p_zhat[k]
         rows.append((k, math.exp(log_rho + log_none_above)))
-        log_none_above += -log1p_exp(lzh)
+        log_none_above += -prof.log1p_zhat[k]
     p_none = math.exp(log_none_above)
     rows.reverse()
     return rows, p_none
@@ -263,6 +262,7 @@ def sample_gibbs_infinite(model: ActivityModel, window: Block, depth: int,
     """
     _require_condition_ii(model, "infinite-volume sampling")
     geo = model.geometry
+    _check_system(geo, window, depth)
     rows, p_none = ancestor_chain_cdf(model, window, depth)
     u = _uniform(seed, index, "chain", window.scale, window.index)
     acc = p_none

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercubes.blocks import Geometry, block
+from hiercubes.blocks import Block, Geometry, block
 from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
                                   Homogeneous, Parametric, TailRule,
                                   truncate_volume)
@@ -178,6 +178,13 @@ def test_existence_verdicts():
     assert existence_report(uniq).verdict == "unique Gibbs measure"
 
 
+def test_existence_when_the_lowest_active_scale_is_above_the_anchor():
+    m = Homogeneous.from_values(GEO, {1: 2.0}, tail_up=TailRule("geometric", 0.5))
+    rep = existence_report(m)
+    assert rep.condition_ii.holds
+    assert rep.verdict == "unique Gibbs measure"
+
+
 def test_parametric_condition_ii_sign():
     # zhat summable for mu below critical, not above
     assert check_condition_ii(Parametric(GEO, 0.0, 1.0, 0.5)).holds
@@ -264,6 +271,18 @@ def test_infinite_marginal_below_the_depth_is_zero():
     assert exact_marginal(m, [block(-5, 0), block(-4, 3)], None, 2) == 0.0
     # the windowed branch answers the same
     assert exact_marginal(m, [block(-5, 0)], W, 2) == 0.0
+
+
+def test_impossible_systems_are_rejected():
+    m2 = Homogeneous.constant(GEO2, 1.0, range(-2, 1))
+    for window, depth, says in [(W, 2, "dimension"), (block(0, 0, 0), -1, "depth"),
+                                (block(-3, 0, 0), 2, "does not reach")]:
+        with pytest.raises(ValueError, match=says):
+            TruncatedSystem(m2, window, depth)
+    with pytest.raises(ValueError, match="dimension"):
+        exact_marginal(m2, [block(-1, 1)], W, 2)
+    with pytest.raises(ValueError, match="dimension"):
+        sample_gibbs_infinite(Parametric(GEO2, -1.0, 1.0, 0.5), W, 2, seed=1)
 
 
 @pytest.mark.parametrize("what,call", [
@@ -414,8 +433,9 @@ def test_critical_mu_tol_contract():
 
 
 def test_critical_mu_validation():
-    with pytest.raises(ValueError):
-        critical_mu(1.0, 0.5, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            critical_mu(1.0, 0.5, tol=tol)
 
 
 # -- scale profile sanity ---------------------------------------------------------
@@ -433,3 +453,50 @@ def test_volume_truncated_marginal_matches_shifted_window():
     m = truncate_volume(base, w)
     p = exact_marginal(m, [block(-2, 13)], w, 2)       # 13 * 2^-2 in [3, 4)
     assert p == pytest.approx(5 / 13, abs=1e-12)
+
+
+# -- the scale recursion against the block lane -----------------------------------
+
+LANE_GEOMETRIES = [(Geometry(1, 2), 5), (Geometry(1, 3), 4), (Geometry(2, 2), 3),
+                   (Geometry(2, 3), 2)]          # (geometry, levels)
+LANE_MODELS = {
+    "homogeneous": lambda geo: Homogeneous.from_values(
+        geo, {-1: 0.7, 0: 1.3, 1: 0.4}, TailRule("geometric", 0.5),
+        TailRule("geometric", 0.8)),
+    "parametric": lambda geo: Parametric(geo, -0.5, 1.0, 0.5),
+    "design": lambda geo: EffectiveDesign.from_values(
+        geo, {-1: 0.5, 0: 2.0, 1: 0.3}, TailRule("geometric", 0.5)),
+}
+
+
+def close(a, b, rel=1e-12):
+    return a == b or abs(a - b) <= rel * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("kind", sorted(LANE_MODELS))
+@pytest.mark.parametrize("geo,levels", LANE_GEOMETRIES,
+                         ids=[f"d{g.d}M{g.M}" for g, _ in LANE_GEOMETRIES])
+def test_scale_lane_matches_block_lane(kind, geo, levels):
+    model = LANE_MODELS[kind](geo)
+    window, depth = Block(levels - 1, (0,) * geo.d), 1
+    scale_sys = TruncatedSystem(model, window, depth)
+    blocks = scale_sys.blocks()
+    twin = Explicit(geo, {b: model.log_activity(b) for b in blocks})
+    block_sys = TruncatedSystem(twin, window, depth)
+    assert not twin.homogeneous_within(window)
+    prof = scale_profile(model, window.scale, depth=depth)
+    for b in blocks:
+        log_xi = block_sys.log_xi(b)
+        assert close(scale_sys.log_xi(b), log_xi)
+        assert close(scale_sys.log_zhat(b), block_sys.log_zhat(b))
+        assert abs(scale_sys.rho(b) - block_sys.rho(b)) <= 1e-12
+        assert close(prof.pressure_partial[b.scale] * geo.M ** (geo.d * b.scale), log_xi)
+
+
+def test_scale_profile_saturates_at_high_scales():
+    m = Homogeneous.from_values(GEO, {0: 2.0, 1: 1.5}, TailRule("zero"),
+                                TailRule("geometric", 0.9))
+    prof = scale_profile(m, 1100)
+    for table in (prof.log_z, prof.log_zhat, prof.log1p_zhat, prof.pressure_partial):
+        assert not any(math.isnan(v) for v in table.values())
+    assert prof.pressure_partial[1100] == 1.1787424566613705

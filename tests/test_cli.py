@@ -33,6 +33,16 @@ UNIT_DEPTH8 = {"kind": "homogeneous", "d": 1, "M": 2,
 
 # -- analyze -------------------------------------------------------------------
 
+def test_analyze_lowest_active_scale_above_zero(tmp_path):
+    m = write_model(tmp_path, {"kind": "homogeneous", "d": 1, "M": 2,
+                               "table": {"1": 2.0},
+                               "tail_up": {"kind": "geometric", "ratio": 0.5}})
+    out = tmp_path / "out"
+    assert main(["analyze", "--model", m, "--out", str(out)]) == EXIT_OK
+    rep = json.loads((out / "existence.json").read_text())
+    assert rep["verdict"] == "unique Gibbs measure"
+
+
 def test_analyze_unique_gibbs(tmp_path):
     m = write_model(tmp_path, PARAMETRIC)
     out = tmp_path / "out"
@@ -172,9 +182,13 @@ def test_critical_finite(tmp_path):
 
 
 def test_invalid_tol_rejected(tmp_path):
-    code = main(["critical", "--J", "1.0", "--alpha", "0.5",
-                 "--out", str(tmp_path / "o"), "--tol", "-1"])
-    assert code == EXIT_VALIDATION
+    for tol in ("-1", "nan", "inf"):
+        code = main(["critical", "--J", "1.0", "--alpha", "0.5",
+                     "--out", str(tmp_path / "o"), "--tol", tol])
+        assert code == EXIT_VALIDATION
+    assert main(["validate", "--out", str(tmp_path / "v"), "--tol", "inf"]) \
+        == EXIT_VALIDATION
+    assert not (tmp_path / "o").exists() and not (tmp_path / "v").exists()
 
 
 # -- validate ------------------------------------------------------------------
@@ -247,3 +261,16 @@ def test_zero_samples_rejected(tmp_path, command, extra):
                   "--samples", "0", *extra)
     assert res.returncode == EXIT_VALIDATION
     assert "Traceback" not in res.stderr and "samples" in res.stderr
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("sample", ["--samples", "3"]),
+    ("sample", ["--samples", "3", "--infinite"]),
+    ("correlate", ["--samples", "10"]),
+], ids=["sample", "sample-infinite", "correlate"])
+def test_window_of_another_dimension_rejected(tmp_path, command, extra):
+    m = write_model(tmp_path, {**PARAMETRIC, "d": 2})
+    res = run_cli(command, "--model", m, "--out", str(tmp_path / "o"),
+                  "--window", "1:(0)", "--depth", "2", "--seed", "1", *extra)
+    assert res.returncode == EXIT_VALIDATION
+    assert "Traceback" not in res.stderr and "dimension" in res.stderr

@@ -1,10 +1,13 @@
-"""Every module-level import of the package is used by its module.
+"""Every module-level import of the package is used by its module, and every
+private module-level function or class is named somewhere in the package
+besides its own definition, so a replaced helper cannot linger.
 
 Uses only the standard library (`ast`), so it needs no linter.  The package's
-`__init__.py` re-exports names and is exempt.
+`__init__.py` re-exports names and is exempt from the import check.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,45 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_in(node: ast.AST) -> Counter:
+    """How often each name occurs below `node`: as a name, an attribute or
+    an imported name."""
+    counts = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            counts[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            counts[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            counts[n.name] += 1
+    return counts
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each private module-level function or class that the
+    modules name nowhere outside the definition itself."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    total = sum((names_in(tree) for tree in trees.values()), Counter())
+    return sorted(f"{mod}.{node.name}" for mod, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and total[node.name] == names_in(node)[node.name])
+
+
+def test_unreferenced_private_names_are_found():
+    sources = {"a": "def _used(): pass\n"
+                    "def _recursive(n): return _recursive(n - 1)\n"
+                    "class _Gone: pass\n"
+                    "def _imported(): pass\n"
+                    "def __dunder__(): pass\n"
+                    "x = _used()\n",
+               "b": "from a import _imported\n"}
+    assert unreferenced_private(sources) == ["a._Gone", "a._recursive"]
+
+
+def test_private_definitions_are_named():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []

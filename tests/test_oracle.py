@@ -44,6 +44,16 @@ def test_support_counts():
     assert support_count(GEO2, W2, 2) == 83522
 
 
+def test_impossible_systems_are_rejected():
+    below = Homogeneous.constant(GEO, 1.0, range(-4, 1))
+    with pytest.raises(ValueError, match="does not reach"):
+        enumerate_system(below, block(-3, 0), 2)
+    with pytest.raises(ValueError, match="dimension"):
+        support_count(GEO2, W, 1)
+    with pytest.raises(ValueError, match="depth"):
+        support_count(GEO, W, -1)
+
+
 def test_enumeration_matches_counts():
     dist = enumerate_system(unit_model(), W, 2)
     assert len(dist.support) == 26
