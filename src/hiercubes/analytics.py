@@ -1,7 +1,8 @@
 """Exact log-space analytics for the hierarchical hard-core gas.
 
 Everything extensive lives in log domain.  Inhomogeneous models use a block
-lane with per-block memoization at small truncation depth.  For scale-wise
+lane at small truncation depth: one pass over the system's blocks, children
+before parents, tabulates log Xi and log zhat of every block.  For scale-wise
 constant activities z_j the tree recursion is one scalar recursion, built only
 by `_build_profile` into a `ScaleProfile` that the scale lane of
 `TruncatedSystem` and every infinite-volume quantity read.  Its float order,
@@ -29,11 +30,15 @@ from .blocks import (Block, Geometry, ancestors, children, contains,
 from .activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                          Homogeneous, Parametric, ScaleTruncated,
                          VolumeTruncated)
-from .logreal import LogReal, log1p_exp, log_expm1, logsumexp_iter
+from .logreal import LogReal, log1p_exp, log_expm1, logaddexp, logsumexp_iter
 
 # log Xi above this is certified as divergent by the depth-doubling probe
 DIVERGENCE_LOG_THRESHOLD = 1.0e6
 DEFAULT_TOL = 1e-12
+CHAIN_CUT = 1e-15   # ancestor zhat mass left beyond the infinite-volume chain
+# work limits of the condition (i) scan of inhomogeneous activities
+SCAN_NODE_BUDGET = 2_000_000
+SCAN_LEVELS = 10
 
 
 class UncertifiedComputation(RuntimeError):
@@ -58,9 +63,9 @@ class TruncatedSystem:
     """The finite system of blocks inside `window` at scales >= -depth.
 
     Provides partition functions, effective activities and occupation ratios
-    of the doubly truncated activity z_window^(depth).  Memoized per block, or,
-    when the model is scale-wise constant inside the window, read from one
-    scale profile from -depth up to the window's scale.
+    of the doubly truncated activity z_window^(depth).  Read from a table of
+    every block filled bottom-up, or, when the model is scale-wise constant
+    inside the window, from one scale profile from -depth up to the window.
     """
 
     def __init__(self, model: ActivityModel, window: Block, depth: int):
@@ -70,8 +75,6 @@ class TruncatedSystem:
         self.depth = depth
         self.geo = model.geometry
         self._scalewise = model.homogeneous_within(window)
-        self._xi_memo: dict = {}
-        self._rho_memo: dict = {}
 
     def in_system(self, b: Block) -> bool:
         return b.scale >= -self.depth and contains(self.window, b, self.geo)
@@ -87,28 +90,39 @@ class TruncatedSystem:
         truncation, scale-wise constant in its window, has no `scale_profile`)."""
         return _build_profile(self.model, -self.depth, self.window.scale)
 
+    @cached_property
+    def _table(self) -> dict[tuple[int, tuple[int, ...]], tuple[float, float]]:
+        """The block lane: (scale, index) -> (log Xi, log zhat) of every block
+        of the system, filled children first."""
+        table = {}
+        for b in reversed(self.blocks()):
+            lz = self.model.log_activity(b)
+            if b.scale == -self.depth:
+                below, lzh = 0.0, lz
+            else:
+                below = sum(table[c.scale, c.index][0] for c in children(b, self.geo))
+                lzh = lz - below    # -inf also when a child's log Xi is +inf
+            table[b.scale, b.index] = (logaddexp(lz, below), lzh)
+        return table
+
+    def _values(self, b: Block) -> tuple[float, float]:
+        """(log Xi, log zhat) of b.  Outside the system zhat is 0, and Xi is
+        the window's for a block containing the window and 1 for any other."""
+        if b.scale < -self.depth or not overlaps(self.window, b, self.geo):
+            return 0.0, -math.inf
+        if b.scale > self.window.scale:
+            return self._values(self.window)[0], -math.inf
+        if self._scalewise:
+            return self._profile.log_xi[b.scale], self._profile.log_zhat[b.scale]
+        return self._table[b.scale, b.index]
+
     def log_xi(self, b: Block) -> float:
         """log of the partition function of the subtree below b."""
-        if b.scale < -self.depth:
-            return 0.0
-        if self._scalewise:
-            return self._profile.log_xi[b.scale]
-        val = self._xi_memo.get(b)
-        if val is None:
-            children_sum = sum(self.log_xi(c) for c in children(b, self.geo))
-            val = self._xi_memo[b] = _logaddexp(self.log_activity(b), children_sum)
-        return val
+        return self._values(b)[0]
 
     def log_zhat(self, b: Block) -> float:
         """log effective activity: z(b) minus the children's log Xi."""
-        lz = self.log_activity(b)
-        if lz == -math.inf:
-            return -math.inf
-        if self._scalewise:
-            return self._profile.log_zhat[b.scale]
-        if b.scale <= -self.depth:
-            return lz
-        return lz - sum(self.log_xi(c) for c in children(b, self.geo))
+        return self._values(b)[1]
 
     def log_rho(self, b: Block) -> float:
         """log occupation ratio, log(zhat / (1 + zhat)) = log(z / Xi_b)."""
@@ -118,13 +132,7 @@ class TruncatedSystem:
         return lzh - log1p_exp(lzh)
 
     def rho(self, b: Block) -> float:
-        if not self.in_system(b):
-            return 0.0
-        key = b.scale if self._scalewise else b
-        cached = self._rho_memo.get(key)
-        if cached is None:
-            cached = self._rho_memo[key] = math.exp(self.log_rho(b))
-        return cached
+        return math.exp(self.log_rho(b))
 
     def log_one_minus_rho(self, b: Block) -> float:
         """log(1 - rho) = -log(1 + zhat)."""
@@ -136,15 +144,6 @@ class TruncatedSystem:
     def blocks(self) -> list[Block]:
         """All blocks of the system, sorted top scale first."""
         return descendants(self.window, -self.depth, self.geo)
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
 
 
 def partition_function(model: ActivityModel, window: Block, depth: int) -> LogReal:
@@ -280,7 +279,7 @@ def _build_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
         else:
             lzh = lz - below
             l1p = log1p_exp(lzh)
-            # _logaddexp(lz, below), sharing log1p_exp's log1p where lz <= below
+            # logaddexp(lz, below), sharing log1p_exp's log1p where lz <= below
             xi = below + l1p if lzh <= 0 else lz + math.log1p(math.exp(-lzh))
             p += l1p / vol
         log_z[j] = lz
@@ -407,10 +406,7 @@ def _condition_i_homogeneous(model: Homogeneous) -> ConditionVerdict:
                "infinite partition function and the finite-Xi subcube set is empty")
 
 
-def _condition_i_scan(model: Formula, max_depth: int = 24,
-                      roots: Optional[list[Block]] = None,
-                      node_budget: int = 2_000_000,
-                      levels: int = 10) -> ConditionVerdict:
+def _condition_i_scan(model: Formula, max_depth: int) -> ConditionVerdict:
     """Per-window test for inhomogeneous activities.
 
     A window with infinite partition function satisfies the condition iff its
@@ -419,9 +415,8 @@ def _condition_i_scan(model: Formula, max_depth: int = 24,
     best-effort, reports undecided when the work budget runs out.
     """
     geo = model.geometry
-    if roots is None:
-        roots = [Block(j, (0,) * geo.d) for j in range(0, 3)]
-    budget = [node_budget]
+    roots = [Block(j, (0,) * geo.d) for j in range(0, 3)]
+    budget = [SCAN_NODE_BUDGET]
 
     def subtree_masses(b: Block, nlev: int) -> Optional[list[float]]:
         masses = []
@@ -436,7 +431,7 @@ def _condition_i_scan(model: Formula, max_depth: int = 24,
         return masses
 
     def xi_status(b: Block) -> str:
-        masses = subtree_masses(b, levels)
+        masses = subtree_masses(b, SCAN_LEVELS)
         if masses is None:
             return "undecided"
         tail = masses[-4:]
@@ -463,7 +458,7 @@ def _condition_i_scan(model: Formula, max_depth: int = 24,
         for c in children(b, geo):
             st = xi_status(c)
             if st == "finite":
-                m = subtree_masses(c, levels)
+                m = subtree_masses(c, SCAN_LEVELS)
                 if m is None:
                     return "exhausted"
                 by_depth[depth] += sum(m)
@@ -544,7 +539,7 @@ def check_condition_ii(model: ActivityModel, anchor: Optional[Block] = None,
     anchor_scale = anchor.scale
     while j_max <= j_max_cap:
         prof = scale_profile(model, j_max)
-        verdict = _classify_zhat_tail(prof, anchor_scale, tol)
+        verdict = _classify_zhat_tail(prof, anchor_scale)
         if verdict is not None:
             return verdict
         j_max *= 2
@@ -579,8 +574,7 @@ def _condition_ii_design(model: EffectiveDesign) -> ConditionVerdict:
                                    f"(tail ratio {rule.ratio} >= 1)")
 
 
-def _classify_zhat_tail(prof: ScaleProfile, anchor_scale: int,
-                        tol: float) -> Optional[ConditionVerdict]:
+def _classify_zhat_tail(prof: ScaleProfile, anchor_scale: int) -> Optional[ConditionVerdict]:
     lzh = [prof.log_zhat[j]    # the activity vanishes below the profile
            for j in range(max(anchor_scale, prof.j_lo), prof.j_hi + 1)]
     if not lzh:
@@ -643,6 +637,9 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
     if not blocks:
         return 1.0
     geo = model.geometry
+    for b in blocks:
+        if b.d != geo.d:
+            raise ValueError(f"block {b} has dimension {b.d}, not {geo.d}")
     if not _hard_core(blocks, geo):
         return 0.0
     if window is not None:
@@ -653,7 +650,7 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
         for a in _strict_ancestor_set(blocks, window.scale, geo):
             log_p += sys.log_one_minus_rho(a)
         return math.exp(log_p)
-    return _exact_marginal_infinite(model, blocks, depth, tol)
+    return _exact_marginal_infinite(model, blocks, depth)
 
 
 def _strict_ancestor_set(blocks, up_to_scale: int, geo: Geometry) -> set:
@@ -663,8 +660,7 @@ def _strict_ancestor_set(blocks, up_to_scale: int, geo: Geometry) -> set:
     return anc - set(blocks)
 
 
-def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int,
-                             tol: float) -> float:
+def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int) -> float:
     geo = model.geometry
     _require_condition_ii(model, "infinite-volume marginal")
     cover = covering_block(blocks[0], blocks[0], geo)
@@ -690,16 +686,15 @@ def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int,
     return math.exp(log_p)
 
 
-def _chain_cut_scale(model: ActivityModel, from_scale: int, cut: float = 1e-15,
-                     j_cap: int = 512) -> int:
-    """Scale beyond which the remaining ancestor zhat mass is below `cut`."""
-    prof = scale_profile(model, min(from_scale + 80, from_scale + j_cap))
+def _chain_cut_scale(model: ActivityModel, from_scale: int) -> int:
+    """Scale beyond which the remaining ancestor zhat mass is below CHAIN_CUT."""
+    prof = scale_profile(model, from_scale + 80)
     j = prof.j_hi
     # the tail envelope is doubly exponential once terms are tiny; the last
     # computed term bounds the remainder up to a factor ~2
     while j > from_scale + 1:
         lzh = prof.log_zhat[j]
-        if lzh > math.log(cut) - math.log(2):
+        if lzh > math.log(CHAIN_CUT) - math.log(2):
             break
         j -= 1
     return min(j + 2, prof.j_hi)
@@ -734,7 +729,6 @@ def _common_chain_R(model: ActivityModel, set1, set2,
                     window: Optional[Block], depth: int) -> float:
     """R over the common strict-ancestor set of two disjoint block sets."""
     geo = model.geometry
-    lcs_scale = min(lcs(a, b, geo) for a in set1 for b in set2)
     if window is not None:
         sys = TruncatedSystem(model, window, depth)
         anc2 = {a for b in set2 for a in ancestors(b, window.scale, geo)}
@@ -744,7 +738,7 @@ def _common_chain_R(model: ActivityModel, set1, set2,
         return math.expm1(s)
     # infinite volume: common strict ancestors are the chain above (and
     # including) the covering block; R equals the homogeneous tail ratio
-    return tail_ratio_R(model, lcs_scale)
+    return tail_ratio_R(model, min(lcs(a, b, geo) for a in set1 for b in set2))
 
 
 def config_covariance(model: ActivityModel, set1, set2,

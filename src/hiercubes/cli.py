@@ -18,9 +18,9 @@ from pathlib import Path
 from .blocks import Block, Geometry, ancestors, block, format_block, parse_block
 from .activities import (EffectiveDesign, Explicit, Homogeneous, TailRule,
                          load_model)
-from .analytics import (UncertifiedComputation, critical_mu, decay_profile,
-                        existence_report, pair_covariance, pressure_profile,
-                        scale_profile)
+from .analytics import (UncertifiedComputation, _check_system, critical_mu,
+                        decay_profile, existence_report, pair_covariance,
+                        pressure_profile, scale_profile)
 from .oracle import (enumerate_system, gibbs_ratio_function,
                      condensation_table, fragmentation_table,
                      mandelbrot_gnz_report, verify_gnz,
@@ -141,6 +141,7 @@ def cmd_correlate(args) -> int:
     model = load_model(args.model)
     geo = model.geometry
     window = parse_block(args.window)
+    _check_system(geo, window, args.depth)
     out = _out_dir(args)
     pairs = _distance_pairs(geo, window, args.depth)
     rows = []

@@ -3,53 +3,28 @@
 Partition functions grow doubly exponentially (26, 677, 458330, ...), so every
 extensive quantity is carried as a log value.  A LogReal is one of three
 things: exact zero (log = -inf), a finite positive number (finite log), or
-infinity (log = +inf).  Division follows the convention that fractions with
-infinite denominators are zero.
+infinity (log = +inf), the result type of partition functions and effective
+activities.  A fraction with an infinite denominator is zero: log zhat = -inf
+when a child's log Xi is +inf (see `analytics.TruncatedSystem`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-
-# exp(x) overflows a double above this
-_OVERFLOW_LOG = 709.782712893384
 
 
 @dataclass(frozen=True, slots=True)
 class LogReal:
     log: float
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LogReal":
-        return LogReal(-math.inf)
-
-    @staticmethod
-    def one() -> "LogReal":
-        return LogReal(0.0)
-
     @staticmethod
     def infinite() -> "LogReal":
         return LogReal(math.inf)
 
     @staticmethod
-    def from_float(x: float) -> "LogReal":
-        if x < 0:
-            raise ValueError(f"LogReal represents non-negative values, got {x}")
-        if x == 0:
-            return LogReal.zero()
-        if math.isinf(x):
-            return LogReal.infinite()
-        return LogReal(math.log(x))
-
-    @staticmethod
     def from_log(log_value: float) -> "LogReal":
         return LogReal(log_value)
-
-    # -- predicates --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
@@ -63,86 +38,15 @@ class LogReal:
     def is_finite(self) -> bool:
         return math.isfinite(self.log)
 
-    @property
-    def overflows_float(self) -> bool:
-        """True when float_value() cannot represent the value exactly."""
-        return self.log > _OVERFLOW_LOG
 
-    def float_value(self) -> float:
-        """Plain-float accessor; clamps to inf on overflow (see overflows_float)."""
-        if self.is_zero:
-            return 0.0
-        if self.is_infinite or self.overflows_float:
-            return math.inf
-        return math.exp(self.log)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        # 0 * inf is taken as 0, consistent with the quotient convention
-        # (these products only arise from fractions with infinite denominators).
-        if self.is_zero or other.is_zero:
-            return LogReal.zero()
-        return LogReal(self.log + other.log)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.is_infinite:
-            return LogReal.zero()
-        if other.is_zero:
-            if self.is_zero:
-                raise ZeroDivisionError("0/0 is undefined for LogReal")
-            return LogReal.infinite()
-        if self.is_zero:
-            return LogReal.zero()
-        return LogReal(self.log - other.log)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.is_infinite or other.is_infinite:
-            return LogReal.infinite()
-        hi, lo = (self.log, other.log) if self.log >= other.log else (other.log, self.log)
-        return LogReal(hi + math.log1p(math.exp(lo - hi)))
-
-    def pow(self, exponent: float) -> "LogReal":
-        if exponent == 0:
-            return LogReal.one()
-        if self.is_zero:
-            return LogReal.zero() if exponent > 0 else LogReal.infinite()
-        if self.is_infinite:
-            return LogReal.infinite() if exponent > 0 else LogReal.zero()
-        return LogReal(self.log * exponent)
-
-    def __lt__(self, other: "LogReal") -> bool:
-        return self.log < other.log
-
-    def __le__(self, other: "LogReal") -> bool:
-        return self.log <= other.log
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        """JSON representation: {"log_value": x} or {"state": ...}."""
-        if self.is_zero:
-            return {"state": "zero"}
-        if self.is_infinite:
-            return {"state": "infinite"}
-        return {"log_value": self.log}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "LogReal":
-        if "state" in obj:
-            if obj["state"] == "zero":
-                return LogReal.zero()
-            if obj["state"] == "infinite":
-                return LogReal.infinite()
-            raise ValueError(f"unknown LogReal state {obj['state']!r}")
-        return LogReal(float(obj["log_value"]))
-
-    def __repr__(self) -> str:
-        return f"LogReal({json.dumps(self.to_json_obj())})"
+def logaddexp(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)), exact when either is -inf."""
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def log1p_exp(x: float) -> float:

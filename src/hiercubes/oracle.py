@@ -333,11 +333,11 @@ def fragmentation_table(model: ActivityModel, window: Block,
     probe block is occupied, that its subtree is hit, and that the window is
     empty (= 1/Xi)."""
     b = b or window
+    geo = model.geometry
     rows = []
     for n in depths:
         sys = TruncatedSystem(model, window, n)
-        geo = model.geometry
-        anc = set(ancestors(b, window.scale, geo)) - {b}
+        anc = ancestors(b, window.scale, geo)
         # subtree hit: the complement is "an ancestor covers b" or "nothing
         # anywhere in b's cone", with log(1 - rho) products per branch
         log_none_anc = sum(sys.log_one_minus_rho(a) for a in anc)

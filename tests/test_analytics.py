@@ -1,9 +1,11 @@
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercubes.blocks import Block, Geometry, block
+from hiercubes.blocks import Block, Geometry, block, descendants
 from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
                                   Homogeneous, Parametric, TailRule,
                                   truncate_volume)
@@ -16,6 +18,7 @@ from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  partition_function, partition_function_limit,
                                  pressure_profile, scale_profile,
                                  series_summand_bounds, tail_ratio_R)
+from hiercubes.cli import _validation_matrix
 from hiercubes.sampler import sample_gibbs_infinite
 
 GEO = Geometry(1)
@@ -282,6 +285,8 @@ def test_impossible_systems_are_rejected():
     with pytest.raises(ValueError, match="dimension"):
         exact_marginal(m2, [block(-1, 1)], W, 2)
     with pytest.raises(ValueError, match="dimension"):
+        exact_marginal(m2, [block(-1, 1)], block(0, 0, 0), 2)
+    with pytest.raises(ValueError, match="dimension"):
         sample_gibbs_infinite(Parametric(GEO2, -1.0, 1.0, 0.5), W, 2, seed=1)
 
 
@@ -500,3 +505,49 @@ def test_scale_profile_saturates_at_high_scales():
     for table in (prof.log_z, prof.log_zhat, prof.log1p_zhat, prof.pressure_partial):
         assert not any(math.isnan(v) for v in table.values())
     assert prof.pressure_partial[1100] == 1.1787424566613705
+
+
+def test_both_lanes_answer_outside_the_system():
+    model = Homogeneous.constant(GEO, 1.0, range(-2, 2))
+    window, depth = W, 2
+    scale_sys = TruncatedSystem(model, window, depth)
+    twin = Explicit(GEO, {b: model.log_activity(b) for b in scale_sys.blocks()})
+    block_sys = TruncatedSystem(twin, window, depth)
+    for sys in (scale_sys, block_sys):
+        assert sys.log_xi(window) == pytest.approx(math.log(26))
+        assert sys.log_xi(block(1, 0)) == sys.log_xi(window)    # contains it
+        for outside in (block(0, 1), block(-1, 2), block(-3, 0)):
+            assert sys.log_xi(outside) == 0.0
+        for b in (block(1, 0), block(0, 1), block(-3, 0)):
+            assert sys.log_zhat(b) == -math.inf and sys.rho(b) == 0.0
+
+
+# -- the pinned block lane -----------------------------------------------------------
+# sha256 of log Xi, log zhat and rho of every block, and of the partition
+# function, of inhomogeneous systems: any change to the block lane's float
+# order changes them.
+
+def block_lane_systems():
+    systems = [(model, window, depth) for _, model, window, depth in _validation_matrix()
+               if isinstance(model, Explicit)]
+    rng = random.Random(8)
+    w8 = block(0, 0)
+    systems.append((Explicit.from_values(GEO, {
+        b: 0.0 if rng.random() < 0.2 else rng.uniform(0.05, 3.0)
+        for b in descendants(w8, -7, GEO)}), w8, 7))
+    inner = Explicit.from_values(GEO2, {block(0, 0, 0): 0.5, block(-1, 1, 0): 2.0,
+                                        block(-2, 2, 1): 0.3}, default=0.8)
+    systems.append((truncate_volume(inner, block(0, 0, 0)), block(1, 0, 0), 2))
+    return systems
+
+
+def test_block_lane_is_pinned():
+    h = hashlib.sha256()
+    for model, window, depth in block_lane_systems():
+        sys = TruncatedSystem(model, window, depth)
+        assert not model.homogeneous_within(window)
+        for b in sys.blocks():
+            h.update(repr((str(b), sys.log_xi(b), sys.log_zhat(b), sys.rho(b))).encode())
+        h.update(repr(partition_function(model, window, depth).log).encode())
+    assert h.hexdigest() == \
+        "6e5becdd37744c9bbf279f63b341d1e113ec908e9d16123852486099cc2cba15"

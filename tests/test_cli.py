@@ -267,7 +267,9 @@ def test_zero_samples_rejected(tmp_path, command, extra):
     ("sample", ["--samples", "3"]),
     ("sample", ["--samples", "3", "--infinite"]),
     ("correlate", ["--samples", "10"]),
-], ids=["sample", "sample-infinite", "correlate"])
+    # later flags win: at depth 0 no distance pair exists, so no system is built
+    ("correlate", ["--samples", "10", "--window", "0:(0)", "--depth", "0"]),
+], ids=["sample", "sample-infinite", "correlate", "correlate-depth0"])
 def test_window_of_another_dimension_rejected(tmp_path, command, extra):
     m = write_model(tmp_path, {**PARAMETRIC, "d": 2})
     res = run_cli(command, "--model", m, "--out", str(tmp_path / "o"),

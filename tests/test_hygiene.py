@@ -79,3 +79,36 @@ def test_unreferenced_private_names_are_found():
 def test_private_definitions_are_named():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that a module imports, anywhere in its body."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom):
+            if n.level == 0 and not (n.module or "").startswith("hiercubes"):
+                continue
+            module = (n.module or "").removeprefix("hiercubes").lstrip(".")
+            found |= {module} if module else {a.name for a in n.names}
+        elif isinstance(n, ast.Import):
+            found |= {a.name.split(".")[1] for a in n.names
+                      if a.name.startswith("hiercubes.")}
+    return found
+
+
+def test_package_imports_are_found():
+    src = ("from .oracle import x\nfrom . import sampler\nimport hiercubes.render\n"
+           "from hiercubes.cli import main\nfrom os import path\n"
+           "def f():\n    from .blocks import Block\n")
+    assert package_imports(src) == {"oracle", "sampler", "render", "cli", "blocks"}
+
+
+# the three computations stay independent: the exact analytics use neither the
+# enumeration oracle nor the samplers, and the samplers do not use the oracle
+FORBIDDEN_IMPORTS = {"analytics": {"oracle", "sampler"}, "sampler": {"oracle"}}
+
+
+@pytest.mark.parametrize("module", sorted(FORBIDDEN_IMPORTS))
+def test_computations_are_layered(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert package_imports(source) & FORBIDDEN_IMPORTS[module] == set()
