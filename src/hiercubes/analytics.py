@@ -16,6 +16,11 @@ from log Xi = p = 0 below the first scale:
 so rho_j = zhat_j / (1 + zhat_j) = z_j / Xi_j.  p_j equals M**(-d j) log Xi_j
 but is accumulated, not divided out, so it saturates where log Xi_j overflows.
 `_log_R` gives R_j = prod_{k >= j} (1 + zhat_k) - 1.
+
+The infinite-volume ancestor chain of a block is cut by `_ancestor_chain`
+alone: one profile from -depth up to CHAIN_SCALES above the block, cut just
+above the highest scale whose zhat reaches CHAIN_CUT / e.  The marginals and
+the sampler's law of the lowest occupied ancestor both read it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from .logreal import LogReal, log1p_exp, log_expm1, logaddexp, logsumexp_iter
 # log Xi above this is certified as divergent by the depth-doubling probe
 DIVERGENCE_LOG_THRESHOLD = 1.0e6
 DEFAULT_TOL = 1e-12
-CHAIN_CUT = 1e-15   # ancestor zhat mass left beyond the infinite-volume chain
+CHAIN_CUT = 1e-14   # ancestor zhat mass left beyond the infinite-volume chain
+CHAIN_SCALES = 80   # scales of the chain profile above its lowest block
 # work limits of the condition (i) scan of inhomogeneous activities
 SCAN_NODE_BUDGET = 2_000_000
 SCAN_LEVELS = 10
@@ -189,8 +195,7 @@ def partition_function_limit(model: ActivityModel, window: Block,
     (finite), the log exceeds the divergence threshold (infinite), or a
     closed-form tail certificate settles the question.  Otherwise undecided.
     """
-    cert = _downward_mass_certificate(model, window)
-    if cert == "divergent":
+    if _downward_mass_diverges(model, window):
         return LimitResult(LogReal.infinite(), True, 0,
                            "closed-form tail: sum of activities below window diverges")
     scalewise = model.homogeneous_within(window)
@@ -223,20 +228,21 @@ def _unwrap(model: ActivityModel) -> tuple[ActivityModel, bool]:
     return model, scale_truncated
 
 
-def _downward_mass_certificate(model: ActivityModel, window: Block) -> str:
-    """Closed-form status of sum of z(B) over B inside `window`, if available."""
+def _downward_mass_diverges(model: ActivityModel, window: Block) -> bool:
+    """Whether Xi of `window` is infinite in closed form: some block of the
+    window's subtree, the window itself or a volume-truncation window inside
+    it, has below it a Homogeneous activity, untruncated in scale, whose
+    downward mass sum diverges (condition (i) fails)."""
     inner, scale_truncated = _unwrap(model)
-    if scale_truncated:
-        return "convergent"  # finitely many active scales below
-    if isinstance(inner, Homogeneous) and inner.homogeneous_within(window):
-        rule = inner.tail_down
-        if rule.kind == "geometric" and inner.log_table:
-            lo = min(inner.log_table)
-            if inner.log_table[lo] > -math.inf and lo <= window.scale:
-                step = inner.geometry.branching * rule.ratio
-                if step >= 1.0:
-                    return "divergent"
-    return ""
+    if scale_truncated or not isinstance(inner, Homogeneous):
+        return False
+    tops, m = [window], model
+    while isinstance(m, VolumeTruncated):
+        tops.append(m.window)
+        m = m.inner
+    return (_condition_i_homogeneous(inner).status == "fails"
+            and any(contains(window, b, model.geometry) and model.homogeneous_within(b)
+                    for b in tops))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +394,7 @@ def check_condition_i(model: ActivityModel, max_depth: int = 24) -> ConditionVer
 def _condition_i_homogeneous(model: Homogeneous) -> ConditionVerdict:
     geo = model.geometry
     active = [j for j, lv in model.log_table.items() if lv > -math.inf]
-    if not active and model.tail_down.kind == "zero":
+    if not model.log_table or (not active and model.tail_down.kind == "zero"):
         return ConditionVerdict("holds", detail="zero activity")
     if model.tail_down.kind == "zero":
         return ConditionVerdict("holds", detail="downward mass sum is finite (zero tail)")
@@ -505,14 +511,10 @@ def _condition_i_scan(model: Formula, max_depth: int) -> ConditionVerdict:
                                             "divergent finite-Xi subcube mass")
 
 
-def check_condition_ii(model: ActivityModel, anchor: Optional[Block] = None,
-                       tol: float = DEFAULT_TOL, j_max: int = 64,
-                       j_max_cap: int = 512) -> ConditionVerdict:
-    """Summability of effective activities along an ancestor chain."""
-    geo = model.geometry
-    if anchor is None:
-        anchor = Block(0, (0,) * geo.d)
-
+def check_condition_ii(model: ActivityModel,
+                       tol: float = DEFAULT_TOL) -> ConditionVerdict:
+    """Summability of effective activities along the ancestor chain of scale 0,
+    read from profiles up to scale 64, doubled up to 512 until decided."""
     cond_i = check_condition_i(model)
     if cond_i.status == "fails":
         return ConditionVerdict(
@@ -536,15 +538,11 @@ def check_condition_ii(model: ActivityModel, anchor: Optional[Block] = None,
         return ConditionVerdict("undecided",
                                 detail=f"no chain summation for {type(model).__name__}")
 
-    anchor_scale = anchor.scale
-    while j_max <= j_max_cap:
-        prof = scale_profile(model, j_max)
-        verdict = _classify_zhat_tail(prof, anchor_scale)
+    for j_max in (64, 128, 256, 512):
+        verdict = _classify_zhat_tail(scale_profile(model, j_max))
         if verdict is not None:
             return verdict
-        j_max *= 2
-    return ConditionVerdict("undecided",
-                            detail=f"no decision after j_max = {j_max_cap}")
+    return ConditionVerdict("undecided", detail="no decision after j_max = 512")
 
 
 def _require_condition_ii(model: ActivityModel, what: str) -> None:
@@ -574,9 +572,9 @@ def _condition_ii_design(model: EffectiveDesign) -> ConditionVerdict:
                                    f"(tail ratio {rule.ratio} >= 1)")
 
 
-def _classify_zhat_tail(prof: ScaleProfile, anchor_scale: int) -> Optional[ConditionVerdict]:
+def _classify_zhat_tail(prof: ScaleProfile) -> Optional[ConditionVerdict]:
     lzh = [prof.log_zhat[j]    # the activity vanishes below the profile
-           for j in range(max(anchor_scale, prof.j_lo), prof.j_hi + 1)]
+           for j in range(max(0, prof.j_lo), prof.j_hi + 1)]
     if not lzh:
         return None
     tail = lzh[-10:]
@@ -669,8 +667,7 @@ def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int) -> float:
     if cover.scale < -depth:
         return 0.0      # every block lies below the depth truncation
     _check_system(geo, cover, depth)
-    j_hi = _chain_cut_scale(model, max(b.scale for b in blocks))
-    prof = scale_profile(model, max(j_hi, cover.scale), depth=depth)
+    prof, j_cut = _ancestor_chain(model, cover.scale, depth)
     log_zhat = prof.log_zhat          # no scale below -depth is active
     log_p = 0.0
     for b in blocks:
@@ -679,25 +676,28 @@ def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int) -> float:
     # the strict ancestors up to the covering block, then its ancestors out
     # to the chain cut, scale-wise
     above = [a.scale for a in _strict_ancestor_set(blocks, cover.scale, geo)]
-    for j in above + list(range(cover.scale + 1, j_hi + 1)):
+    for j in above + list(range(cover.scale + 1, j_cut + 1)):
         lzh = log_zhat.get(j, -math.inf)
         if lzh > -math.inf:
             log_p += -log1p_exp(lzh)
     return math.exp(log_p)
 
 
-def _chain_cut_scale(model: ActivityModel, from_scale: int) -> int:
-    """Scale beyond which the remaining ancestor zhat mass is below CHAIN_CUT."""
-    prof = scale_profile(model, from_scale + 80)
+def _ancestor_chain(model: ActivityModel, j0: int, depth: int) -> tuple[ScaleProfile, int]:
+    """The scale profile from -depth up to CHAIN_SCALES above scale j0, and the
+    cut of the ancestor chain of a block of scale j0: the scale j_cut just
+    above the highest one whose zhat reaches CHAIN_CUT / e.
+
+    The infinite-volume chain over scales j0 < j <= j_cut is read by the
+    marginals and by the sampler's law of the lowest occupied ancestor.  A
+    zhat tail still above the cut at the profile's top is cut there.
+    """
+    prof = scale_profile(model, j0 + CHAIN_SCALES, depth=depth)
     j = prof.j_hi
-    # the tail envelope is doubly exponential once terms are tiny; the last
-    # computed term bounds the remainder up to a factor ~2
-    while j > from_scale + 1:
-        lzh = prof.log_zhat[j]
-        if lzh > math.log(CHAIN_CUT) - math.log(2):
-            break
+    while j > j0 + 1 and (prof.log_zhat[j] == -math.inf
+                          or prof.log_zhat[j] < math.log(CHAIN_CUT) - 1):
         j -= 1
-    return min(j + 2, prof.j_hi)
+    return prof, min(j + 1, prof.j_hi)
 
 
 def pair_covariance(model: ActivityModel, b1: Block, b2: Block,
@@ -826,10 +826,10 @@ def _log_R(prof: ScaleProfile, j: int) -> Optional[tuple[float, float, float]]:
     return log_S, lead, rel             # R = expm1(S) = S (1 + O(S))
 
 
-def log_tail_ratio(model: ActivityModel, j: int, j_hi: Optional[int] = None) -> float:
+def log_tail_ratio(model: ActivityModel, j: int) -> float:
     """log R_j with R_j = prod_{k >= j}(1 + zhat_k) - 1, stable far below
-    double underflow."""
-    prof = scale_profile(model, j_hi if j_hi is not None else max(j + 80, 80))
+    double underflow, from the profile up to scale max(j, 0) + 80."""
+    prof = scale_profile(model, max(j + 80, 80))
     r = _log_R(prof, j)
     return -math.inf if r is None else r[0]
 

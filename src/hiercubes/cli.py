@@ -93,18 +93,14 @@ def cmd_sample(args) -> int:
     out = _out_dir(args)
     fmts = _formats(args)
     configs = []
-    try:
-        for i in range(args.samples):
-            if args.infinite:
-                cfg = sample_gibbs_infinite(model, window, args.depth,
-                                            seed=args.seed, index=i)
-            else:
-                cfg = sample_gibbs(model, window, args.depth,
-                                   seed=args.seed, index=i)
-            configs.append(cfg)
-    except UncertifiedComputation as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    for i in range(args.samples):
+        if args.infinite:
+            cfg = sample_gibbs_infinite(model, window, args.depth,
+                                        seed=args.seed, index=i)
+        else:
+            cfg = sample_gibbs(model, window, args.depth,
+                               seed=args.seed, index=i)
+        configs.append(cfg)
     with (out / "configs.jsonl").open("w") as fh:
         for cfg in configs:
             fh.write(json.dumps(cfg.to_json_obj(), sort_keys=True) + "\n")
@@ -164,16 +160,12 @@ def cmd_correlate(args) -> int:
                          "stderr": err})
     _write_csv(out / "correlate.csv", rows)
     if model.is_homogeneous:
-        try:
-            table = decay_profile(model, args.jmax)
-            _write_csv(out / "decay.csv", [
-                {"j": r["j"], "log_R": r["log_R"],
-                 "scaled_log_R": r["scaled_log_R"],
-                 "residual": r["residual"] if r["residual"] is not None else ""}
-                for r in table])
-        except UncertifiedComputation as exc:
-            print(f"decay table refused: {exc}", file=sys.stderr)
-            return EXIT_UNDECIDED
+        table = decay_profile(model, args.jmax)
+        _write_csv(out / "decay.csv", [
+            {"j": r["j"], "log_R": r["log_R"],
+             "scaled_log_R": r["scaled_log_R"],
+             "residual": r["residual"] if r["residual"] is not None else ""}
+            for r in table])
     return EXIT_OK
 
 
@@ -374,6 +366,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (UncertifiedComputation, OverflowError) as exc:
+        print(f"refused ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

@@ -22,10 +22,8 @@ from typing import Callable, Iterable, Optional
 
 from .blocks import INDEX_LIMIT, Block, Geometry, IndexRangeError, format_block
 from .activities import ActivityModel
-from .analytics import (TruncatedSystem, _check_system, _require_condition_ii,
-                        scale_profile)
-
-CHAIN_TAIL_CUT = 1e-14
+from .analytics import (TruncatedSystem, _ancestor_chain, _check_system,
+                        _require_condition_ii)
 
 
 class InvalidConfiguration(ValueError):
@@ -219,27 +217,18 @@ def sample_bernoulli_max(ratios: dict[Block, float], geo: Geometry,
 
 
 def ancestor_chain_cdf(model: ActivityModel, window: Block,
-                       depth: int, tail_cut: float = CHAIN_TAIL_CUT
-                       ) -> tuple[list[tuple[int, float]], float]:
+                       depth: int) -> tuple[list[tuple[int, float]], float]:
     """Law of the lowest occupied strict ancestor of the window.
 
     Returns ([(scale, prob)], p_none) with p(k) = rho_k * prod_{l>k}(1-rho_l)
-    and p_none the convergent product of (1-rho_l); the scan stops when the
-    remaining tail mass is below `tail_cut`.
+    and p_none the convergent product of (1-rho_l), over the ancestor chain
+    of `analytics._ancestor_chain`, the one the infinite-volume marginals use.
     """
-    geo = model.geometry
     j0 = window.scale
-    # extend until the remaining zhat tail (which bounds the remaining chain
-    # mass) drops below the cut
-    prof = scale_profile(model, j0 + 200, depth=depth)
-    j_hi = prof.j_hi
-    while j_hi > j0 + 1 and (prof.log_zhat[j_hi] == -math.inf
-                             or prof.log_zhat[j_hi] < math.log(tail_cut) - 1):
-        j_hi -= 1
-    j_hi = min(j_hi + 1, prof.j_hi)
+    prof, j_cut = _ancestor_chain(model, j0, depth)
     log_none_above = 0.0
     rows = []
-    for k in range(j_hi, j0, -1):
+    for k in range(j_cut, j0, -1):
         lzh = prof.log_zhat[k]
         if lzh == -math.inf:
             rows.append((k, 0.0))

@@ -89,6 +89,16 @@ def test_partition_limit_divergent():
     assert res.converged and res.value.is_infinite
 
 
+def test_partition_limit_of_a_volume_truncation():
+    # the divergent tail lives only inside the truncation window
+    h = Homogeneous.from_values(GEO, {0: 1.0}, tail_down=TailRule("geometric", 1.0))
+    vt = truncate_volume(h, W)
+    outside = partition_function_limit(vt, block(0, 1))
+    assert outside.converged and outside.value.log == 0.0
+    assert partition_function_limit(vt, block(-1, 1)).value.is_infinite
+    assert partition_function_limit(vt, block(1, 0)).value.is_infinite
+
+
 # -- effective activities and occupation ratios --------------------------------
 
 def test_effective_activity_unit_depths():
@@ -124,6 +134,10 @@ def test_condition_i_homogeneous_geometric():
     assert check_condition_i(holds).holds
     v = check_condition_i(fails)
     assert v.status == "fails"
+    # an empty table is zero activity whatever its tail rule
+    empty = Homogeneous.from_values(GEO, {}, tail_down=TailRule("geometric", 0.5))
+    assert check_condition_i(empty).holds
+    assert partition_function_limit(empty, W).value.log == 0.0
 
 
 def test_condition_i_bounded_below():

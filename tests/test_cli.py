@@ -276,3 +276,19 @@ def test_window_of_another_dimension_rejected(tmp_path, command, extra):
                   "--window", "1:(0)", "--depth", "2", "--seed", "1", *extra)
     assert res.returncode == EXIT_VALIDATION
     assert "Traceback" not in res.stderr and "dimension" in res.stderr
+
+
+@pytest.mark.parametrize("obj,argv", [
+    # the downward tail decays but its start scale is not found: refused
+    ({"kind": "homogeneous", "d": 1, "table": {"0": 1.0, "-1": 0.8},
+      "tail_down": {"kind": "geometric", "ratio": 0.3}}, ["analyze"]),
+    ({"kind": "homogeneous", "d": 1, "table": {"0": 1.0, "-1": 0.8},
+      "tail_down": {"kind": "geometric", "ratio": 0.3}}, ["diagnose"]),
+    # M**(d j) overflows a float at scale 600 in d=2
+    ({**PARAMETRIC, "d": 2}, ["analyze", "--jmax", "600"]),
+], ids=["analyze-start-scale", "diagnose-start-scale", "analyze-overflow"])
+def test_library_refusals_exit_undecided(tmp_path, obj, argv):
+    m = write_model(tmp_path, obj)
+    res = run_cli(argv[0], "--model", m, "--out", str(tmp_path / "o"), *argv[1:])
+    assert res.returncode == EXIT_UNDECIDED
+    assert "Traceback" not in res.stderr and "refused" in res.stderr

@@ -1,6 +1,7 @@
 """Every module-level import of the package is used by its module, and every
-private module-level function or class is named somewhere in the package
-besides its own definition, so a replaced helper cannot linger.
+private module-level function or class and every UPPER_CASE module-level
+constant is named somewhere in the package besides its own definition, so a
+replaced helper or a leftover constant cannot linger.
 
 Uses only the standard library (`ast`), so it needs no linter.  The package's
 `__init__.py` re-exports names and is exempt from the import check.
@@ -53,16 +54,34 @@ def names_in(node: ast.AST) -> Counter:
     return counts
 
 
+def unreferenced(sources: dict[str, str], defined) -> list[str]:
+    """`module.name` of each name that `defined(node)` lists for a top-level
+    statement and that the modules name nowhere outside that statement."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    total = sum((names_in(tree) for tree in trees.values()), Counter())
+    return sorted(f"{mod}.{name}" for mod, tree in trees.items()
+                  for node in tree.body for name in defined(node)
+                  if total[name] == names_in(node)[name])
+
+
 def unreferenced_private(sources: dict[str, str]) -> list[str]:
     """`module.name` of each private module-level function or class that the
     modules name nowhere outside the definition itself."""
-    trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    total = sum((names_in(tree) for tree in trees.values()), Counter())
-    return sorted(f"{mod}.{node.name}" for mod, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name.startswith("_") and not node.name.startswith("__")
-                  and total[node.name] == names_in(node)[node.name])
+    def defined(node):
+        private = (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name.startswith("_") and not node.name.startswith("__"))
+        return [node.name] if private else []
+    return unreferenced(sources, defined)
+
+
+def unreferenced_constants(sources: dict[str, str]) -> list[str]:
+    """`module.NAME` of each UPPER_CASE module-level constant that the modules
+    name nowhere outside its own assignment."""
+    def assigned(node):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        return [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return unreferenced(sources, assigned)
 
 
 def test_unreferenced_private_names_are_found():
@@ -79,6 +98,23 @@ def test_unreferenced_private_names_are_found():
 def test_private_definitions_are_named():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def test_unreferenced_constants_are_found():
+    sources = {"a": "USED = 1\n"
+                    "LEFTOVER = 2\n"
+                    "ANNOTATED: int = 3\n"
+                    "lower = 4\n"
+                    "IMPORTED = 5\n"
+                    "def f(): return USED + lower\n",
+               "b": "from a import IMPORTED\n"
+                    "def g():\n    LOCAL = 6\n    return 0\n"}
+    assert unreferenced_constants(sources) == ["a.ANNOTATED", "a.LEFTOVER"]
+
+
+def test_module_constants_are_named():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_constants(sources) == []
 
 
 def package_imports(source: str) -> set[str]:

@@ -16,7 +16,8 @@ from hiercubes.sampler import (Configuration, InvalidConfiguration,
                                estimate_chunked, sample_bernoulli_max,
                                sample_gibbs, sample_gibbs_infinite,
                                sample_mandelbrot, _uniform)
-from hiercubes.analytics import UncertifiedComputation
+from hiercubes.analytics import (UncertifiedComputation, exact_marginal,
+                                 occupation_ratio)
 
 GEO = Geometry(1)
 W = block(0, 0)
@@ -207,6 +208,40 @@ def test_infinite_sampler_two_scale_chain():
     rows, p_none = ancestor_chain_cdf(m, W, depth=2)
     r = 0.5
     assert 1.0 - p_none == pytest.approx(r + (1 - r) * r, abs=1e-10)
+
+
+def geometric_homogeneous(geo, down, z0, top, up):
+    """Scale-wise constant activity whose table continues its geometric
+    down-tail, of ratio `down` / M**d, below scale 0, so per-scale pressure
+    terms decay downwards."""
+    down /= geo.branching
+    table = {j: z0 * down ** -j for j in range(-2, 1)}
+    table.update(top)
+    return Homogeneous.from_values(geo, table, TailRule("geometric", down),
+                                   TailRule("geometric", up))
+
+
+CHAIN_MODELS = {
+    "parametric-d1": Parametric(GEO, -0.5, 1.0, 0.5),
+    "parametric-d1-mu0": Parametric(GEO, 0.0, 0.2, 0.5),
+    "parametric-d2": Parametric(Geometry(2), -1.0, 1.2, 0.6),
+    "parametric-d2-mu0": Parametric(Geometry(2), 0.0, 0.4, 0.5),
+    "homogeneous-d1": geometric_homogeneous(GEO, 0.3, 1.5, {1: 2.0, 2: 0.4}, 0.5),
+    "homogeneous-d2": geometric_homogeneous(Geometry(2), 0.25, 0.6, {1: 1.0}, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+def test_infinite_marginal_is_rho_times_the_chain_law(name):
+    # P(b) = rho_b prod_{k > b}(1 + zhat_k)^-1 is rho_b times the chance that
+    # no strict ancestor of b is occupied, read off the sampler's chain law
+    m = CHAIN_MODELS[name]
+    for scale in (-2, 0, 1, 4):
+        for depth in (2, 5):
+            b = block(scale, *[3] * m.geometry.d)
+            p_none = ancestor_chain_cdf(m, b, depth)[1]
+            assert exact_marginal(m, [b], None, depth) == pytest.approx(
+                occupation_ratio(m, b, depth) * p_none, rel=1e-12, abs=0.0)
 
 
 def test_infinite_sampler_refuses_uncertified():
