@@ -18,9 +18,11 @@ but is accumulated, not divided out, so it saturates where log Xi_j overflows.
 `_log_R` gives R_j = prod_{k >= j} (1 + zhat_k) - 1.
 
 The infinite-volume ancestor chain of a block is cut by `_ancestor_chain`
-alone: one profile from -depth up to CHAIN_SCALES above the block, cut just
-above the highest scale whose zhat reaches CHAIN_CUT / e.  The marginals and
-the sampler's law of the lowest occupied ancestor both read it.
+alone: one profile from -depth up to CHAIN_SCALES above the block or above
+scale 0, whichever is higher (the chain of scale 0 is the one condition (ii)
+certifies), cut just above the highest scale whose zhat reaches
+CHAIN_CUT / e.  The marginals and the sampler's law of the lowest occupied
+ancestor both read it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .logreal import LogReal, log1p_exp, log_expm1, logaddexp, logsumexp_iter
 DIVERGENCE_LOG_THRESHOLD = 1.0e6
 DEFAULT_TOL = 1e-12
 CHAIN_CUT = 1e-14   # ancestor zhat mass left beyond the infinite-volume chain
-CHAIN_SCALES = 80   # scales of the chain profile above its lowest block
+CHAIN_SCALES = 80   # scales of the chain profile above max(block scale, 0)
 # work limits of the condition (i) scan of inhomogeneous activities
 SCAN_NODE_BUDGET = 2_000_000
 SCAN_LEVELS = 10
@@ -684,18 +686,17 @@ def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int) -> float:
 
 
 def _ancestor_chain(model: ActivityModel, j0: int, depth: int) -> tuple[ScaleProfile, int]:
-    """The scale profile from -depth up to CHAIN_SCALES above scale j0, and the
-    cut of the ancestor chain of a block of scale j0: the scale j_cut just
-    above the highest one whose zhat reaches CHAIN_CUT / e.
+    """The scale profile from -depth up to CHAIN_SCALES above scale max(j0, 0),
+    and the cut of the ancestor chain of a block of scale j0: the scale j_cut
+    just above the highest one whose zhat reaches CHAIN_CUT / e.
 
     The infinite-volume chain over scales j0 < j <= j_cut is read by the
     marginals and by the sampler's law of the lowest occupied ancestor.  A
     zhat tail still above the cut at the profile's top is cut there.
     """
-    prof = scale_profile(model, j0 + CHAIN_SCALES, depth=depth)
-    j = prof.j_hi
-    while j > j0 + 1 and (prof.log_zhat[j] == -math.inf
-                          or prof.log_zhat[j] < math.log(CHAIN_CUT) - 1):
+    prof = scale_profile(model, max(j0, 0) + CHAIN_SCALES, depth=depth)
+    cut, j = math.log(CHAIN_CUT) - 1, prof.j_hi
+    while j > j0 + 1 and prof.log_zhat[j] < cut:
         j -= 1
     return prof, min(j + 1, prof.j_hi)
 

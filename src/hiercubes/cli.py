@@ -366,8 +366,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (UncertifiedComputation, OverflowError) as exc:
-        print(f"refused ({type(exc).__name__}): {exc}", file=sys.stderr)
+    except UncertifiedComputation as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
+    except OverflowError as exc:
+        # a float overflow inside the library is a defect, not a refusal
+        print(f"error (overflow, known defect): {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
 
 

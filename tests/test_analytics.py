@@ -87,6 +87,10 @@ def test_partition_limit_divergent():
                                 tail_down=TailRule("geometric", 0.5))
     res = partition_function_limit(m, W)
     assert res.converged and res.value.is_infinite
+    # a window below the table's lowest scale still sits on the divergent tail
+    m = Homogeneous.from_values(GEO, {5: 1.0}, tail_down=TailRule("geometric", 1.0))
+    res = partition_function_limit(m, W)
+    assert res.value.is_infinite and res.depth_used == 0
 
 
 def test_partition_limit_of_a_volume_truncation():

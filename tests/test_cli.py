@@ -278,17 +278,17 @@ def test_window_of_another_dimension_rejected(tmp_path, command, extra):
     assert "Traceback" not in res.stderr and "dimension" in res.stderr
 
 
-@pytest.mark.parametrize("obj,argv", [
+@pytest.mark.parametrize("obj,argv,says", [
     # the downward tail decays but its start scale is not found: refused
     ({"kind": "homogeneous", "d": 1, "table": {"0": 1.0, "-1": 0.8},
-      "tail_down": {"kind": "geometric", "ratio": 0.3}}, ["analyze"]),
+      "tail_down": {"kind": "geometric", "ratio": 0.3}}, ["analyze"], "refused"),
     ({"kind": "homogeneous", "d": 1, "table": {"0": 1.0, "-1": 0.8},
-      "tail_down": {"kind": "geometric", "ratio": 0.3}}, ["diagnose"]),
-    # M**(d j) overflows a float at scale 600 in d=2
-    ({**PARAMETRIC, "d": 2}, ["analyze", "--jmax", "600"]),
+      "tail_down": {"kind": "geometric", "ratio": 0.3}}, ["diagnose"], "refused"),
+    # M**(d j) overflows a float at scale 600 in d=2: a defect, not a refusal
+    ({**PARAMETRIC, "d": 2}, ["analyze", "--jmax", "600"], "overflow, known defect"),
 ], ids=["analyze-start-scale", "diagnose-start-scale", "analyze-overflow"])
-def test_library_refusals_exit_undecided(tmp_path, obj, argv):
+def test_library_refusals_exit_undecided(tmp_path, obj, argv, says):
     m = write_model(tmp_path, obj)
     res = run_cli(argv[0], "--model", m, "--out", str(tmp_path / "o"), *argv[1:])
     assert res.returncode == EXIT_UNDECIDED
-    assert "Traceback" not in res.stderr and "refused" in res.stderr
+    assert "Traceback" not in res.stderr and says in res.stderr

@@ -16,8 +16,8 @@ from hiercubes.sampler import (Configuration, InvalidConfiguration,
                                estimate_chunked, sample_bernoulli_max,
                                sample_gibbs, sample_gibbs_infinite,
                                sample_mandelbrot, _uniform)
-from hiercubes.analytics import (UncertifiedComputation, exact_marginal,
-                                 occupation_ratio)
+from hiercubes.analytics import (UncertifiedComputation, effective_activity,
+                                 exact_marginal, occupation_ratio)
 
 GEO = Geometry(1)
 W = block(0, 0)
@@ -242,6 +242,25 @@ def test_infinite_marginal_is_rho_times_the_chain_law(name):
             p_none = ancestor_chain_cdf(m, b, depth)[1]
             assert exact_marginal(m, [b], None, depth) == pytest.approx(
                 occupation_ratio(m, b, depth) * p_none, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [
+    Parametric(GEO, -0.5, 1.0, 0.5),
+    Homogeneous.from_values(GEO, {-81: 1e-30, 0: 1.0, 3: 0.3}),
+], ids=["parametric", "homogeneous"])
+def test_chain_reaches_the_active_scales_from_far_below(m):
+    # blocks more than 80 scales below the active ones: the chain still takes
+    # in every zhat_k with k > b, read here from the truncated systems
+    depth = 81
+    for scale in (-81, -80, -77, -5):
+        b = block(scale, 0)
+        want = math.prod(
+            1 / (1 + math.exp(effective_activity(m, block(k, 0), depth).log))
+            for k in range(scale + 1, 40))
+        assert want < 0.9
+        assert ancestor_chain_cdf(m, b, depth)[1] == pytest.approx(want, rel=1e-12)
+        assert exact_marginal(m, [b], None, depth) == pytest.approx(
+            occupation_ratio(m, b, depth) * want, rel=1e-12, abs=0.0)
 
 
 def test_infinite_sampler_refuses_uncertified():
