@@ -633,6 +633,9 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
     window=None, the infinite-volume measure (scale-wise constant models only,
     refused unless condition (ii) is certified).
     """
+    if window is None and not model.is_homogeneous:
+        raise ValueError(f"infinite-volume marginal (window=None) needs a scale-wise "
+                         f"constant activity; {type(model).__name__} is not")
     blocks = sorted(set(blocks))
     if not blocks:
         return 1.0

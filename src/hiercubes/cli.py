@@ -218,6 +218,12 @@ def run_validation_suite(tol: float = 1e-12) -> dict:
         dist = enumerate_system(model, window, depth)
         ratios = gibbs_ratio_function(model, window, depth)
         checks = [verify_gnz(dist, model), verify_topdown(dist, ratios)]
+        # the product formula stays capped at 5,000 configurations: at d=1
+        # with 4 levels (458,330) its superset-sum table takes 2.3e8 submask
+        # steps, about 100 s on a 2-vCPU host, and for z = 1 the float sums
+        # miss the formula by 1.0e-11, above the 1e-12 tolerance; whether
+        # the sums or the formula's products are off needs an exact rational
+        # reference first
         if len(dist.probs) <= 5000:
             checks.append(verify_hierarchical_formula(dist, ratios))
         worst = max(c["max_residual"] for c in checks)

@@ -6,6 +6,10 @@ verifiers check the defining identities (GNZ balance, top-down conditionals,
 the product formula for inclusion probabilities) exhaustively on that support.
 Configurations are int masks over the blocks numbered top-down (`_Numbering`),
 listed by one enumerator, `_enumerate`, for the Gibbs and the hierarchical laws.
+Inclusion probabilities come from one superset-sum table per distribution
+(`ExactDistribution._superset_sums`).  The verifiers and the table sum
+probabilities with `+=` from 0.0 in support order, so their bits are the same
+on every Python version (`sum` of floats is compensated from 3.12 on).
 """
 
 from __future__ import annotations
@@ -77,6 +81,12 @@ class ExactDistribution:
     same order; `log_partition` is the log of the unnormalized mass.
     `support` lists the same configurations as frozensets of blocks, built
     on first use; the oracle itself never builds them.
+
+    `_superset_sums` maps each support mask to P(omega contains it).  Every
+    subset of a hard-core configuration is hard-core and in the support, so
+    the table is filled by adding each probability, in support order, to
+    every submask of its mask: sum over the support of 2^|config| additions,
+    and a set of blocks outside the table is contained in no configuration.
     """
 
     geometry: Geometry
@@ -100,11 +110,21 @@ class ExactDistribution:
         m = self.num.mask(cfg)
         return 0.0 if m is None else self._prob_of_mask.get(m, 0.0)
 
+    @cached_property
+    def _superset_sums(self) -> dict[int, float]:
+        table: dict[int, float] = {}
+        for m, p in zip(self.masks, self.probs):
+            s = m
+            while True:
+                table[s] = table.get(s, 0.0) + p
+                if not s:
+                    break
+                s = (s - 1) & m
+        return table
+
     def prob_superset(self, blocks) -> float:
         want = self.num.mask(blocks)
-        if want is None:
-            return 0.0
-        return sum(p for m, p in zip(self.masks, self.probs) if m & want == want)
+        return 0.0 if want is None else self._superset_sums.get(want, 0.0)
 
     def blocks(self) -> list[Block]:
         """All blocks of the system, top scale first."""
@@ -245,21 +265,27 @@ def verify_topdown(dist: ExactDistribution, ratios: Callable[[Block], float]) ->
     For every block B and every pattern pi of the blocks outside B's subtree:
     P(omega contains B, outside-pattern pi) = rho(B) * P(omega avoids B's
     strict ancestors, outside-pattern pi).  Patterns are int masks over the
-    numbered blocks; the cost is blocks x support.
+    numbered blocks; one pass per block over the support, so the cost is
+    blocks x support.  Strict ancestors lie outside the subtree, so a pattern
+    that meets them has both sides 0 and is skipped; the others are visited
+    in order of first appearance.
     """
-    num, masks = dist.num, dist.masks
+    num = dist.num
     worst = 0.0
     worst_block, worst_event = None, None
     for i, b in enumerate(num.blocks):
         rho = ratios(b)
         bit, anc, outside = 1 << i, num.anc[i], ~num.sub[i]
-        groups: dict[int, list[tuple[int, float]]] = {}
-        for m, p in zip(masks, dist.probs):
-            groups.setdefault(m & outside, []).append((m, p))
-        for pi, group in groups.items():
-            lhs = sum(p for m, p in group if m & bit)
-            rhs = rho * sum(p for m, p in group if not m & anc)
-            r = abs(lhs - rhs)
+        avoid: dict[int, float] = {}      # pi -> P(avoids ancestors, pi)
+        hit: dict[int, float] = {}        # pi -> P(contains B, pi)
+        for m, p in zip(dist.masks, dist.probs):
+            if not m & anc:
+                pi = m & outside
+                avoid[pi] = avoid.get(pi, 0.0) + p
+                if m & bit:
+                    hit[pi] = hit.get(pi, 0.0) + p
+        for pi, free in avoid.items():
+            r = abs(hit.get(pi, 0.0) - rho * free)
             if r > worst:
                 worst, worst_block, worst_event = r, b, pi
     return _report("topdown", num, worst, worst_block, worst_event)
@@ -273,14 +299,16 @@ def verify_hierarchical_formula(dist: ExactDistribution,
     prod rho over its blocks times prod (1 - rho) over their strict ancestors
     inside the window.  Every support configuration is hard-core, so no
     ancestor is itself a member.  Configurations are int masks over the
-    numbered blocks; the superset sums make the cost support^2.
+    numbered blocks.  The left-hand sides are read from the distribution's
+    superset-sum table, which costs sum over the support of 2^|config|
+    additions; each right-hand side takes at most one factor per block.
     """
-    num, masks = dist.num, dist.masks
+    num, sums = dist.num, dist._superset_sums
     rho = [ratios(b) for b in num.blocks]
     worst = 0.0
     worst_event = None
-    for want in masks:
-        lhs = sum(p for m, p in zip(masks, dist.probs) if m & want == want)
+    for want in dist.masks:
+        lhs = sums[want]
         anc = 0
         rhs = 1.0
         for i in num.bits(want):
@@ -310,9 +338,9 @@ def mandelbrot_gnz_report(p: float, geo: Geometry, window: Block,
     balance equation then fails at coarser blocks, worst at the window, and
     the failure grows with depth — no single activity generates the measure.
     """
-    dist = mandelbrot_distribution(p, geo, window, depth)
-    if p >= 1.0:
+    if p == 1.0:
         raise ValueError("p = 1 has no finite activity fit")
+    dist = mandelbrot_distribution(p, geo, window, depth)
     scales = range(-depth, window.scale + 1)
     fit = Homogeneous.constant(geo, p / (1.0 - p), scales)
     rep = verify_gnz(dist, fit)

@@ -294,6 +294,20 @@ def test_infinite_marginal_below_the_depth_is_zero():
     assert exact_marginal(m, [block(-5, 0)], W, 2) == 0.0
 
 
+def test_infinite_volume_needs_a_scalewise_model():
+    # condition (ii) holds (finitely many active blocks), but the chain to
+    # infinity is read from a scale profile, which Explicit has not
+    m = Explicit.from_values(GEO, {block(0, 0): 0.5, block(-1, 0): 1.0})
+    assert check_condition_ii(m).holds
+    for call in [lambda: exact_marginal(m, [block(-1, 0)], None, 1),
+                 lambda: pair_covariance(m, block(-1, 0), block(-1, 1), None, 1),
+                 lambda: config_covariance(m, [block(-1, 0)], [block(-1, 1)], None, 1)]:
+        with pytest.raises(ValueError, match="^infinite-volume marginal .*scale-wise constant"):
+            call()
+    # a window makes the same queries finite-volume ones
+    assert exact_marginal(m, [block(-1, 0)], W, 1) > 0.0
+
+
 def test_impossible_systems_are_rejected():
     m2 = Homogeneous.constant(GEO2, 1.0, range(-2, 1))
     for window, depth, says in [(W, 2, "dimension"), (block(0, 0, 0), -1, "depth"),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,8 +241,13 @@ def test_mandelbrot_gnz_violation_exact():
 
 
 def test_mandelbrot_p1_rejected_by_fit():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p = 1"):
         mandelbrot_gnz_report(1.0, GEO, W, 1)
+    # refused before enumerating: depth 5 exceeds the support cap
+    with pytest.raises(ValueError, match="p = 1"):
+        mandelbrot_gnz_report(1.0, GEO, W, 5)
+    with pytest.raises(ValueError, match="probability"):
+        mandelbrot_gnz_report(1.5, GEO, W, 1)
 
 
 # -- fragmentation and condensation tables ---------------------------------------
@@ -298,6 +304,39 @@ def test_prob_of_missing_config_is_zero():
     assert dist.prob(frozenset([block(-5, 0)])) == 0.0
 
 
+@settings(max_examples=25, deadline=None)
+@given(explicit_systems(), st.randoms(use_true_random=False))
+def test_prob_superset_matches_a_scan(system, rng):
+    geo, window, depth, acts, _ = system
+    dist = enumerate_system(Explicit.from_values(geo, acts), window, depth)
+
+    def scan(want):
+        total = 0.0
+        for cfg, p in zip(dist.support, dist.probs):
+            if want <= cfg:
+                total += p
+        return total
+
+    blocks = dist.blocks()
+    outside = [block(window.scale + 1, *[0] * geo.d),
+               block(window.scale - depth - 1, *[0] * geo.d)]
+    # every support configuration, random sets of 2 to 4 blocks (many
+    # overlap, so no configuration contains them) and sets leaving the system
+    queries = [set(cfg) for cfg in dist.support]
+    queries += [set(rng.sample(blocks, min(len(blocks), rng.randint(2, 4))))
+                for _ in range(20)]
+    queries += [{rng.choice(blocks), rng.choice(outside)} for _ in range(5)]
+    for want in queries:
+        got = dist.prob_superset(want)
+        assert type(got) is float
+        if not want <= set(blocks):
+            assert got == 0.0
+        else:
+            assert got == scan(want)
+    if len(blocks) > 1:
+        assert dist.prob_superset([blocks[0], blocks[-1]]) == 0.0    # overlapping
+
+
 # -- pinned outputs -----------------------------------------------------------------
 
 def _pin_digest(dist, reports) -> str:
@@ -340,6 +379,26 @@ PINNED = {
         "8b2cc827431f12d8c2da14fa2e000d19c7367e4d3457996613d5a1194ed69b3e",
     "mandelbrot-p05-depth2":
         "36cf5fee0e32615a3babe5e548c020a768c2ce082121abbb3466bd9c864adc02",
+    "d1-random-explicit-depth3":
+        "23f7356ef57257aa65c81e3ff658e3dde13ee1797424da9d17ee6d53b4803a6e",
+    "d2-random-explicit-depth1":
+        "921a4e994165ad1752612647bc9d95010437e131dc19cb5176f1c198825ee864",
+}
+
+
+def _random_explicit(seed, geo, window, depth):
+    """A seeded Explicit model: every block of the system gets an activity
+    drawn uniformly from [0.1, 3]."""
+    rng = random.Random(seed)
+    bs = descendants(window, window.scale - depth, geo)
+    return Explicit.from_values(geo, {b: rng.uniform(0.1, 3.0) for b in bs})
+
+
+# inhomogeneous systems beside the validation matrix, so that worst events
+# and their tie-breaks among distinct activities are pinned too
+RANDOM_SYSTEMS = {
+    "d1-random-explicit-depth3": (_random_explicit(11, GEO, W, 3), W, 3),
+    "d2-random-explicit-depth1": (_random_explicit(12, GEO2, W2, 1), W2, 1),
 }
 
 
@@ -350,7 +409,8 @@ def test_oracle_outputs_pinned(name):
         rho = lambda b: 0.5
         reports = [mandelbrot_gnz_report(0.5, GEO, W, 2)]
     else:
-        _, model, window, depth = next(s for s in _validation_matrix() if s[0] == name)
+        model, window, depth = RANDOM_SYSTEMS.get(name) or next(
+            s[1:] for s in _validation_matrix() if s[0] == name)
         dist = enumerate_system(model, window, depth)
         rho = gibbs_ratio_function(model, window, depth)
         reports = [verify_gnz(dist, model)]
