@@ -1,12 +1,12 @@
 """Exact log-space analytics for the hierarchical hard-core gas.
 
 Everything extensive lives in log domain.  Inhomogeneous models use a block
-lane at small truncation depth: one pass over the system's blocks, children
-before parents, tabulates log Xi and log zhat of every block.  For scale-wise
-constant activities z_j the tree recursion is one scalar recursion, built only
-by `_build_profile` into a `ScaleProfile` that the scale lane of
-`TruncatedSystem` and every infinite-volume quantity read.  Its float order,
-from log Xi = p = 0 below the first scale:
+lane at small truncation depth: one pass per level over the (scale, index)
+tuples of the system, bottom level first, tabulates log Xi and log zhat of
+every block.  For scale-wise constant activities z_j the tree recursion is
+one scalar recursion, built only by `_build_profile` into a `ScaleProfile`
+that the scale lane of `TruncatedSystem` and every infinite-volume quantity
+read.  Its float order, from log Xi = p = 0 below the first scale:
 
     below      = M**d * log Xi_{j-1}
     log Xi_j   = logaddexp(log z_j, below)
@@ -32,8 +32,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .blocks import (Block, Geometry, ancestors, children, contains,
-                     covering_block, descendants, lcs, overlaps)
+from .blocks import (INDEX_LIMIT, Block, Geometry, IndexRangeError, ancestors,
+                     children, contains, covering_block, descendants, lcs,
+                     overlaps)
 from .activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                          Homogeneous, Parametric, ScaleTruncated,
                          VolumeTruncated)
@@ -72,8 +73,9 @@ class TruncatedSystem:
 
     Provides partition functions, effective activities and occupation ratios
     of the doubly truncated activity z_window^(depth).  Read from a table of
-    every block filled bottom-up, or, when the model is scale-wise constant
-    inside the window, from one scale profile from -depth up to the window.
+    every block filled bottom-up, one pass per level over index tuples, or,
+    when the model is scale-wise constant inside the window, from one scale
+    profile from -depth up to the window.
     """
 
     def __init__(self, model: ActivityModel, window: Block, depth: int):
@@ -101,16 +103,39 @@ class TruncatedSystem:
     @cached_property
     def _table(self) -> dict[tuple[int, tuple[int, ...]], tuple[float, float]]:
         """The block lane: (scale, index) -> (log Xi, log zhat) of every block
-        of the system, filled children first."""
+        of the system, one pass per level over index tuples.
+
+        Each scale's indices are listed top-down from the window, children in
+        `blocks.children` order, so the children of the i-th block of a level
+        are the slice [i*B:(i+1)*B] of the level below (B = M**d); the levels
+        are then filled bottom-up.  A `Block` is built only to ask the model
+        for its activity.  Raises IndexRangeError first when a bottom-scale
+        index would reach INDEX_LIMIT.
+        """
+        geo, window, bottom = self.geo, self.window, -self.depth
+        M, B = geo.M, geo.branching
+        levels = [[window.index]]
+        if window.scale > bottom:
+            if (max(window.index) + 1) * M ** (window.scale - bottom) > INDEX_LIMIT:
+                raise IndexRangeError(f"index at scale {bottom} below {window} exceeds 2**128")
+            base = [m * M for m in window.index]
+            offsets = [[m - b for m, b in zip(c.index, base)] for c in children(window, geo)]
+            for _ in range(window.scale - bottom):
+                levels.append([tuple([m * M + o for m, o in zip(index, offs)])
+                               for index in levels[-1] for offs in offsets])
+        log_activity = self.model.log_activity
         table = {}
-        for b in reversed(self.blocks()):
-            lz = self.model.log_activity(b)
-            if b.scale == -self.depth:
-                below, lzh = 0.0, lz
+        xi: list[float] = []
+        for scale, level in enumerate(reversed(levels), bottom):
+            lz = [log_activity(Block(scale, index)) for index in level]
+            if scale == bottom:
+                below, lzh = [0.0] * len(lz), lz
             else:
-                below = sum(table[c.scale, c.index][0] for c in children(b, self.geo))
-                lzh = lz - below    # -inf also when a child's log Xi is +inf
-            table[b.scale, b.index] = (logaddexp(lz, below), lzh)
+                below = [sum(xi[i:i + B]) for i in range(0, len(xi), B)]
+                # -inf also when a child's log Xi is +inf
+                lzh = [z - c for z, c in zip(lz, below)]
+            xi = list(map(logaddexp, lz, below))
+            table.update(zip([(scale, index) for index in level], zip(xi, lzh)))
         return table
 
     def _values(self, b: Block) -> tuple[float, float]:
@@ -202,7 +227,8 @@ def partition_function_limit(model: ActivityModel, window: Block,
                            "closed-form tail: sum of activities below window diverges")
     scalewise = model.homogeneous_within(window)
     if not scalewise:
-        max_depth = min(max_depth, 16)  # block lane is exponential in depth
+        # the block lane makes one activity call per block: M**(d*depth) at the bottom
+        max_depth = min(max_depth, 16)
 
     start = max(window.scale, 0) - window.scale  # reach at least the window scale
     prev = None

@@ -6,10 +6,12 @@ verifiers check the defining identities (GNZ balance, top-down conditionals,
 the product formula for inclusion probabilities) exhaustively on that support.
 Configurations are int masks over the blocks numbered top-down (`_Numbering`),
 listed by one enumerator, `_enumerate`, for the Gibbs and the hierarchical laws.
-Inclusion probabilities come from one superset-sum table per distribution
-(`ExactDistribution._superset_sums`).  The verifiers and the table sum
-probabilities with `+=` from 0.0 in support order, so their bits are the same
-on every Python version (`sum` of floats is compensated from 3.12 on).
+One inclusion probability is one scan of the support
+(`ExactDistribution.prob_superset`); the product-formula verifier reads all of
+them from one superset-sum table (`ExactDistribution._superset_sums`).  The
+scan, the table and the verifiers sum probabilities with `+=` from 0.0 in
+support order, so their bits agree and are the same on every Python version
+(`sum` of floats is compensated from 3.12 on).
 """
 
 from __future__ import annotations
@@ -82,11 +84,14 @@ class ExactDistribution:
     `support` lists the same configurations as frozensets of blocks, built
     on first use; the oracle itself never builds them.
 
-    `_superset_sums` maps each support mask to P(omega contains it).  Every
-    subset of a hard-core configuration is hard-core and in the support, so
-    the table is filled by adding each probability, in support order, to
-    every submask of its mask: sum over the support of 2^|config| additions,
-    and a set of blocks outside the table is contained in no configuration.
+    `prob_superset` gives P(omega contains a set of blocks) by one scan of
+    the support.  `_superset_sums`, built only for the product-formula
+    verifier, maps each support mask to the same probability.  Every subset
+    of a hard-core configuration is hard-core and in the support, so the
+    table is filled by adding each probability, in support order, to every
+    submask of its mask: sum over the support of 2^|config| additions, and a
+    set of blocks outside the table is contained in no configuration.  Both
+    add in support order from 0.0, so they agree bit for bit.
     """
 
     geometry: Geometry
@@ -124,7 +129,12 @@ class ExactDistribution:
 
     def prob_superset(self, blocks) -> float:
         want = self.num.mask(blocks)
-        return 0.0 if want is None else self._superset_sums.get(want, 0.0)
+        total = 0.0
+        if want is not None:
+            for m, p in zip(self.masks, self.probs):
+                if m & want == want:
+                    total += p
+        return total
 
     def blocks(self) -> list[Block]:
         """All blocks of the system, top scale first."""

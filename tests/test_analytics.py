@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercubes.blocks import Block, Geometry, block, descendants
+from hiercubes.blocks import (Block, Geometry, IndexRangeError, block, children,
+                              descendants)
 from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
                                   Homogeneous, Parametric, TailRule,
-                                  truncate_volume)
+                                  truncate_scale, truncate_volume)
 from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  check_condition_i, check_condition_ii,
                                  config_covariance, critical_mu, decay_profile,
@@ -19,6 +20,7 @@ from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  pressure_profile, scale_profile,
                                  series_summand_bounds, tail_ratio_R)
 from hiercubes.cli import _validation_matrix
+from hiercubes.logreal import logaddexp
 from hiercubes.sampler import sample_gibbs_infinite
 
 GEO = Geometry(1)
@@ -583,3 +585,87 @@ def test_block_lane_is_pinned():
         h.update(repr(partition_function(model, window, depth).log).encode())
     assert h.hexdigest() == \
         "6e5becdd37744c9bbf279f63b341d1e113ec908e9d16123852486099cc2cba15"
+
+
+def seeded_block_lane_systems():
+    """Seeded Explicit systems of other shapes: M=3 at d=1 and d=2, d=3 with
+    M=2, and depth 0, about a fifth of the activities zero."""
+    rng = random.Random(10)
+    systems = []
+    for geo, window, depth in [(Geometry(1, 3), block(0, 2), 4),
+                               (Geometry(2, 3), block(1, 1, 0), 1),
+                               (Geometry(3, 2), block(0, 1, 0, 1), 2),
+                               (Geometry(2, 2), block(2, 0, 1), 0),
+                               (Geometry(1, 3), block(0, 4), 0)]:
+        acts = {b: 0.0 if rng.random() < 0.2 else rng.uniform(0.05, 3.0)
+                for b in descendants(window, -depth, geo)}
+        systems.append((Explicit.from_values(geo, acts), window, depth))
+    return systems
+
+
+def test_block_lane_is_pinned_on_more_shapes():
+    h = hashlib.sha256()
+    for model, window, depth in seeded_block_lane_systems():
+        sys = TruncatedSystem(model, window, depth)
+        assert not model.homogeneous_within(window)
+        for b in sys.blocks():
+            h.update(repr((str(b), sys.log_xi(b), sys.log_zhat(b), sys.rho(b))).encode())
+        h.update(repr(partition_function(model, window, depth).log).encode())
+    assert h.hexdigest() == \
+        "81160b16caa659d12679b852883f30e09912faaba8e340f07e9729897c093e18"
+
+
+def _plain_lane(model, b, bottom, geo, out):
+    """log Xi of b by the plain recursion over `children`, filling
+    out[b] = (log Xi, log zhat) for b and every block below it."""
+    lz = model.log_activity(b)
+    if b.scale == bottom:
+        below, lzh = 0.0, lz
+    else:
+        below = sum(_plain_lane(model, c, bottom, geo, out) for c in children(b, geo))
+        lzh = lz - below
+    out[b] = (logaddexp(lz, below), lzh)
+    return out[b][0]
+
+
+@st.composite
+def explicit_lane_systems(draw):
+    """Random Explicit systems, about a fifth of the activities zero, bare or
+    inside a volume or a scale truncation that cuts into the system."""
+    geo = Geometry(draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    scale = draw(st.integers(-1, 1))
+    levels = draw(st.integers(max(scale, 0), 3 if geo.branching <= 9 else 2))
+    window = Block(scale, tuple(draw(st.lists(st.integers(0, 5),
+                                              min_size=geo.d, max_size=geo.d))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    blocks = descendants(window, scale - levels, geo)
+    model = Explicit.from_values(
+        geo, {b: 0.0 if rng.random() < 0.2 else rng.uniform(0.05, 3.0) for b in blocks},
+        default=rng.choice([0.0, 0.5]))
+    wrap = draw(st.sampled_from(["none", "volume", "scale"]))
+    if wrap == "volume":
+        model = truncate_volume(model, rng.choice(blocks))
+    elif wrap == "scale":
+        model = truncate_scale(model, rng.randint(0, levels) - scale)
+    return model, window, levels - scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(explicit_lane_systems())
+def test_block_lane_matches_a_plain_recursion(system):
+    model, window, depth = system
+    sys = TruncatedSystem(model, window, depth)
+    assert not model.homogeneous_within(window)
+    want = {}
+    _plain_lane(model, window, -depth, model.geometry, want)
+    assert len(want) == len(sys.blocks())
+    for b, (lxi, lzh) in want.items():
+        assert sys.log_xi(b) == lxi and sys.log_zhat(b) == lzh
+
+
+def test_block_lane_index_limit():
+    model = Explicit.from_values(GEO, {block(0, 2**127 - 1): 1.5}, default=0.5)
+    with pytest.raises(IndexRangeError):
+        partition_function(model, block(0, 2**127), 1)
+    got = partition_function(model, block(0, 2**127 - 1), 1)    # bottom index 2**128 - 1
+    assert got.log == pytest.approx(math.log(1.5 + 1.5**2))

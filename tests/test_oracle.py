@@ -337,6 +337,14 @@ def test_prob_superset_matches_a_scan(system, rng):
         assert dist.prob_superset([blocks[0], blocks[-1]]) == 0.0    # overlapping
 
 
+def test_prob_superset_scans_without_the_table():
+    dist = enumerate_system(unit_model(), W, 2)
+    assert dist.prob_superset([block(-2, 0)]) == pytest.approx(5 / 13, abs=1e-12)
+    assert "_superset_sums" not in dist.__dict__
+    verify_hierarchical_formula(dist, lambda b: 0.5)
+    assert "_superset_sums" in dist.__dict__
+
+
 # -- pinned outputs -----------------------------------------------------------------
 
 def _pin_digest(dist, reports) -> str:
