@@ -28,6 +28,7 @@ ancestor both read it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -38,11 +39,13 @@ from .blocks import (INDEX_LIMIT, Block, Geometry, IndexRangeError, ancestors,
 from .activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                          Homogeneous, Parametric, ScaleTruncated,
                          VolumeTruncated)
-from .logreal import LogReal, log1p_exp, log_expm1, logaddexp, logsumexp_iter
+from .logreal import (LogReal, log1p_exp, log_expm1, logaddexp, logsumexp_iter,
+                      ordered_sum)
 
 # log Xi above this is certified as divergent by the depth-doubling probe
 DIVERGENCE_LOG_THRESHOLD = 1.0e6
 DEFAULT_TOL = 1e-12
+BLOCK_LANE_MAX_BLOCKS = 2**16   # most bottom blocks partition_function_limit tabulates per block
 CHAIN_CUT = 1e-14   # ancestor zhat mass left beyond the infinite-volume chain
 CHAIN_SCALES = 80   # scales of the chain profile above max(block scale, 0)
 # work limits of the condition (i) scan of inhomogeneous activities
@@ -131,7 +134,9 @@ class TruncatedSystem:
             if scale == bottom:
                 below, lzh = [0.0] * len(lz), lz
             else:
-                below = [sum(xi[i:i + B]) for i in range(0, len(xi), B)]
+                below = xi[::B]
+                for k in range(1, B):   # children summed left to right
+                    below = list(map(operator.add, below, xi[k::B]))
                 # -inf also when a child's log Xi is +inf
                 lzh = [z - c for z, c in zip(lz, below)]
             xi = list(map(logaddexp, lz, below))
@@ -218,19 +223,37 @@ def partition_function_limit(model: ActivityModel, window: Block,
                              max_depth: int = 4096) -> LimitResult:
     """Xi of `window` without downward truncation.
 
-    Doubles the truncation depth until the log increments fall below `tol`
-    (finite), the log exceeds the divergence threshold (infinite), or a
-    closed-form tail certificate settles the question.  Otherwise undecided.
+    A model with a lowest active scale is evaluated once, at the depth that
+    reaches it, where the truncation is exact; beyond `max_depth` (in the
+    block lane also beyond the depth with BLOCK_LANE_MAX_BLOCKS bottom
+    blocks) the result is undecided, with nothing evaluated and the value
+    the trivial lower bound Xi >= 1.  A
+    model active at every scale below doubles the truncation depth until
+    the log increments fall below `tol` (finite) or the log exceeds the
+    divergence threshold (infinite), unless a closed-form tail certificate
+    settles the question first.
     """
     if _downward_mass_diverges(model, window):
         return LimitResult(LogReal.infinite(), True, 0,
                            "closed-form tail: sum of activities below window diverges")
-    scalewise = model.homogeneous_within(window)
-    if not scalewise:
-        # the block lane makes one activity call per block: M**(d*depth) at the bottom
-        max_depth = min(max_depth, 16)
+    if not model.homogeneous_within(window):
+        # the block lane makes one activity call per block: branching**depth at the bottom
+        branching, cap = model.geometry.branching, 0
+        while branching ** (cap + 1) <= BLOCK_LANE_MAX_BLOCKS:
+            cap += 1
+        max_depth = min(max_depth, cap)
 
     start = max(window.scale, 0) - window.scale  # reach at least the window scale
+    lo = model.min_active_scale()
+    if lo is not None:
+        depth = max(1, start, -lo)
+        if depth > max_depth:
+            return LimitResult(LogReal.from_log(0.0), False, 0,
+                               f"undecided: lowest active scale {lo} lies below "
+                               f"depth {max_depth}")
+        return LimitResult(LogReal.from_log(TruncatedSystem(model, window, depth).log_xi(window)),
+                           True, depth,
+                           f"exact: depth {depth} reaches the lowest active scale {lo}")
     prev = None
     depth = max(1, start)
     while depth <= max_depth:
@@ -459,8 +482,8 @@ def _condition_i_scan(model: Formula, max_depth: int) -> ConditionVerdict:
             budget[0] -= len(frontier)
             if budget[0] < 0:
                 return None
-            masses.append(sum(math.exp(lv) for blk in frontier
-                              if (lv := model.log_activity(blk)) > -math.inf))
+            masses.append(ordered_sum(math.exp(lv) for blk in frontier
+                                      if (lv := model.log_activity(blk)) > -math.inf))
             frontier = [c for f in frontier for c in children(f, geo)]
         return masses
 
@@ -473,7 +496,7 @@ def _condition_i_scan(model: Formula, max_depth: int) -> ConditionVerdict:
                 masses[k + 1] <= 0.7 * masses[k] + 1e-15
                 for k in range(len(masses) - 4, len(masses) - 1)):
             return "finite"
-        if sum(masses) > 1e10 or min(tail) >= 1e-6:
+        if ordered_sum(masses) > 1e10 or min(tail) >= 1e-6:
             return "infinite"
         return "undecided"
 
@@ -495,7 +518,7 @@ def _condition_i_scan(model: Formula, max_depth: int) -> ConditionVerdict:
                 m = subtree_masses(c, SCAN_LEVELS)
                 if m is None:
                     return "exhausted"
-                by_depth[depth] += sum(m)
+                by_depth[depth] += ordered_sum(m)
             elif st == "infinite":
                 r = finite_mass_below(c, depth + 1, by_depth)
                 if r == "undecided":
@@ -525,14 +548,14 @@ def _condition_i_scan(model: Formula, max_depth: int) -> ConditionVerdict:
         tail = by_depth[max(reached - 8, 0):reached]
         if len(tail) >= 8 and min(tail) >= 1e-6:
             continue  # per-depth finite-Xi mass does not decay: divergent, holds
-        if sum(by_depth) > 1e10:
+        if ordered_sum(by_depth) > 1e10:
             continue
         if len(tail) >= 6 and all(tail[k + 1] <= 0.7 * tail[k] + 1e-15
                                   for k in range(len(tail) - 1)):
             return ConditionVerdict(
                 "fails", witness=root,
                 detail=f"finite-Xi subcube mass decays geometrically along the "
-                       f"infinite spine (sum {sum(by_depth):.6g})")
+                       f"infinite spine (sum {ordered_sum(by_depth):.6g})")
         return ConditionVerdict("undecided", witness=root,
                                 detail="scan budget or depth exhausted")
     return ConditionVerdict("holds", detail="every scanned infinite-Xi window has "
@@ -587,14 +610,14 @@ def _condition_ii_design(model: EffectiveDesign) -> ConditionVerdict:
     rule = model.zhat_tail_up
     if rule.kind == "zero" or not model.log_zhat_table:
         return ConditionVerdict("holds",
-                                detail=f"finite designed sum {sum(vals):.6g}")
+                                detail=f"finite designed sum {ordered_sum(vals):.6g}")
     hi = max(model.log_zhat_table)
     top = math.exp(model.log_zhat_table[hi]) if model.log_zhat_table[hi] > -math.inf else 0.0
     if top == 0.0 or rule.ratio < 1.0:
         tail = top * rule.ratio / (1 - rule.ratio) if top > 0 else 0.0
         return ConditionVerdict("holds",
                                 detail=f"geometric designed tail converges "
-                                       f"(sum {sum(vals) + tail:.6g})")
+                                       f"(sum {ordered_sum(vals) + tail:.6g})")
     return ConditionVerdict("fails",
                             detail="designed effective activities do not decay "
                                    f"(tail ratio {rule.ratio} >= 1)")
@@ -675,7 +698,7 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
         sys = TruncatedSystem(model, window, depth)
         if not all(sys.in_system(b) for b in blocks):
             return 0.0
-        log_p = sum(sys.log_rho(b) for b in blocks)
+        log_p = ordered_sum(sys.log_rho(b) for b in blocks)
         for a in _strict_ancestor_set(blocks, window.scale, geo):
             log_p += sys.log_one_minus_rho(a)
         return math.exp(log_p)
@@ -764,7 +787,7 @@ def _common_chain_R(model: ActivityModel, set1, set2,
         anc2 = {a for b in set2 for a in ancestors(b, window.scale, geo)}
         anc1 = {a for b in set1 for a in ancestors(b, window.scale, geo)}
         common = (anc1 & anc2) - set(set1) - set(set2)
-        s = sum(log1p_exp(sys.log_zhat(a)) for a in common)
+        s = ordered_sum(log1p_exp(sys.log_zhat(a)) for a in common)
         return math.expm1(s)
     # infinite volume: common strict ancestors are the chain above (and
     # including) the covering block; R equals the homogeneous tail ratio
@@ -848,7 +871,7 @@ def _log_R(prof: ScaleProfile, j: int) -> Optional[tuple[float, float, float]]:
     if not terms:
         return None
     lead = max(terms)
-    rel = sum(math.exp(t - lead) for t in terms) - 1.0
+    rel = ordered_sum(math.exp(t - lead) for t in terms) - 1.0
     log_S = lead + math.log1p(rel)
     if log_S > -30:
         S = math.exp(min(log_S, 700.0))

@@ -50,10 +50,11 @@ class Block:
     index: tuple[int, ...]
 
     def __post_init__(self):
-        if any(m < 0 for m in self.index):
-            raise ValueError(f"index components must be >= 0: {self.index}")
-        if any(m >= INDEX_LIMIT for m in self.index):
-            raise IndexRangeError(f"index component exceeds 2**128: {self.index}")
+        index = self.index
+        if index and min(index) < 0:
+            raise ValueError(f"index components must be >= 0: {index}")
+        if index and max(index) >= INDEX_LIMIT:
+            raise IndexRangeError(f"index component exceeds 2**128: {index}")
 
     @property
     def d(self) -> int:

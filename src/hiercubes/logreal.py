@@ -10,7 +10,9 @@ when a child's log Xi is +inf (see `analytics.TruncatedSystem`).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -69,6 +71,13 @@ def log_expm1(x: float) -> float:
     return math.log(x) + math.log1p(x / 2)
 
 
+def ordered_sum(values) -> float:
+    """Sum of floats added left to right from int 0, the bits of `sum` on
+    Python 3.10 and 3.11 (from 3.12 on `sum` of floats is compensated), so
+    results are the same on every supported Python."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def logsumexp_iter(values) -> float:
     """log(sum(exp(v))) over an iterable of floats (possibly -inf)."""
     vals = [v for v in values if v != -math.inf]
@@ -77,4 +86,4 @@ def logsumexp_iter(values) -> float:
     hi = max(vals)
     if hi == math.inf:
         return math.inf
-    return hi + math.log(sum(math.exp(v - hi) for v in vals))
+    return hi + math.log(ordered_sum(math.exp(v - hi) for v in vals))

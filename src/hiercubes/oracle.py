@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .blocks import Block, Geometry, ancestors, children, contains, descendants
 from .activities import ActivityModel, Homogeneous
-from .logreal import logsumexp_iter
+from .logreal import logsumexp_iter, ordered_sum
 from .analytics import TruncatedSystem, _check_system
 
 SUPPORT_CAP = 10**7
@@ -378,7 +378,7 @@ def fragmentation_table(model: ActivityModel, window: Block,
         anc = ancestors(b, window.scale, geo)
         # subtree hit: the complement is "an ancestor covers b" or "nothing
         # anywhere in b's cone", with log(1 - rho) products per branch
-        log_none_anc = sum(sys.log_one_minus_rho(a) for a in anc)
+        log_none_anc = ordered_sum(sys.log_one_minus_rho(a) for a in anc)
         log_none_sub = -sys.log_xi(b)   # product formula: 1/Xi_b
         p_no_hit = (1.0 - math.exp(log_none_anc)) \
             + math.exp(log_none_anc + log_none_sub)
@@ -405,13 +405,13 @@ def condensation_table(model: ActivityModel, b: Block,
             raise ValueError(f"window {w} does not contain probe block {b}")
         sys = TruncatedSystem(model, w, depth)
         chain = [b] + ancestors(b, w.scale, geo)
-        log_none = sum(sys.log_one_minus_rho(a) for a in chain)
+        log_none = ordered_sum(sys.log_one_minus_rho(a) for a in chain)
         rows.append({
             "window": str(w),
             "chain_length": len(chain),
             "p_block": math.exp(sys.log_rho(b)
-                                + sum(sys.log_one_minus_rho(a)
-                                      for a in chain if a != b)),
+                                + ordered_sum(sys.log_one_minus_rho(a)
+                                              for a in chain if a != b)),
             "p_chain_hit": -math.expm1(log_none),
         })
     return rows

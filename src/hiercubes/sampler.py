@@ -7,12 +7,15 @@ chunking of a batch, produce bit-identical results.
 
 The top-down walk runs on (scale, index) pairs, with index a plain int tuple
 and children found by index arithmetic; a `Block` is built only for an
-occupied block.  A draw costs one uniform and one ratio lookup per visited
-block, and its validation O(blocks x depth).
+occupied block.  A draw costs one uniform (a copy of the cached keyed hash
+state of its seed and sample index, fed the block's tokens) and one ratio
+lookup per visited block, and its validation O(distinct ancestors of the
+occupied blocks).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -52,7 +55,10 @@ class Configuration:
         Hard-core means no block has a strict ancestor among the blocks, so
         each block's parent chain is walked on (scale, index) tuples up to
         the window's scale, where it must end at the window, and looked up in
-        the set of members: O(blocks x depth).
+        the set of members.  A walk stops at the first ancestor an earlier
+        walk cleared (found member-free up to the window), so the cost is
+        O(distinct ancestors), not O(blocks x depth).  The blocks are checked
+        in order and the first failure raises.
         """
         if self.covered_by_ancestor is not None and self.blocks:
             raise InvalidConfiguration("covered configurations carry no blocks")
@@ -60,8 +66,9 @@ class Configuration:
         if len(members) != len(self.blocks):
             raise InvalidConfiguration("a block occurs twice")
         top = self.window.scale
+        cleared: dict = {}
         for b in self.blocks:
-            hit, end = _walk_up(b.scale, b.index, top, geo.M, members)
+            hit, end = _walk_up(b.scale, b.index, top, geo.M, members, cleared)
             if b.scale < -self.depth or b.scale > top or end != self.window.index:
                 raise InvalidConfiguration(f"block {b} outside the truncated system")
             if hit is not None:
@@ -76,20 +83,32 @@ class Configuration:
         return obj
 
 
-def _walk_up(scale: int, index: tuple, top: int, M: int,
-             members: set) -> tuple[Optional[tuple], tuple]:
+def _walk_up(scale: int, index: tuple, top: int, M: int, members: set,
+             cleared: dict) -> tuple[Optional[tuple], tuple]:
     """Walk the parent chain of (scale, index) up to scale `top`.
 
     Returns the lowest strict ancestor that is in `members`, as a
     (scale, index) pair or None, and the index reached at `top` (`index`
-    itself when scale >= top).
+    itself when scale >= top).  `cleared` maps each pair already found
+    member-free, with its ancestors, up to `top` to the index it reaches
+    there; the walk stops at the first such pair and, when it finds no
+    member, adds the pairs it passed.
     """
     hit = None
+    passed = []
     while scale < top:
         scale += 1
-        index = tuple(m // M for m in index)
-        if hit is None and (scale, index) in members:
-            hit = (scale, index)
+        index = tuple([m // M for m in index])
+        key = (scale, index)
+        end = cleared.get(key)
+        if end is not None:
+            index = end
+            break
+        if hit is None and key in members:
+            hit = key
+        passed.append(key)
+    if hit is None:
+        cleared.update(dict.fromkeys(passed, index))
     return hit, index
 
 
@@ -108,14 +127,26 @@ def _make_config(blocks: Iterable[Block], window: Block, depth: int, seed: int,
 # counter-based uniforms
 # ---------------------------------------------------------------------------
 
-def _uniform(seed: int, index: int, *tokens) -> float:
-    """Deterministic uniform in [0,1) keyed by (seed, sample index, tokens)."""
+@functools.lru_cache(maxsize=16, typed=True)
+def _keyed_state(seed: int, index: int):
+    """The blake2b state keyed by the low 64 bits of `seed` that has hashed
+    the sample index; callers hash copies of it, never the state itself."""
     h = hashlib.blake2b(digest_size=8,
                         key=(seed & (2**64 - 1)).to_bytes(8, "little"))
     h.update(index.to_bytes(8, "little", signed=True))
-    for t in tokens:
-        h.update(repr(t).encode())
-        h.update(b"\x1f")
+    return h
+
+
+def _uniform(seed: int, index: int, *tokens) -> float:
+    """Deterministic uniform in [0,1) keyed by (seed, sample index, tokens).
+
+    The 53 high bits of the 8-byte keyed blake2b digest of the sample index
+    (8 bytes, little-endian, signed) followed by repr(t) + "\\x1f" for each
+    token.  The keyed state of (seed, sample index) is built once and copied,
+    and the tokens are hashed in one update of the same bytes.
+    """
+    h = _keyed_state(seed, index).copy()
+    h.update((("%r\x1f" * len(tokens)) % tokens).encode())
     return (int.from_bytes(h.digest(), "little") >> 11) * 2.0**-53
 
 
@@ -211,8 +242,9 @@ def sample_bernoulli_max(ratios: dict[Block, float], geo: Geometry,
     occupied = [b for b, r in ratios.items()
                 if _uniform(seed, index, "occ", b.scale, b.index) < r]
     occ = {(b.scale, b.index) for b in occupied}
+    cleared: dict = {}
     maximal = [b for b in occupied
-               if _walk_up(b.scale, b.index, window.scale, geo.M, occ)[0] is None]
+               if _walk_up(b.scale, b.index, window.scale, geo.M, occ, cleared)[0] is None]
     return _make_config(maximal, window, depth, seed, geo)
 
 

@@ -105,6 +105,32 @@ def test_partition_limit_of_a_volume_truncation():
     assert partition_function_limit(vt, block(1, 0)).value.is_infinite
 
 
+def test_partition_limit_does_not_read_a_gap_as_convergence():
+    # activity at scales 0 and -5 only: depths 1 and 2 give the same log 2
+    m = Homogeneous.from_values(Geometry(1), {0: 1.0, -5: 1.0})
+    res = partition_function_limit(m, block(0, 0))
+    assert res.converged and res.depth_used == 5
+    assert res.value.log == pytest.approx(math.log(1 + 2.0 ** 32), rel=1e-12)
+    # Xi = 2 at block(-15, 0), 1 beside its chain: Xi of the window is 1 + 2
+    sparse = Explicit.from_values(Geometry(1), {block(0, 0): 1.0, block(-15, 0): 1.0})
+    res = partition_function_limit(sparse, block(0, 0))
+    assert res.converged and res.value.log == pytest.approx(math.log(3), rel=1e-12)
+
+
+def test_partition_limit_beyond_the_block_lane_is_undecided():
+    deeper = Explicit.from_values(Geometry(1), {block(0, 0): 1.0, block(-17, 0): 1.0})
+    res = partition_function_limit(deeper, block(0, 0))
+    assert not res.converged and res.value.log == 0.0
+    # the cap counts bottom blocks: at d=2, depth 12 would tabulate 4**12
+    wide = Explicit.from_values(Geometry(2), {block(0, 0, 0): 1.0, block(-12, 0, 0): 1.0})
+    res = partition_function_limit(wide, block(0, 0, 0))
+    assert not res.converged and res.value.log == 0.0 and res.depth_used == 0
+    # d=2 at depth 8 (4**8 = 2**16 bottom blocks) is still within the cap
+    reach = Explicit.from_values(Geometry(2), {block(0, 0, 0): 1.0, block(-8, 0, 0): 1.0})
+    res = partition_function_limit(reach, block(0, 0, 0))
+    assert res.converged and res.value.log == pytest.approx(math.log(3), rel=1e-12)
+
+
 # -- effective activities and occupation ratios --------------------------------
 
 def test_effective_activity_unit_depths():

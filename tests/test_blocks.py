@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hiercubes.blocks import (Block, Geometry, IndexRangeError, ancestor_at,
+from hiercubes.blocks import (INDEX_LIMIT, Block, Geometry, IndexRangeError, ancestor_at,
                               ancestors, block, children, contains,
                               covering_block, descendants, format_block,
                               hierarchical_distance, lcs, overlaps, parent,
@@ -42,6 +42,36 @@ def test_block_validation():
         Block(0, (-1,))
     with pytest.raises(IndexRangeError):
         Block(0, (1 << 200,))
+
+
+def _rejected_by_scans(index):
+    """The type and message Block rejects an index with, from two scans."""
+    if any(m < 0 for m in index):
+        return ValueError, f"index components must be >= 0: {index}"
+    if any(m >= INDEX_LIMIT for m in index):
+        return IndexRangeError, f"index component exceeds 2**128: {index}"
+    return None
+
+
+INDEX_COMPONENTS = st.one_of(st.integers(-2**130, 2**130),
+                             st.sampled_from([-1, 0, INDEX_LIMIT - 1, INDEX_LIMIT]))
+
+
+@given(st.integers(-50, 50), st.lists(INDEX_COMPONENTS, max_size=4).map(tuple))
+def test_block_validation_matches_two_scans(scale, index):
+    try:
+        Block(scale, index)
+        got = None
+    except ValueError as exc:
+        got = type(exc), str(exc)
+    assert got == _rejected_by_scans(index)
+
+
+def test_block_validation_of_an_index_negative_and_over_the_limit():
+    for index in [(-1, INDEX_LIMIT), (INDEX_LIMIT, -1)]:
+        with pytest.raises(ValueError, match="must be >= 0") as info:
+            Block(0, index)
+        assert type(info.value) is ValueError
 
 
 def test_format_parse_examples():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hiercubes.logreal import (LogReal, log1p_exp, log_expm1, logaddexp,
-                               logsumexp_iter)
+                               logsumexp_iter, ordered_sum)
 
 
 def test_constructors_and_states():
@@ -57,3 +57,11 @@ def test_logsumexp_iter():
     assert logsumexp_iter([-math.inf, 0.0]) == pytest.approx(0.0)
     # huge spread: the small term must not poison the result
     assert logsumexp_iter([0.0, -1e6]) == pytest.approx(0.0)
+
+
+def test_ordered_sum_adds_left_to_right():
+    # a compensated sum gives 1.0 and 1.0 here
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([0.1] * 10) == 0.9999999999999999
+    assert ordered_sum(iter([0.5, 0.25])) == 0.75
+    assert ordered_sum([]) == 0

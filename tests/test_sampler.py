@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from hiercubes.blocks import (Geometry, IndexRangeError, block, descendants,
-                              format_block, overlaps)
+from hiercubes.blocks import (Block, Geometry, IndexRangeError, ancestors, block,
+                              descendants, format_block, overlaps)
 from hiercubes.activities import (EffectiveDesign, Explicit, Homogeneous,
                                   Parametric, TailRule)
 from hiercubes.oracle import enumerate_system, gibbs_ratio_function
@@ -41,6 +41,31 @@ def test_uniform_decorrelated_across_keys():
     b = [_uniform(2, i, "x") for i in range(500)]
     c = [_uniform(1, i, "y") for i in range(500)]
     assert a != b and a != c
+
+
+def _blake2b_uniform(seed, index, *tokens):
+    """Stream 1 hashed from scratch: a blake2b keyed by seed mod 2**64 over
+    the signed 8-byte sample index and repr(token) + 0x1f per token."""
+    h = hashlib.blake2b(digest_size=8, key=(seed % 2**64).to_bytes(8, "little"))
+    h.update(index.to_bytes(8, "little", signed=True))
+    for t in tokens:
+        h.update(repr(t).encode())
+        h.update(b"\x1f")
+    return (int.from_bytes(h.digest(), "little") >> 11) / 2**53
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.one_of(st.integers(-2**70, 2**70), st.sampled_from([-1, 2**64, 2**64 + 5])),
+       index=st.integers(-2**63, 2**63 - 1),
+       tag=st.sampled_from(["occ", "chain"]),
+       scale=st.integers(-300, 300),
+       m=st.lists(st.integers(0, 2**127), min_size=1, max_size=3).map(tuple))
+def test_uniform_matches_a_from_scratch_blake2b(seed, index, tag, scale, m):
+    want = _blake2b_uniform(seed, index, tag, scale, m)
+    assert _uniform(seed, index, tag, scale, m) == want
+    # again, from the keyed state of (seed, index) built by the first call
+    assert _uniform(seed, index, tag, scale, m) == want
+    assert _uniform(seed, index, tag) == _blake2b_uniform(seed, index, tag)
 
 
 # -- configurations ---------------------------------------------------------------
@@ -85,6 +110,61 @@ def test_configuration_validation_matches_pairwise(members):
     else:
         with pytest.raises(InvalidConfiguration):
             cfg.validate(GEO)
+
+
+def _validate_by_whole_walks(cfg, geo):
+    """Configuration.validate walking every block's whole parent chain."""
+    if cfg.covered_by_ancestor is not None and cfg.blocks:
+        raise InvalidConfiguration("covered configurations carry no blocks")
+    members = {(b.scale, b.index) for b in cfg.blocks}
+    if len(members) != len(cfg.blocks):
+        raise InvalidConfiguration("a block occurs twice")
+    top = cfg.window.scale
+    for b in cfg.blocks:
+        scale, index, hit = b.scale, b.index, None
+        while scale < top:
+            scale += 1
+            index = tuple(m // geo.M for m in index)
+            if hit is None and (scale, index) in members:
+                hit = (scale, index)
+        if b.scale < -cfg.depth or b.scale > top or index != cfg.window.index:
+            raise InvalidConfiguration(f"block {b} outside the truncated system")
+        if hit is not None:
+            raise InvalidConfiguration(f"blocks {Block(*hit)} and {b} overlap")
+
+
+def _rejection(check, cfg, geo):
+    try:
+        check(cfg, geo)
+    except InvalidConfiguration as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def configurations(draw):
+    # blocks inside a window at depth 2, with a few beside, above or below
+    # it and the odd repeat, in any order
+    geo = draw(st.sampled_from([Geometry(1), Geometry(2), Geometry(1, 3)]))
+    window = Block(1, (1,) * geo.d)
+    beside = Block(1, (2,) + (1,) * (geo.d - 1))
+    inside = descendants(window, -2, geo)
+    outside = (descendants(window, -3, geo)[len(inside):] + descendants(beside, -1, geo)
+               + ancestors(window, 3, geo) + [Block(2, (3,) * geo.d)])
+    blocks = draw(st.lists(st.sampled_from(inside), max_size=10, unique=True))
+    blocks += draw(st.lists(st.sampled_from(outside), max_size=1))
+    blocks += draw(st.lists(st.sampled_from(blocks or inside), max_size=1))
+    covered = draw(st.sampled_from([None] * 7 + [2]))
+    return geo, Configuration(tuple(draw(st.permutations(blocks))), window, 2,
+                              seed=0, covered_by_ancestor=covered)
+
+
+@settings(max_examples=400, deadline=None)
+@given(configurations())
+def test_configuration_validation_matches_whole_walks(gc):
+    geo, cfg = gc
+    assert _rejection(Configuration.validate, cfg, geo) == \
+        _rejection(_validate_by_whole_walks, cfg, geo)
 
 
 def test_configuration_json_roundtrip_fields():
