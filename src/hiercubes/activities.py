@@ -21,6 +21,7 @@ JSON schema (consumed by every CLI command via --model FILE):
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -81,6 +82,10 @@ class ActivityModel:
 
     def log_activity_at_scale(self, j: int) -> float:
         raise NotImplementedError(f"{type(self).__name__} is not scale-wise constant")
+
+    def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
+        """`log_activity_at_scale(j)` for j = j_lo, ..., j_hi, in order."""
+        return [self.log_activity_at_scale(j) for j in range(j_lo, j_hi + 1)]
 
     def homogeneous_within(self, window: Block) -> bool:
         """Scale-wise constant on the subtree below `window`."""
@@ -179,6 +184,21 @@ class Parametric(ActivityModel):
         d, M = self.geometry.d, self.geometry.M
         return M ** (d * j) * self.mu - M ** (self.alpha * d * j) * self.J
 
+    def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
+        """The activities read from one power table, shared by every model
+        with the same M, d and alpha, in the float order of
+        `log_activity_at_scale`."""
+        first = min(max(j_lo, 0), j_hi + 1)
+        powers = _parametric_powers(self.geometry.M, self.geometry.d, self.alpha,
+                                    first, j_hi)
+        mu, J = self.mu, self.J
+        out = [-math.inf] * (first - j_lo)
+        out += [vol * mu - cost * J for vol, cost in powers]
+        # the table ends where a power overflows: those scales raise as in
+        # `log_activity_at_scale`
+        out += [self.log_activity_at_scale(j) for j in range(first + len(powers), j_hi + 1)]
+        return out
+
     def log_activity(self, b: Block) -> float:
         return self.log_activity_at_scale(b.scale)
 
@@ -188,6 +208,20 @@ class Parametric(ActivityModel):
     def to_json_obj(self) -> dict:
         return {"kind": "parametric", "d": self.geometry.d, "M": self.geometry.M,
                 "mu": self.mu, "J": self.J, "alpha": self.alpha}
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _parametric_powers(M: int, d: int, alpha: float, j_lo: int,
+                       j_hi: int) -> tuple[tuple[float, float], ...]:
+    """(M**(d j), M**(alpha d j)) as floats for j = j_lo, ..., j_hi, ending
+    before the first scale where either overflows a float."""
+    powers = []
+    for j in range(j_lo, j_hi + 1):
+        try:
+            powers.append((float(M ** (d * j)), M ** (alpha * d * j)))
+        except OverflowError:
+            break
+    return tuple(powers)
 
 
 @dataclass(frozen=True)
@@ -278,6 +312,25 @@ class EffectiveDesign(ActivityModel):
                 p += M ** (-d * k) * log1p_exp(lz_k)
         return lz_hat + M ** (d * j) * p
 
+    def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
+        """One upward pass: p_{j-1} grows by each scale's term once, in the
+        order `log_activity_at_scale` sums them."""
+        d, M = self.geometry.d, self.geometry.M
+        out = []
+        p, k = 0.0, self.min_active_scale()    # p sums the scales below k
+        for j in range(j_lo, j_hi + 1):
+            lz_hat = self.log_zhat_at_scale(j)
+            if lz_hat == -math.inf:
+                out.append(-math.inf)
+                continue
+            while k < j:
+                lz_k = self.log_zhat_at_scale(k)
+                if lz_k > -math.inf:
+                    p += M ** (-d * k) * log1p_exp(lz_k)
+                k += 1
+            out.append(lz_hat + M ** (d * j) * p)
+        return out
+
     def log_activity(self, b: Block) -> float:
         return self.log_activity_at_scale(b.scale)
 
@@ -345,6 +398,10 @@ class VolumeTruncated(ActivityModel):
             return -math.inf
         return self.inner.log_activity_at_scale(j)
 
+    def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
+        top = max(min(j_hi, self.window.scale), j_lo - 1)
+        return self.inner.log_activities(j_lo, top) + [-math.inf] * (j_hi - top)
+
     def min_active_scale(self) -> Optional[int]:
         return self.inner.min_active_scale()
 
@@ -380,6 +437,10 @@ class ScaleTruncated(ActivityModel):
         if j < -self.depth:
             return -math.inf
         return self.inner.log_activity_at_scale(j)
+
+    def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
+        bottom = min(max(j_lo, -self.depth), j_hi + 1)
+        return [-math.inf] * (bottom - j_lo) + self.inner.log_activities(bottom, j_hi)
 
     def min_active_scale(self) -> Optional[int]:
         lo = self.inner.min_active_scale()

@@ -6,7 +6,9 @@ tuples of the system, bottom level first, tabulates log Xi and log zhat of
 every block.  For scale-wise constant activities z_j the tree recursion is
 one scalar recursion, built only by `_build_profile` into a `ScaleProfile`
 that the scale lane of `TruncatedSystem` and every infinite-volume quantity
-read.  Its float order, from log Xi = p = 0 below the first scale:
+read.  Its only read of the activity is the model's list
+`log_activities(j_lo, j_hi)`.  Its float order, from log Xi = p = 0 below
+the first scale:
 
     below      = M**d * log Xi_{j-1}
     log Xi_j   = logaddexp(log z_j, below)
@@ -323,13 +325,14 @@ class ScaleProfile:
 
 def _build_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
     """The one scale recursion, from j_lo up to j_hi, for a model that is
-    scale-wise constant on those scales."""
+    scale-wise constant on those scales.  Its only read of the activity is
+    one `log_activities(j_lo, j_hi)` list."""
     geo, branching = model.geometry, model.geometry.branching
-    log_z, log_xi, log_zhat, log1p_zhat, p_partial = {}, {}, {}, {}, {}
-    xi = p = 0.0
     vol = float(geo.M) ** (geo.d * j_lo)  # M**(d j), updated multiplicatively
-    for j in range(j_lo, j_hi + 1):
-        lz = model.log_activity_at_scale(j)
+    log_z = dict(zip(range(j_lo, j_hi + 1), model.log_activities(j_lo, j_hi)))
+    log_xi, log_zhat, log1p_zhat, p_partial = {}, {}, {}, {}
+    xi = p = 0.0
+    for j, lz in log_z.items():
         below = branching * xi
         if lz == -math.inf:
             xi, lzh, l1p = below, -math.inf, 0.0
@@ -339,7 +342,6 @@ def _build_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
             # logaddexp(lz, below), sharing log1p_exp's log1p where lz <= below
             xi = below + l1p if lzh <= 0 else lz + math.log1p(math.exp(-lzh))
             p += l1p / vol
-        log_z[j] = lz
         log_xi[j] = xi
         log_zhat[j] = lzh
         log1p_zhat[j] = l1p

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ from .oracle import (enumerate_system, gibbs_ratio_function,
                      mandelbrot_gnz_report, verify_gnz,
                      verify_hierarchical_formula, verify_topdown)
 from .render import render_svg
-from .sampler import estimate_chunked, sample_gibbs, sample_gibbs_infinite
+from .sampler import _infinite_sampler, estimate_chunked, sample_gibbs
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -92,15 +93,12 @@ def cmd_sample(args) -> int:
     window = parse_block(args.window)
     out = _out_dir(args)
     fmts = _formats(args)
-    configs = []
-    for i in range(args.samples):
-        if args.infinite:
-            cfg = sample_gibbs_infinite(model, window, args.depth,
-                                        seed=args.seed, index=i)
-        else:
-            cfg = sample_gibbs(model, window, args.depth,
-                               seed=args.seed, index=i)
-        configs.append(cfg)
+    if args.infinite:
+        # one certificate and one chain law for all the command's draws
+        draw = _infinite_sampler(model, window, args.depth)
+    else:
+        draw = functools.partial(sample_gibbs, model, window, args.depth)
+    configs = [draw(args.seed, i) for i in range(args.samples)]
     with (out / "configs.jsonl").open("w") as fh:
         for cfg in configs:
             fh.write(json.dumps(cfg.to_json_obj(), sort_keys=True) + "\n")
@@ -299,7 +297,9 @@ def cmd_diagnose(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hiercubes",
         description="Hierarchical-cubes hard-core gas: analytics, sampling, "
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="existence report, pressure, scale tables")
     common(p)
     p.add_argument("--jmax", type=int, default=64)
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sample", help="draw configurations, optional SVG")
     common(p, seed=True)
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--infinite", action="store_true",
                    help="sample the infinite-volume measure through the window")
-    p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("correlate", help="covariance and decay tables")
     common(p, seed=True)
@@ -337,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--jmax", type=int, default=20)
-    p.set_defaults(fn=cmd_correlate)
 
     p = sub.add_parser("critical", help="critical chemical potential bisection")
     common(p, model=False)
@@ -345,17 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--M", type=int, default=2)
-    p.set_defaults(fn=cmd_critical)
 
     p = sub.add_parser("validate", help="verifier suite over built-in systems")
     common(p, model=False)
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("diagnose", help="fragmentation/condensation tables")
     common(p, model=False)
     p.add_argument("--model", help="model JSON file (defaults to built-ins)")
     p.add_argument("--depth", type=int, default=8)
-    p.set_defaults(fn=cmd_diagnose)
     return parser
 
 
@@ -368,7 +362,9 @@ def main(argv=None) -> int:
         print("samples must be >= 1", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        return args.fn(args)
+        # looked up by name per call, not held by the cached parser, so a
+        # later rebinding of a cmd_* function is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -273,6 +273,38 @@ def ancestor_chain_cdf(model: ActivityModel, window: Block,
     return rows, p_none
 
 
+def _infinite_sampler(model: ActivityModel, window: Block,
+                      depth: int) -> Callable[[int, int], Configuration]:
+    """`draw(seed, index)`: draws from the infinite-volume measure, seen
+    through a window, that share one certificate and one ancestor-chain law.
+
+    Condition (ii), the system and the chain law are checked and built here,
+    once; the finite system inside the window is built on the first draw
+    that no ancestor covers.
+    """
+    _require_condition_ii(model, "infinite-volume sampling")
+    geo = model.geometry
+    _check_system(geo, window, depth)
+    rows, p_none = ancestor_chain_cdf(model, window, depth)
+    ratio: Optional[_Ratio] = None
+
+    def draw(seed: int, index: int) -> Configuration:
+        nonlocal ratio
+        u = _uniform(seed, index, "chain", window.scale, window.index)
+        acc = p_none
+        if u < acc:
+            if ratio is None:
+                ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
+            blocks = _sample_topdown(ratio, geo, window, depth, seed, index)
+            return _make_config(blocks, window, depth, seed, geo)
+        for k, pk in rows:
+            acc += pk
+            if u < acc:
+                return _make_config([], window, depth, seed, geo, covered=k)
+        return _make_config([], window, depth, seed, geo, covered=rows[-1][0])
+    return draw
+
+
 def sample_gibbs_infinite(model: ActivityModel, window: Block, depth: int,
                           seed: int, index: int = 0) -> Configuration:
     """One draw from the infinite-volume measure, seen through a window.
@@ -281,21 +313,7 @@ def sample_gibbs_infinite(model: ActivityModel, window: Block, depth: int,
     window; when an ancestor is occupied the draw reports only the covering
     scale, otherwise the finite sampler runs inside the window.
     """
-    _require_condition_ii(model, "infinite-volume sampling")
-    geo = model.geometry
-    _check_system(geo, window, depth)
-    rows, p_none = ancestor_chain_cdf(model, window, depth)
-    u = _uniform(seed, index, "chain", window.scale, window.index)
-    acc = p_none
-    if u < acc:
-        ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
-        blocks = _sample_topdown(ratio, geo, window, depth, seed, index)
-        return _make_config(blocks, window, depth, seed, geo)
-    for k, pk in rows:
-        acc += pk
-        if u < acc:
-            return _make_config([], window, depth, seed, geo, covered=k)
-    return _make_config([], window, depth, seed, geo, covered=rows[-1][0])
+    return _infinite_sampler(model, window, depth)(seed, index)
 
 
 # ---------------------------------------------------------------------------

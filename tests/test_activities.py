@@ -10,6 +10,7 @@ from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
                                   activity_from_effective, load_model,
                                   model_from_json_obj, truncate_scale,
                                   truncate_volume)
+from hiercubes.analytics import scale_profile
 
 GEO = Geometry(1)
 W = block(0, 0)
@@ -194,3 +195,68 @@ def test_homogeneous_scaling_monotone(v1, v2):
     m_hi = Homogeneous.constant(GEO, hi, range(-3, 1))
     for j in range(-3, 1):
         assert m_lo.log_activity_at_scale(j) <= m_hi.log_activity_at_scale(j)
+
+
+# -- the activity list of a scale range ---------------------------------------------
+
+def tail_rules(ratios):
+    return st.one_of(st.just(TailRule()), ratios.map(lambda r: TailRule("geometric", r)))
+
+
+@st.composite
+def scale_wise_models(draw):
+    """Every scale-wise model class, some activities zero, bare or inside a
+    scale truncation, a volume truncation or both."""
+    geo = Geometry(draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    kind = draw(st.sampled_from(["homogeneous", "parametric", "design"]))
+    table = draw(st.dictionaries(st.integers(-4, 3),
+                                 st.one_of(st.just(0.0), st.floats(0.05, 3.0)), max_size=5))
+    if kind == "parametric":
+        model = Parametric(geo, draw(st.floats(-2.0, 1.0)), draw(st.floats(0.0, 2.0)),
+                           draw(st.floats(0.05, 0.95)))
+    elif kind == "homogeneous":
+        model = Homogeneous.from_values(geo, table, draw(tail_rules(st.floats(0.05, 0.5))),
+                                        draw(tail_rules(st.floats(0.1, 1.5))))
+    else:
+        model = EffectiveDesign.from_values(geo, table, draw(tail_rules(st.floats(0.1, 1.5))))
+    wrap = draw(st.sampled_from(["none", "scale", "volume", "both"]))
+    if wrap in ("scale", "both"):
+        model = truncate_scale(model, draw(st.integers(0, 6)))
+    if wrap in ("volume", "both"):
+        model = truncate_volume(model, Block(draw(st.integers(-3, 5)), (0,) * geo.d))
+    return model
+
+
+def scale_values(call):
+    try:
+        return call()
+    except OverflowError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale_wise_models(), st.integers(-12, 4), st.integers(-1, 40))
+def test_activity_list_matches_the_per_scale_values(model, j_lo, length):
+    # j_lo < 0 and ranges below the lowest active scale included; an empty
+    # range when length is -1
+    j_hi = j_lo + length
+    assert model.log_activities(j_lo, j_hi) == \
+        [model.log_activity_at_scale(j) for j in range(j_lo, j_hi + 1)]
+
+
+@pytest.mark.parametrize("model", [
+    Parametric(Geometry(2), 0.0, 1.0, 0.5),
+    Parametric(Geometry(3, 3), -0.5, 1.0, 0.9),
+    truncate_scale(EffectiveDesign.from_values(Geometry(2), {0: 1.0},
+                                               TailRule("geometric", 0.5)), 2),
+], ids=["parametric-d2", "parametric-d3M3", "design-d2"])
+def test_activity_list_overflows_where_the_per_scale_values_do(model):
+    got = scale_values(lambda: model.log_activities(-3, 700))
+    want = scale_values(lambda: [model.log_activity_at_scale(j) for j in range(-3, 701)])
+    assert isinstance(want, str) and got == want
+
+
+def test_profile_overflow_is_still_a_known_defect():
+    # M**(d j) does not fit a float at scale 512 in d=2 (ROADMAP item 2c)
+    with pytest.raises(OverflowError):
+        scale_profile(Parametric(Geometry(2), 0.0, 1.0, 0.5), 600)

@@ -11,7 +11,8 @@ from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
                                   Homogeneous, Parametric, TailRule,
                                   truncate_scale, truncate_volume)
 from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
-                                 check_condition_i, check_condition_ii,
+                                 _build_profile, check_condition_i,
+                                 check_condition_ii,
                                  config_covariance, critical_mu, decay_profile,
                                  effective_activity, exact_marginal,
                                  existence_report, log_tail_ratio,
@@ -695,3 +696,60 @@ def test_block_lane_index_limit():
         partition_function(model, block(0, 2**127), 1)
     got = partition_function(model, block(0, 2**127 - 1), 1)    # bottom index 2**128 - 1
     assert got.log == pytest.approx(math.log(1.5 + 1.5**2))
+
+
+# -- the pinned scale recursion ------------------------------------------------------
+# sha256 of the five dicts of every scale profile of seeded scale-wise models,
+# and of critical_mu results: any change to the scale recursion's float order,
+# or to the activities it reads, changes them.
+
+def pinned_scale_models():
+    """Seeded Parametric models over d 1-3, M 2-3, alpha 0.05-0.95;
+    Homogeneous models with geometric tails both ways, their table shrinking
+    downwards; EffectiveDesign models; and scale truncations of some."""
+    rng = random.Random(12)
+    models = []
+    for d in (1, 2, 3):
+        for M in (2, 3):
+            for _ in range(2):
+                models.append(Parametric(Geometry(d, M), rng.uniform(-1.5, 0.5),
+                                         rng.uniform(0.2, 2.0), rng.uniform(0.05, 0.95)))
+    for d, M in ((1, 2), (2, 2), (1, 3)):
+        geo = Geometry(d, M)
+        z, table = rng.uniform(0.5, 3.0), {}
+        for j in range(1, -3, -1):
+            table[j] = z
+            z *= rng.uniform(0.1, 0.9) / geo.branching
+        models.append(Homogeneous.from_values(
+            geo, table, TailRule("geometric", rng.uniform(0.1, 0.9) / geo.branching),
+            TailRule("geometric", rng.uniform(0.3, 1.2))))
+        models.append(EffectiveDesign.from_values(
+            geo, {j: rng.uniform(0.05, 3.0) for j in range(-2, 2)},
+            TailRule("geometric", rng.uniform(0.2, 0.9))))
+    return models + [truncate_scale(m, 2) for m in models[::3]]
+
+
+def test_scale_profiles_are_pinned():
+    h = hashlib.sha256()
+    models = pinned_scale_models()
+    for m in models:
+        for j_hi in (64, 128):
+            for depth in (None, 4):
+                prof = scale_profile(m, j_hi, depth=depth)
+                h.update(repr((prof.j_lo, prof.j_hi, prof.log_z, prof.log_xi,
+                               prof.log_zhat, prof.log1p_zhat,
+                               prof.pressure_partial)).encode())
+    # volume truncations have no scale_profile; the scale lane reads them
+    for m in models[::2]:
+        vol = truncate_volume(m, Block(3, (1,) * m.geometry.d))
+        for j_lo, j_hi in ((-4, 64), (0, 128)):
+            prof = _build_profile(vol, j_lo, j_hi)
+            h.update(repr((prof.log_z, prof.log_xi, prof.log_zhat, prof.log1p_zhat,
+                           prof.pressure_partial)).encode())
+    for d in (1, 2):
+        for J in (0.5, 1.0, 2.0):
+            for alpha in (0.3, 0.5, 0.8):
+                res = critical_mu(J, alpha, 1e-9, geometry=Geometry(d))
+                h.update(repr((res["mu_c"], res["gibbs_at_mu_c"], res["trace"])).encode())
+    assert h.hexdigest() == \
+        "b7027b831b9116a8316caef8b98dac2a1d11eb8eddbd17d0eeeeb1408b687eca"

@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import hiercubes
-from hiercubes.activities import load_model
-from hiercubes.blocks import parse_block
+from hiercubes.activities import load_model, model_from_json_obj
+from hiercubes.blocks import block, parse_block
 from hiercubes.cli import (EXIT_OK, EXIT_UNDECIDED, EXIT_VALIDATION,
-                           _distance_pairs, main, run_validation_suite)
-from hiercubes.sampler import estimate_chunked
+                           _distance_pairs, build_parser, main,
+                           run_validation_suite)
+from hiercubes.sampler import estimate_chunked, sample_gibbs_infinite
 
 
 def write_model(tmp_path, obj, name="model.json"):
@@ -103,10 +104,12 @@ def test_sample_seed_required(tmp_path):
     assert e.value.code == 2
 
 
-def test_sample_infinite_refused_on_condensation(tmp_path):
+def test_sample_infinite_refused_on_condensation(tmp_path, capsys):
     m = write_model(tmp_path, CONDENSING)
     code = main(sample_args(m, tmp_path / "o", extra=["--infinite"]))
     assert code == EXIT_UNDECIDED
+    assert capsys.readouterr().err.startswith("refused:")
+    assert not (tmp_path / "o" / "configs.jsonl").exists()
 
 
 def test_sample_infinite_certified(tmp_path):
@@ -115,6 +118,22 @@ def test_sample_infinite_certified(tmp_path):
     assert main(sample_args(m, out, extra=["--infinite"])) == EXIT_OK
     lines = (out / "configs.jsonl").read_text().splitlines()
     assert len(lines) == 5
+
+
+def test_sample_infinite_equals_separate_draws(tmp_path):
+    # one certificate serves the command's draws: each equals a draw of its own
+    obj = {**PARAMETRIC, "mu": 0.0}
+    m = write_model(tmp_path, obj)
+    out = tmp_path / "o"
+    assert main(["sample", "--model", m, "--out", str(out), "--window", "0:(0)",
+                 "--depth", "2", "--samples", "20", "--seed", "11", "--infinite"]) == EXIT_OK
+    draws = [sample_gibbs_infinite(model_from_json_obj(obj), block(0, 0), 2, seed=11, index=i)
+             for i in range(20)]
+    # covered draws and uncovered ones, with and without blocks
+    assert any(c.covered_by_ancestor is not None for c in draws)
+    assert any(c.blocks for c in draws)
+    assert (out / "configs.jsonl").read_text() == "".join(
+        json.dumps(c.to_json_obj(), sort_keys=True) + "\n" for c in draws)
 
 
 # -- correlate -----------------------------------------------------------------
@@ -229,6 +248,34 @@ def run_cli(*argv):
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-m", "hiercubes.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # a flag or an error of one call must not reach the next: each call
+    # writes what a fresh process writes
+    assert build_parser() is build_parser()
+    m = write_model(tmp_path, {**PARAMETRIC, "mu": 0.0})
+    critical = ["critical", "--J", "1.0", "--alpha", "0.5"]
+    no_seed = ["sample", "--model", m, "--window", "0:(0)", "--depth", "2"]
+    sample = no_seed + ["--samples", "6", "--seed", "11", "--format", "csv,json,svg"]
+    calls = [critical + ["--tol", "1e-6"], critical, sample + ["--infinite"], sample,
+             no_seed, critical]
+    codes = []
+    for k, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        try:
+            code = main(argv + ["--out", str(here)])
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        err = capsys.readouterr().err
+        res = run_cli(*argv, "--out", str(fresh))
+        assert (code, err) == (res.returncode, res.stderr)
+        files = sorted(p.name for p in fresh.iterdir()) if fresh.exists() else []
+        assert files == (sorted(p.name for p in here.iterdir()) if here.exists() else [])
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+    assert codes == [EXIT_OK] * 4 + [2, EXIT_OK]
 
 
 @pytest.mark.parametrize("obj,says", [
