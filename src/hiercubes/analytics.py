@@ -25,15 +25,35 @@ scale 0, whichever is higher (the chain of scale 0 is the one condition (ii)
 certifies), cut just above the highest scale whose zhat reaches
 CHAIN_CUT / e.  The marginals and the sampler's law of the lowest occupied
 ancestor both read it.
+
+What the analytics derive from a model at more cost than a lookup is
+computed once per model instance and kept on it, by `_memoized` alone, in a
+least-recently-used memo: per start scale j_lo the longest profile
+`_build_profile(model, j_lo, j_hi)` asked for (key ("profile", j_lo)), the
+start scale found by walking down (key "start"), the condition (ii) verdict
+(key "condition_ii") and the condition (i) verdict of a scan (key
+("condition_i", max_depth)).  A profile up to a lower scale is read as a
+prefix of the kept one, bit for bit the same, since the recursion at scale j
+reads only the scales up to j; one up to a higher scale is built and
+replaces it.  The bound is MEMO_SCALES memoized scales per model, the sum of
+j_hi - j_lo + 1 over the profiles kept (any other entry counts as one),
+since profile length sets the memory; a profile longer than that is not
+kept.  An exception is never kept, a model without `__dict__` is not
+memoized, and `TruncatedSystem`s and their block-lane tables are not
+memoized.  The memo's profiles are shared by every reader and are read
+only: `scale_profile` returns a copy, so edits to its result never reach
+the memo.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from .blocks import (INDEX_LIMIT, Block, Geometry, IndexRangeError, ancestors,
                      children, contains, covering_block, descendants, lcs,
@@ -53,10 +73,63 @@ CHAIN_SCALES = 80   # scales of the chain profile above max(block scale, 0)
 # work limits of the condition (i) scan of inhomogeneous activities
 SCAN_NODE_BUDGET = 2_000_000
 SCAN_LEVELS = 10
+MEMO_SCALES = 1024   # most profile scales the memo keeps per model
 
 
 class UncertifiedComputation(RuntimeError):
     """An infinite-volume quantity was requested without the needed certificate."""
+
+
+# ---------------------------------------------------------------------------
+# the per-model memo
+# ---------------------------------------------------------------------------
+
+_MEMO_ATTR = "_analytics_memo"
+_MEMO_LOCK = threading.Lock()   # models are read concurrently; the memo is written
+
+
+class _Memo(OrderedDict):
+    """One model's entries, key -> (value, weight), least recently used
+    first, and their summed weight."""
+
+    weight = 0
+
+
+def _memoized(model: ActivityModel, key, weight: int, build: Callable, *args):
+    """The value kept in the model's memo (see the module docstring) under
+    `key` if it weighs at least `weight`, else `build(*args)`, which
+    replaces it and weighs `weight`: under one key a heavier value serves
+    every lighter request, as a longer profile holds every shorter one.
+
+    The entries least recently used are dropped while the weights exceed
+    MEMO_SCALES; a value heavier than that, or weighing nothing, is returned
+    but not kept.  Every change of the entries or their weight holds the
+    lock; a hit only moves its entry to the end, and skips that if another
+    thread dropped it.
+    """
+    state = getattr(model, "__dict__", None)
+    if state is None:
+        return build(*args)
+    memo = state.get(_MEMO_ATTR)
+    if memo is None:
+        memo = state.setdefault(_MEMO_ATTR, _Memo())
+    else:
+        hit = memo.get(key)
+        if hit is not None and hit[1] >= weight:
+            try:
+                memo.move_to_end(key)
+            except KeyError:
+                pass
+            return hit[0]
+    value = build(*args)
+    if 0 < weight <= MEMO_SCALES:
+        with _MEMO_LOCK:
+            old = memo.pop(key, None)
+            memo.weight += weight - (0 if old is None else old[1])
+            memo[key] = value, weight
+            while memo.weight > MEMO_SCALES:
+                memo.weight -= memo.popitem(last=False)[1][1]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +174,9 @@ class TruncatedSystem:
 
     @cached_property
     def _profile(self) -> "ScaleProfile":
-        """The scale lane, from -depth up to the window (built directly: a volume
+        """The scale lane, from -depth up to the window (read directly: a volume
         truncation, scale-wise constant in its window, has no `scale_profile`)."""
-        return _build_profile(self.model, -self.depth, self.window.scale)
+        return _shared_profile(self.model, -self.depth, self.window.scale)
 
     @cached_property
     def _table(self) -> dict[tuple[int, tuple[int, ...]], tuple[float, float]]:
@@ -311,6 +384,11 @@ class ScaleProfile:
     partition function of a block of scale j; it saturates at +inf, where
     the effective activities above vanish.  `log_zhat[j]` is -inf when the
     activity vanishes at that scale.
+
+    The maps of a profile read from the model's memo are shared by every
+    reader of that model, must not be changed, and may run past j_hi (they
+    are those of the longest profile kept); `scale_profile` returns a copy
+    with maps of its own, indexed by [j_lo, j_hi] only.
     """
 
     geometry: Geometry
@@ -321,6 +399,9 @@ class ScaleProfile:
     log_zhat: dict[int, float]
     log1p_zhat: dict[int, float]
     pressure_partial: dict[int, float]   # p_j, accumulated through scale j
+
+
+_PROFILE_MAPS = ("log_z", "log_xi", "log_zhat", "log1p_zhat", "pressure_partial")
 
 
 def _build_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
@@ -351,24 +432,46 @@ def _build_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
                         p_partial)
 
 
+def _shared_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
+    """`_build_profile(model, j_lo, j_hi)`, read from the model's memo: shared,
+    read only, and its maps may run past j_hi."""
+    prof = _memoized(model, ("profile", j_lo), j_hi - j_lo + 1,
+                     _build_profile, model, j_lo, j_hi)
+    return prof if prof.j_hi == j_hi else replace(prof, j_hi=j_hi)
+
+
 def scale_profile(model: ActivityModel, j_hi: int,
                   depth: Optional[int] = None) -> ScaleProfile:
     """The scale recursion of a scale-wise constant model up to scale j_hi.
 
     `depth` bounds the scales from below at -depth (downward truncation);
     without it the profile starts at the model's lowest active scale, or deep
-    enough that the neglected geometric tail is below 1e-18.
+    enough that the neglected geometric tail is below 1e-18.  The result is
+    the caller's own: a copy of the memo's profile, with maps of its own.
     """
+    prof = _scale_profile(model, j_hi, depth)
+    scales = range(prof.j_lo, prof.j_hi + 1)
+    return replace(prof, **{name: {j: getattr(prof, name)[j] for j in scales}
+                            for name in _PROFILE_MAPS})
+
+
+def _scale_profile(model: ActivityModel, j_hi: int,
+                   depth: Optional[int] = None) -> ScaleProfile:
+    """`scale_profile`, read from the memo: shared, read only."""
     if not model.is_homogeneous:
         raise ValueError("scale profiles need a scale-wise constant activity")
     j_lo = -depth if depth is not None else _profile_start_scale(model)
-    return _build_profile(model, j_lo, j_hi)
+    return _shared_profile(model, j_lo, j_hi)
 
 
 def _profile_start_scale(model: ActivityModel) -> int:
     lo = model.min_active_scale()
     if lo is not None:
         return lo
+    return _memoized(model, "start", 1, _walk_to_start_scale, model)
+
+
+def _walk_to_start_scale(model: ActivityModel) -> int:
     # unbounded below: walk down until the per-scale pressure contribution
     # M**(-d j) z_j drops under 1e-18; diverges if the downward mass does
     geo = model.geometry
@@ -390,7 +493,7 @@ def _profile_start_scale(model: ActivityModel) -> int:
 # existence conditions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionVerdict:
     status: str                    # "holds" | "fails" | "undecided"
     witness: Optional[Block] = None
@@ -405,6 +508,9 @@ class ConditionVerdict:
         if self.witness is not None:
             obj["witness"] = str(self.witness)
         return obj
+
+
+_NO_DOWNWARD_TAIL = ConditionVerdict("holds", detail="no downward activity tail")
 
 
 @dataclass
@@ -428,7 +534,7 @@ def check_condition_i(model: ActivityModel, max_depth: int = 24) -> ConditionVer
     """
     inner, scale_truncated = _unwrap(model)
     if scale_truncated or isinstance(inner, (Parametric, EffectiveDesign)):
-        return ConditionVerdict("holds", detail="no downward activity tail")
+        return _NO_DOWNWARD_TAIL
     if isinstance(inner, Homogeneous):
         return _condition_i_homogeneous(inner)
     if isinstance(inner, Explicit):
@@ -440,7 +546,8 @@ def check_condition_i(model: ActivityModel, max_depth: int = 24) -> ConditionVer
             detail="positive default activity: every block has infinite partition "
                    "function and no finite-Xi subcube exists")
     if isinstance(inner, Formula):
-        return _condition_i_scan(inner, max_depth)
+        return _memoized(model, ("condition_i", max_depth), 1,
+                         _condition_i_scan, inner, max_depth)
     return ConditionVerdict("undecided", detail=f"no checker for {type(inner).__name__}")
 
 
@@ -568,6 +675,10 @@ def check_condition_ii(model: ActivityModel,
                        tol: float = DEFAULT_TOL) -> ConditionVerdict:
     """Summability of effective activities along the ancestor chain of scale 0,
     read from profiles up to scale 64, doubled up to 512 until decided."""
+    return _memoized(model, "condition_ii", 1, _condition_ii, model)
+
+
+def _condition_ii(model: ActivityModel) -> ConditionVerdict:
     cond_i = check_condition_i(model)
     if cond_i.status == "fails":
         return ConditionVerdict(
@@ -592,7 +703,7 @@ def check_condition_ii(model: ActivityModel,
                                 detail=f"no chain summation for {type(model).__name__}")
 
     for j_max in (64, 128, 256, 512):
-        verdict = _classify_zhat_tail(scale_profile(model, j_max))
+        verdict = _classify_zhat_tail(_scale_profile(model, j_max))
         if verdict is not None:
             return verdict
     return ConditionVerdict("undecided", detail="no decision after j_max = 512")
@@ -626,11 +737,11 @@ def _condition_ii_design(model: EffectiveDesign) -> ConditionVerdict:
 
 
 def _classify_zhat_tail(prof: ScaleProfile) -> Optional[ConditionVerdict]:
-    lzh = [prof.log_zhat[j]    # the activity vanishes below the profile
-           for j in range(max(0, prof.j_lo), prof.j_hi + 1)]
-    if not lzh:
+    # the last 10 terms: the activity vanishes below the profile
+    tail = [prof.log_zhat[j]
+            for j in range(max(0, prof.j_lo, prof.j_hi - 9), prof.j_hi + 1)]
+    if not tail:
         return None
-    tail = lzh[-10:]
     # divergence is about the behaviour of the terms, never their magnitude:
     # a huge leading term with a collapsing tail still sums to a finite value
     if tail[-1] > -math.inf and tail[-1] >= tail[0] and tail[-1] > math.log(1e6):
@@ -748,7 +859,7 @@ def _ancestor_chain(model: ActivityModel, j0: int, depth: int) -> tuple[ScalePro
     marginals and by the sampler's law of the lowest occupied ancestor.  A
     zhat tail still above the cut at the profile's top is cut there.
     """
-    prof = scale_profile(model, max(j0, 0) + CHAIN_SCALES, depth=depth)
+    prof = _scale_profile(model, max(j0, 0) + CHAIN_SCALES, depth=depth)
     cut, j = math.log(CHAIN_CUT) - 1, prof.j_hi
     while j > j0 + 1 and prof.log_zhat[j] < cut:
         j -= 1
@@ -839,9 +950,9 @@ class PressureProfile:
 def pressure_profile(model: ActivityModel, tol: float = DEFAULT_TOL,
                      j_max: int = 64) -> PressureProfile:
     """Pressure p = sum M**(-d j) log(1 + zhat_j) and stability threshold."""
-    prof = scale_profile(model, j_max)
+    prof = _scale_profile(model, j_max)
     geo = model.geometry
-    partial = dict(prof.pressure_partial)
+    partial = {j: prof.pressure_partial[j] for j in range(prof.j_lo, prof.j_hi + 1)}
     p = partial[prof.j_hi]  # increments decay doubly exponentially once zhat does
     inner = _unwrap(model)[0]
     if isinstance(inner, Parametric):
@@ -884,7 +995,7 @@ def _log_R(prof: ScaleProfile, j: int) -> Optional[tuple[float, float, float]]:
 def log_tail_ratio(model: ActivityModel, j: int) -> float:
     """log R_j with R_j = prod_{k >= j}(1 + zhat_k) - 1, stable far below
     double underflow, from the profile up to scale max(j, 0) + 80."""
-    prof = scale_profile(model, max(j + 80, 80))
+    prof = _scale_profile(model, max(j + 80, 80))
     r = _log_R(prof, j)
     return -math.inf if r is None else r[0]
 
@@ -906,7 +1017,7 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
     """
     _require_condition_ii(model, "decay profile")
     geo = model.geometry
-    prof = scale_profile(model, j_max + 90)
+    prof = _scale_profile(model, j_max + 90)
     parametric = isinstance(_unwrap(model)[0], Parametric)
     rows = []
     for j in range(0, j_max + 1):

@@ -27,7 +27,7 @@ from .oracle import (enumerate_system, gibbs_ratio_function,
                      mandelbrot_gnz_report, verify_gnz,
                      verify_hierarchical_formula, verify_topdown)
 from .render import render_svg
-from .sampler import _infinite_sampler, estimate_chunked, sample_gibbs
+from .sampler import _finite_sampler, _infinite_sampler, estimate_chunked
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -93,11 +93,9 @@ def cmd_sample(args) -> int:
     window = parse_block(args.window)
     out = _out_dir(args)
     fmts = _formats(args)
-    if args.infinite:
-        # one certificate and one chain law for all the command's draws
-        draw = _infinite_sampler(model, window, args.depth)
-    else:
-        draw = functools.partial(sample_gibbs, model, window, args.depth)
+    # one system, and one certificate and chain law, for all the command's draws
+    sampler = _infinite_sampler if args.infinite else _finite_sampler
+    draw = sampler(model, window, args.depth)
     configs = [draw(args.seed, i) for i in range(args.samples)]
     with (out / "configs.jsonl").open("w") as fh:
         for cfg in configs:

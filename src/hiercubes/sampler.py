@@ -211,6 +211,19 @@ def _sample_topdown(ratio: _Ratio, geo: Geometry, window: Block, depth: int,
     return out
 
 
+def _finite_sampler(model: ActivityModel, window: Block,
+                    depth: int) -> Callable[[int, int], Configuration]:
+    """`draw(seed, index)`: draws from the law of the doubly truncated system
+    that share one `TruncatedSystem` and one ratio lookup, built here."""
+    ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
+    geo = model.geometry
+
+    def draw(seed: int, index: int) -> Configuration:
+        blocks = _sample_topdown(ratio, geo, window, depth, seed, index)
+        return _make_config(blocks, window, depth, seed, geo)
+    return draw
+
+
 def sample_gibbs(model: ActivityModel, window: Block, depth: int, seed: int,
                  index: int = 0) -> Configuration:
     """One draw from the law of the doubly truncated system.
@@ -219,9 +232,7 @@ def sample_gibbs(model: ActivityModel, window: Block, depth: int, seed: int,
     from the truncated activity, so the sampled law is exactly the truncated
     one); recurse into the children otherwise.
     """
-    ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
-    blocks = _sample_topdown(ratio, model.geometry, window, depth, seed, index)
-    return _make_config(blocks, window, depth, seed, model.geometry)
+    return _finite_sampler(model, window, depth)(seed, index)
 
 
 def sample_mandelbrot(p: float, geo: Geometry, window: Block, depth: int,
@@ -279,24 +290,23 @@ def _infinite_sampler(model: ActivityModel, window: Block,
     through a window, that share one certificate and one ancestor-chain law.
 
     Condition (ii), the system and the chain law are checked and built here,
-    once; the finite system inside the window is built on the first draw
+    once; the finite sampler inside the window is built on the first draw
     that no ancestor covers.
     """
     _require_condition_ii(model, "infinite-volume sampling")
     geo = model.geometry
     _check_system(geo, window, depth)
     rows, p_none = ancestor_chain_cdf(model, window, depth)
-    ratio: Optional[_Ratio] = None
+    finite: Optional[Callable[[int, int], Configuration]] = None
 
     def draw(seed: int, index: int) -> Configuration:
-        nonlocal ratio
+        nonlocal finite
         u = _uniform(seed, index, "chain", window.scale, window.index)
         acc = p_none
         if u < acc:
-            if ratio is None:
-                ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
-            blocks = _sample_topdown(ratio, geo, window, depth, seed, index)
-            return _make_config(blocks, window, depth, seed, geo)
+            if finite is None:
+                finite = _finite_sampler(model, window, depth)
+            return finite(seed, index)
         for k, pk in rows:
             acc += pk
             if u < acc:

@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from hiercubes.blocks import (Block, Geometry, IndexRangeError, block, children,
 from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
                                   Homogeneous, Parametric, TailRule,
                                   truncate_scale, truncate_volume)
+from hiercubes import analytics
 from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  _build_profile, check_condition_i,
                                  check_condition_ii,
@@ -753,3 +757,131 @@ def test_scale_profiles_are_pinned():
                 h.update(repr((res["mu_c"], res["gibbs_at_mu_c"], res["trace"])).encode())
     assert h.hexdigest() == \
         "b7027b831b9116a8316caef8b98dac2a1d11eb8eddbd17d0eeeeb1408b687eca"
+
+
+# -- the per-model memo --------------------------------------------------------------
+
+def memo_weight(model):
+    memo = vars(model)[analytics._MEMO_ATTR]
+    assert memo.weight == sum(weight for _, weight in memo.values())
+    return memo.weight
+
+
+def test_memo_serves_the_profile_of_a_fresh_build():
+    for m in pinned_scale_models():
+        shared = analytics._scale_profile(m, 64)
+        assert analytics._scale_profile(m, 64) is shared
+        longer = analytics._scale_profile(m, 128)
+        # shorter profiles are read from the longest kept one, not rebuilt
+        assert analytics._scale_profile(m, 64).log_xi is longer.log_xi
+        for j_hi in (-1, 0, 17, 64, 127, 128):
+            fresh = dataclasses.replace(m)          # equal, with no memo
+            assert repr(scale_profile(m, j_hi)) == repr(scale_profile(fresh, j_hi))
+            assert repr(scale_profile(m, j_hi, depth=4)) == \
+                repr(_build_profile(fresh, -4, j_hi))
+
+
+def test_memo_is_bounded():
+    m = unit_model()
+    for j_hi in range(0, 2000, 10):     # 200 distinct tops, the last ones not kept
+        prof = scale_profile(m, j_hi)
+        assert prof.j_hi == j_hi
+        assert memo_weight(m) <= analytics.MEMO_SCALES
+    for depth in range(8, 208):         # 200 distinct bottoms: the oldest are dropped
+        scale_profile(m, 40, depth=depth)
+        assert memo_weight(m) <= analytics.MEMO_SCALES
+    assert repr(scale_profile(m, 40, depth=8)) == repr(_build_profile(unit_model(), -8, 40))
+
+
+def test_memo_keeps_no_exception():
+    calls = [lambda: scale_profile(Parametric(GEO2, 0.0, 1.0, 0.5), 600),
+             lambda: existence_report(Homogeneous.from_values(
+                 GEO, {0: 1.0, -1: 0.8}, tail_down=TailRule("geometric", 0.3)))]
+    for call, error in zip(calls, (OverflowError, UncertifiedComputation)):
+        for _ in range(2):
+            with pytest.raises(error):
+                call()
+    m = Homogeneous.from_values(GEO, {0: 1.0, -1: 0.8}, tail_down=TailRule("geometric", 0.3))
+    for _ in range(2):
+        with pytest.raises(UncertifiedComputation, match="does not decay"):
+            scale_profile(m, 10)
+    assert "start" not in vars(m)[analytics._MEMO_ATTR]
+
+
+def test_memo_is_not_reached_by_edits_of_a_result():
+    m = Parametric(GEO, -0.5, 1.0, 0.5)
+    want = (repr(scale_profile(m, 30)), repr(pressure_profile(m, j_max=30)),
+            log_tail_ratio(m, 3))
+    prof = scale_profile(m, 30)
+    prof.log_xi[5] = 99.0
+    prof.log_zhat.clear()
+    prof.pressure_partial[31] = 1.0
+    prof.j_hi = 3
+    assert (repr(scale_profile(m, 30)), repr(pressure_profile(m, j_max=30)),
+            log_tail_ratio(m, 3)) == want
+
+
+def test_models_without_dict_run_unmemoized():
+    class Slotted:
+        __slots__ = ()
+        geometry = GEO
+        is_homogeneous = True
+
+        def log_activities(self, j_lo, j_hi):
+            return [0.0 if j <= 0 else -math.inf for j in range(j_lo, j_hi + 1)]
+
+        def min_active_scale(self):
+            return -3
+
+    m = Slotted()
+    assert repr(scale_profile(m, 20)) == repr(scale_profile(m, 20)) == \
+        repr(scale_profile(unit_model(depth=3), 20))
+    assert check_condition_ii(m).holds
+
+
+def test_existence_report_runs_condition_i_once():
+    def calls_of(check):
+        n = [0]
+
+        def fn(b):
+            n[0] += 1
+            return 1.0 if b.scale <= 0 else 0.0
+        check(Formula(GEO, fn))
+        return n[0]
+
+    once = calls_of(check_condition_i)
+    assert once > 0 and calls_of(existence_report) == once
+    verdict = check_condition_i(unit_model())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.status = "fails"
+
+
+def test_memo_shared_by_threads():
+    # interleaved hits, builds and evictions on one model keep the weights
+    # summed right and every answer equal to a fresh build
+    m = unit_model()
+    want = {(j_hi, depth): repr(_build_profile(unit_model(), -depth, j_hi))
+            for j_hi in range(0, 300, 30) for depth in (8, 40, 90, 200, 400)}
+    errors = []
+
+    def work(k):
+        try:
+            for key in list(want)[k::2] * 3:
+                if repr(scale_profile(m, key[0], depth=key[1])) != want[key]:
+                    errors.append(key)
+        except Exception as exc:     # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k % 2,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert memo_weight(m) <= analytics.MEMO_SCALES

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -8,12 +9,14 @@ from pathlib import Path
 import pytest
 
 import hiercubes
+from hiercubes import analytics
 from hiercubes.activities import load_model, model_from_json_obj
+from hiercubes.analytics import TruncatedSystem
 from hiercubes.blocks import block, parse_block
 from hiercubes.cli import (EXIT_OK, EXIT_UNDECIDED, EXIT_VALIDATION,
                            _distance_pairs, build_parser, main,
                            run_validation_suite)
-from hiercubes.sampler import estimate_chunked, sample_gibbs_infinite
+from hiercubes.sampler import estimate_chunked, sample_gibbs, sample_gibbs_infinite
 
 
 def write_model(tmp_path, obj, name="model.json"):
@@ -94,6 +97,26 @@ def test_sample_outputs_and_determinism(tmp_path):
     lines = (out1 / "configs.jsonl").read_text().splitlines()
     assert len(lines) == 5
     assert all("blocks" in json.loads(l) for l in lines)
+
+
+def test_sample_builds_one_system(tmp_path, monkeypatch):
+    # one TruncatedSystem and ratio lookup serve the command's draws, which
+    # each equal a draw of their own
+    builds = []
+    init = TruncatedSystem.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        init(self, *args)
+    monkeypatch.setattr(TruncatedSystem, "__init__", counting)
+    m = write_model(tmp_path, UNIT_DEPTH8)
+    out = tmp_path / "o"
+    assert main(["sample", "--model", m, "--out", str(out), "--window", "0:(0)",
+                 "--depth", "3", "--samples", "4", "--seed", "11"]) == EXIT_OK
+    assert len(builds) == 1
+    draws = [sample_gibbs(load_model(m), block(0, 0), 3, seed=11, index=i) for i in range(4)]
+    assert (out / "configs.jsonl").read_text() == "".join(
+        json.dumps(c.to_json_obj(), sort_keys=True) + "\n" for c in draws)
 
 
 def test_sample_seed_required(tmp_path):
@@ -178,6 +201,23 @@ def test_correlate_matches_per_pair_estimates(tmp_path):
         assert float(r["stderr"]) == err
 
 
+def test_correlate_builds_each_profile_once(tmp_path, monkeypatch):
+    # the window's scale lane, condition (ii) and the decay table: one
+    # profile each, however many marginals and chain ratios read them
+    built = []
+    build = analytics._build_profile
+
+    def counting(model, j_lo, j_hi):
+        built.append((j_lo, j_hi))
+        return build(model, j_lo, j_hi)
+    monkeypatch.setattr(analytics, "_build_profile", counting)
+    m = write_model(tmp_path, UNIT_DEPTH8)
+    assert main(["correlate", "--model", m, "--out", str(tmp_path / "o"),
+                 "--window", "0:(0)", "--depth", "4", "--samples", "100",
+                 "--seed", "1"]) == EXIT_OK
+    assert built == [(-4, 0), (-8, 64), (-8, 110)]
+
+
 # -- critical ------------------------------------------------------------------
 
 def test_critical_zero_coupling(tmp_path):
@@ -217,6 +257,9 @@ def test_validate_passes(tmp_path):
     assert main(["validate", "--out", str(out)]) == EXIT_OK
     rep = json.loads((out / "validate.json").read_text())
     assert rep["passed"]
+    # every residual of the verifier suite, bit for bit
+    assert hashlib.sha256((out / "validate.json").read_bytes()).hexdigest() == \
+        "668da797ebb1931ac7d947b43e046ba8c840469f8a1b38723d5ac0237a5a214d"
 
 
 def test_validation_suite_contents():
