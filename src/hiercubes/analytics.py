@@ -55,9 +55,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
-from .blocks import (INDEX_LIMIT, Block, Geometry, IndexRangeError, ancestors,
-                     children, contains, covering_block, descendants, lcs,
-                     overlaps)
+from .blocks import (Block, Geometry, ancestors, children, contains,
+                     covering_block, descendants, lcs, overlaps,
+                     subtree_levels)
 from .activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                          Homogeneous, Parametric, ScaleTruncated,
                          VolumeTruncated)
@@ -183,24 +183,14 @@ class TruncatedSystem:
         """The block lane: (scale, index) -> (log Xi, log zhat) of every block
         of the system, one pass per level over index tuples.
 
-        Each scale's indices are listed top-down from the window, children in
-        `blocks.children` order, so the children of the i-th block of a level
-        are the slice [i*B:(i+1)*B] of the level below (B = M**d); the levels
-        are then filled bottom-up.  A `Block` is built only to ask the model
-        for its activity.  Raises IndexRangeError first when a bottom-scale
-        index would reach INDEX_LIMIT.
+        The levels are those of `blocks.subtree_levels`, so the children of
+        the i-th block of a level are the slice [i*B:(i+1)*B] of the level
+        below (B = M**d); they are filled bottom-up.  A `Block` is built only
+        to ask the model for its activity.  Raises IndexRangeError first when
+        a bottom-scale index would reach INDEX_LIMIT.
         """
-        geo, window, bottom = self.geo, self.window, -self.depth
-        M, B = geo.M, geo.branching
-        levels = [[window.index]]
-        if window.scale > bottom:
-            if (max(window.index) + 1) * M ** (window.scale - bottom) > INDEX_LIMIT:
-                raise IndexRangeError(f"index at scale {bottom} below {window} exceeds 2**128")
-            base = [m * M for m in window.index]
-            offsets = [[m - b for m, b in zip(c.index, base)] for c in children(window, geo)]
-            for _ in range(window.scale - bottom):
-                levels.append([tuple([m * M + o for m, o in zip(index, offs)])
-                               for index in levels[-1] for offs in offsets])
+        bottom, B = -self.depth, self.geo.branching
+        levels = subtree_levels(self.window, bottom, self.geo)
         log_activity = self.model.log_activity
         table = {}
         xi: list[float] = []
@@ -951,6 +941,8 @@ def pressure_profile(model: ActivityModel, tol: float = DEFAULT_TOL,
                      j_max: int = 64) -> PressureProfile:
     """Pressure p = sum M**(-d j) log(1 + zhat_j) and stability threshold."""
     prof = _scale_profile(model, j_max)
+    if prof.j_lo > j_max:
+        raise ValueError(f"j_max {j_max} lies below the profile's first scale {prof.j_lo}")
     geo = model.geometry
     partial = {j: prof.pressure_partial[j] for j in range(prof.j_lo, prof.j_hi + 1)}
     p = partial[prof.j_hi]  # increments decay doubly exponentially once zhat does
@@ -1110,6 +1102,8 @@ def critical_mu(J: float, alpha: float, tol: float,
             f"trace: {trace}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # lo and hi are adjacent floats: tol is below their spacing
+            break
         if pred(mid) == "holds":
             lo = mid
         else:

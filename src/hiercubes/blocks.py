@@ -3,7 +3,8 @@
 A block of scale j is the cube m * M**j + [0, M**j)**d with m a d-tuple of
 non-negative integers.  Drawing edges from each block to the M**d blocks one
 scale below turns the block set into a regular M**d-ary tree on the
-non-negative orthant.
+non-negative orthant.  `subtree_levels` is its one walker: the child order
+and the index bound of a step down live there alone.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import total_ordering
+from operator import add
+from typing import Callable, Optional
 
 # Index components are kept exact but bounded; anything larger is almost
 # certainly a bug in the caller (135+ scales of refinement).
@@ -103,15 +106,30 @@ def ancestor_at(b: Block, scale: int, geo: Geometry) -> Block:
     return Block(scale, tuple(m // shift for m in b.index))
 
 
+def subtree_levels(b: Block, bottom: int, geo: Geometry,
+                   expand: Optional[Callable[[int, tuple], bool]] = None) -> list[list]:
+    """b's subtree down to scale `bottom` as index tuples, one list per scale
+    from b.scale down.  Each list holds the children, in lexicographic order,
+    of the tuples above it for which `expand(scale, index)` is true; without
+    `expand`, of every tuple, so the children of the i-th tuple of a list are
+    the slice [i*B:(i+1)*B] of the next (B = M**d).  Raises IndexRangeError
+    before any work when an index at `bottom` would reach INDEX_LIMIT.
+    """
+    M = geo.M
+    if b.scale > bottom and (max(b.index) + 1) * M ** (b.scale - bottom) > INDEX_LIMIT:
+        raise IndexRangeError(f"index at scale {bottom} below {b} exceeds 2**128")
+    offsets = list(itertools.product(range(M), repeat=geo.d))
+    levels = [[b.index]]
+    for scale in range(b.scale, bottom, -1):
+        above = levels[-1] if expand is None else [m for m in levels[-1] if expand(scale, m)]
+        levels.append([tuple(map(add, base, offs))
+                       for base in ([x * M for x in m] for m in above) for offs in offsets])
+    return levels
+
+
 def children(b: Block, geo: Geometry) -> list[Block]:
     """The M**d blocks one scale below b, in lexicographic order."""
-    base = tuple(m * geo.M for m in b.index)
-    if any(m + geo.M - 1 >= INDEX_LIMIT for m in base):
-        raise IndexRangeError(f"child index of {b} exceeds 2**128")
-    return [
-        Block(b.scale - 1, tuple(bm + off for bm, off in zip(base, offs)))
-        for offs in itertools.product(range(geo.M), repeat=geo.d)
-    ]
+    return [Block(b.scale - 1, m) for m in subtree_levels(b, b.scale - 1, geo)[1]]
 
 
 def contains(outer: Block, inner: Block, geo: Geometry) -> bool:
@@ -163,9 +181,5 @@ def ancestors(b: Block, up_to_scale: int, geo: Geometry) -> list[Block]:
 
 def descendants(b: Block, down_to_scale: int, geo: Geometry) -> list[Block]:
     """All blocks contained in b with scale >= down_to_scale, b included."""
-    out = [b]
-    frontier = [b]
-    while frontier and frontier[0].scale > down_to_scale:
-        frontier = [c for f in frontier for c in children(f, geo)]
-        out.extend(frontier)
-    return out
+    levels = subtree_levels(b, down_to_scale, geo)
+    return [Block(b.scale - k, m) for k, level in enumerate(levels) for m in level]

@@ -54,10 +54,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _formats(args) -> set[str]:
-    return set(args.format.split(","))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -92,7 +88,7 @@ def cmd_sample(args) -> int:
     geo = model.geometry
     window = parse_block(args.window)
     out = _out_dir(args)
-    fmts = _formats(args)
+    fmts = set(args.format.split(","))
     # one system, and one certificate and chain law, for all the command's draws
     sampler = _infinite_sampler if args.infinite else _finite_sampler
     draw = sampler(model, window, args.depth)
@@ -304,23 +300,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "enumeration, rendering.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, seed=False):
+    def common(p, model=True, seed=False, tol=False):
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--format", default="csv,json",
-                       help="comma list of csv,json,svg")
-        p.add_argument("--tol", type=float, default=1e-12)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-12)
         if seed:
             p.add_argument("--seed", type=int, required=True,
                            help="root seed (mandatory for sampling)")
 
     p = sub.add_parser("analyze", help="existence report, pressure, scale tables")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--jmax", type=int, default=64)
 
     p = sub.add_parser("sample", help="draw configurations, optional SVG")
     common(p, seed=True)
+    p.add_argument("--format", default="csv,json", help="comma list of csv,json,svg")
     p.add_argument("--window", required=True, help="window block 'j:(m,...)'")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, default=1)
@@ -335,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jmax", type=int, default=20)
 
     p = sub.add_parser("critical", help="critical chemical potential bisection")
-    common(p, model=False)
+    common(p, model=False, tol=True)
     p.add_argument("--J", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--M", type=int, default=2)
 
     p = sub.add_parser("validate", help="verifier suite over built-in systems")
-    common(p, model=False)
+    common(p, model=False, tol=True)
 
     p = sub.add_parser("diagnose", help="fragmentation/condensation tables")
     common(p, model=False)
@@ -353,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol > 0):
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
         print("tol must be finite and > 0", file=sys.stderr)
         return EXIT_VALIDATION
     if getattr(args, "samples", 1) < 1:

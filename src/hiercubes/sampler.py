@@ -5,25 +5,24 @@ All randomness comes from a counter-based generator: a keyed blake2b hash of
 a pure function of their coordinates, so serial and parallel runs, and any
 chunking of a batch, produce bit-identical results.
 
-The top-down walk runs on (scale, index) pairs, with index a plain int tuple
-and children found by index arithmetic; a `Block` is built only for an
-occupied block.  A draw costs one uniform (a copy of the cached keyed hash
-state of its seed and sample index, fed the block's tokens) and one ratio
-lookup per visited block, and its validation O(distinct ancestors of the
-occupied blocks).
+The top-down walk runs level by level, from the window down, on the
+(scale, index) tuples of `blocks.subtree_levels`, with index a plain int
+tuple; a `Block` is built only for an occupied block.  A draw costs one
+uniform (a copy of the cached keyed hash state of its seed and sample index,
+fed the block's tokens) and one ratio lookup per visited block, and its
+validation O(distinct ancestors of the occupied blocks).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .blocks import INDEX_LIMIT, Block, Geometry, IndexRangeError, format_block
+from .blocks import Block, Geometry, format_block, subtree_levels
 from .activities import ActivityModel
 from .analytics import (TruncatedSystem, _ancestor_chain, _check_system,
                         _require_condition_ii)
@@ -183,31 +182,25 @@ def _ratio_lookup(sys: TruncatedSystem) -> _Ratio:
 
 def _sample_topdown(ratio: _Ratio, geo: Geometry, window: Block, depth: int,
                     seed: int, index: int) -> list[Block]:
-    """One top-down draw: the occupied blocks, in visit order.
+    """One top-down draw: the occupied blocks, top scale first.
 
-    Walks (scale, index) pairs depth first.  Each visited block draws one
-    uniform and is occupied when it falls below `ratio(scale, index)`, which
-    prunes its subtree; otherwise its children, in the order of
-    `blocks.children`, are visited down to scale -depth.  Raises
-    IndexRangeError before drawing when a bottom-scale index would reach
-    INDEX_LIMIT.
+    Walks the levels of `blocks.subtree_levels` from the window down to
+    scale -depth.  Each visited block draws one uniform and is occupied when
+    it falls below `ratio(scale, index)`, which prunes its subtree; otherwise
+    its children are visited on the next level.  Raises IndexRangeError
+    before drawing when a bottom-scale index would reach INDEX_LIMIT.
     """
-    M = geo.M
-    bottom = -depth
-    levels = window.scale - bottom
-    if levels > 0 and (max(window.index) + 1) * M ** levels > INDEX_LIMIT:
-        raise IndexRangeError(f"index at scale {bottom} below {window} exceeds 2**128")
-    offsets = list(itertools.product(range(M), repeat=geo.d))
-    add = operator.add
     out: list[Block] = []
-    stack = [(window.scale, window.index)]
-    while stack:
-        scale, m = stack.pop()
+
+    def vacant(scale: int, m: tuple) -> bool:
         if _uniform(seed, index, "occ", scale, m) < ratio(scale, m):
             out.append(Block(scale, m))        # occupied: prune the subtree
-        elif scale > bottom:
-            base = [x * M for x in m]
-            stack.extend([(scale - 1, tuple(map(add, base, offs))) for offs in offsets])
+            return False
+        return True
+
+    bottom = -depth
+    for m in subtree_levels(window, bottom, geo, vacant)[-1]:
+        vacant(bottom, m)                      # the walk expands no bottom tuple
     return out
 
 
@@ -240,6 +233,7 @@ def sample_mandelbrot(p: float, geo: Geometry, window: Block, depth: int,
     """Truncated fractal percolation: constant retention probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
+    _check_system(geo, window, depth)
     blocks = _sample_topdown(lambda scale, m: p, geo, window, depth, seed, index)
     return _make_config(blocks, window, depth, seed, geo)
 

@@ -400,6 +400,17 @@ def test_pressure_design_unit():
     assert prof.pressure == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("model,j_max,first", [
+    (Parametric(GEO, mu=-1.0, J=1.0, alpha=0.5), -5, 0),
+    (Homogeneous.from_values(GEO, {100: 1.0}), 64, 100),
+], ids=["parametric-jmax-5", "homogeneous-from-100"])
+def test_pressure_refuses_j_max_below_the_first_scale(model, j_max, first):
+    with pytest.raises(ValueError, match=f"j_max {j_max} lies below the profile's "
+                                         f"first scale {first}"):
+        pressure_profile(model, j_max=j_max)
+    assert pressure_profile(model, j_max=first).j_window == (first, first)
+
+
 def test_pressure_parametric_exceeds_threshold():
     m = Parametric(GEO, mu=0.1, J=1.0, alpha=0.5)
     prof = pressure_profile(m)
@@ -487,6 +498,15 @@ def test_critical_mu_frozen_values():
     out2 = critical_mu(2.0, 0.5, tol=1e-6)
     assert out2["mu_c"] == pytest.approx(0.18701889, abs=1e-5)
     assert out2["gibbs_at_mu_c"] is True
+
+
+def test_critical_mu_stops_at_float_spacing():
+    # below the spacing of floats the midpoint of adjacent lo and hi is one of
+    # them: the bisection stops there instead of running forever
+    out = critical_mu(1.0, 0.5, tol=1e-300)
+    assert math.isfinite(out["mu_c"])
+    assert out["mu_c"] == pytest.approx(critical_mu(1.0, 0.5, tol=1e-6)["mu_c"], abs=1e-5)
+    assert len(out["trace"]) <= 2 + 64     # halving 100 down to 1e-16
 
 
 def test_critical_mu_monotone_in_J():

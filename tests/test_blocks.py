@@ -1,13 +1,14 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hiercubes.blocks import (INDEX_LIMIT, Block, Geometry, IndexRangeError, ancestor_at,
                               ancestors, block, children, contains,
                               covering_block, descendants, format_block,
                               hierarchical_distance, lcs, overlaps, parent,
-                              parse_block)
+                              parse_block, subtree_levels)
 
 GEOS = st.sampled_from([Geometry(1), Geometry(2), Geometry(1, 3), Geometry(3)])
 
@@ -183,6 +184,77 @@ def test_descendants_count():
     geo = Geometry(2)
     desc = descendants(block(0, 0, 0), -2, geo)
     assert len(desc) == 1 + 4 + 16
+
+
+def _plain_levels(index, scale, bottom, geo, expand, out):
+    """Depth first, the tuples of the subtree of (scale, index) appended to
+    out[k] for the scale k levels below the top, children in lexicographic
+    order by `itertools.product`; expanded where `expand` holds."""
+    k = len(out) - 1 - (scale - bottom)
+    out[k].append(index)
+    if scale > bottom and expand(scale, index):
+        for offs in itertools.product(range(geo.M), repeat=geo.d):
+            kid = tuple(m * geo.M + o for m, o in zip(index, offs))
+            _plain_levels(kid, scale - 1, bottom, geo, expand, out)
+
+
+WALKER_GEOS = st.builds(Geometry, st.integers(1, 3), st.integers(2, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(geo=WALKER_GEOS, scale=st.integers(-3, 3), levels=st.integers(0, 3),
+       corner=st.integers(0, 40), salt=st.integers(0, 6), prune=st.booleans())
+def test_subtree_levels_match_a_plain_recursion(geo, scale, levels, corner, salt, prune):
+    levels = min(levels, 2 if geo.branching > 9 else 3)
+    b = Block(scale, tuple(corner + k for k in range(geo.d)))
+    bottom = scale - levels
+
+    def expand(j, m):
+        calls.append((j, m))
+        return not prune or (sum(m) + j + salt) % 3 != 0
+
+    calls = []
+    want = [[] for _ in range(levels + 1)]
+    _plain_levels(b.index, scale, bottom, geo, expand, want)
+    calls.clear()
+    got = subtree_levels(b, bottom, geo, expand if prune else None)
+    assert got == want
+    if prune:   # one call per tuple above the bottom, in list order
+        assert calls == [(scale - k, m) for k, level in enumerate(got[:levels]) for m in level]
+        return
+    B = geo.branching
+    for k, level in enumerate(got[:-1]):
+        for i, m in enumerate(level):
+            kids = children(Block(scale - k, m), geo)
+            assert got[k + 1][i * B:(i + 1) * B] == [c.index for c in kids]
+    assert descendants(b, bottom, geo) == [Block(scale - k, m)
+                                           for k, level in enumerate(got) for m in level]
+
+
+@settings(max_examples=60, deadline=None)
+@given(geo=WALKER_GEOS, levels=st.integers(1, 2), scale=st.integers(-2, 2))
+def test_subtree_levels_index_limit(geo, levels, scale):
+    # the largest top index whose bottom indices stay below 2**128
+    top = INDEX_LIMIT // geo.M ** levels - 1
+    b = Block(scale, (top,) + (0,) * (geo.d - 1))
+    last = subtree_levels(b, scale - levels, geo)[-1]
+    assert max(max(m) for m in last) == (top + 1) * geo.M ** levels - 1 < INDEX_LIMIT
+    over = Block(scale, (0,) * (geo.d - 1) + (top + 1,))
+    with pytest.raises(IndexRangeError, match=f"index at scale {scale - levels} below"):
+        subtree_levels(over, scale - levels, geo, lambda j, m: pytest.fail("walked"))
+    assert subtree_levels(over, scale, geo) == [[over.index]]
+
+
+def test_subtree_levels_index_limit_at_m2():
+    geo = Geometry(1)
+    assert subtree_levels(block(0, 2**127 - 1), -1, geo)[1] == [(2**128 - 2,), (2**128 - 1,)]
+    with pytest.raises(IndexRangeError,
+                       match=r"index at scale -1 below 0:\(170141183460469231731687303715884105728\) "
+                             r"exceeds 2\*\*128"):
+        children(block(0, 2**127), geo)
+    with pytest.raises(IndexRangeError):
+        descendants(block(0, 2**126 - 1), -3, geo)
+    assert descendants(block(0, 2**126 - 1), -2, geo)[-1] == block(-2, 2**128 - 1)
 
 
 def test_ordering_sorts_by_scale_then_index():

@@ -70,6 +70,18 @@ def test_analyze_fragmentation_and_condensation(tmp_path):
         assert rep["verdict"] == verdict
 
 
+@pytest.mark.parametrize("obj,argv,says", [
+    (PARAMETRIC, ["--jmax", "-5"], "j_max -5 lies below the profile's first scale 0"),
+    ({"kind": "homogeneous", "d": 1, "M": 2, "table": {"100": 1.0}}, [],
+     "j_max 64 lies below the profile's first scale 100"),
+], ids=["jmax-5", "first-scale-100"])
+def test_analyze_j_max_below_the_first_scale(tmp_path, obj, argv, says):
+    m = write_model(tmp_path, obj)
+    res = run_cli("analyze", "--model", m, "--out", str(tmp_path / "o"), *argv)
+    assert res.returncode == EXIT_VALIDATION
+    assert "Traceback" not in res.stderr and f"error: {says}" in res.stderr
+
+
 def test_analyze_missing_model(tmp_path):
     code = main(["analyze", "--model", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])
@@ -240,6 +252,14 @@ def test_critical_finite(tmp_path):
     assert obj["trace"]
 
 
+def test_critical_tol_below_float_spacing(tmp_path):
+    out = tmp_path / "o"
+    assert main(["critical", "--J", "1.0", "--alpha", "0.5", "--out", str(out),
+                 "--tol", "1e-300"]) == EXIT_OK
+    obj = json.loads((out / "critical.json").read_text())
+    assert obj["mu_c"] == pytest.approx(0.80029555, abs=1e-5) and len(obj["trace"]) <= 66
+
+
 def test_invalid_tol_rejected(tmp_path):
     for tol in ("-1", "nan", "inf"):
         code = main(["critical", "--J", "1.0", "--alpha", "0.5",
@@ -319,6 +339,25 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         for name in files:
             assert (here / name).read_bytes() == (fresh / name).read_bytes()
     assert codes == [EXIT_OK] * 4 + [2, EXIT_OK]
+
+
+def test_flags_of_each_subcommand():
+    # 30 settable values: --format only where sample reads it, --tol only
+    # where analyze, critical and validate read it
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {name: sorted(o for a in p._actions for o in a.option_strings
+                          if o not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "analyze": ["--jmax", "--model", "--out", "--tol"],
+        "sample": ["--depth", "--format", "--infinite", "--model", "--out", "--samples",
+                   "--seed", "--window"],
+        "correlate": ["--depth", "--jmax", "--model", "--out", "--samples", "--seed",
+                      "--window"],
+        "critical": ["--J", "--M", "--alpha", "--d", "--out", "--tol"],
+        "validate": ["--out", "--tol"],
+        "diagnose": ["--depth", "--model", "--out"],
+    }
 
 
 @pytest.mark.parametrize("obj,says", [

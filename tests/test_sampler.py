@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from hiercubes.blocks import (Block, Geometry, IndexRangeError, ancestors, block,
-                              descendants, format_block, overlaps)
+                              children, descendants, format_block, overlaps)
 from hiercubes.activities import (EffectiveDesign, Explicit, Homogeneous,
                                   Parametric, TailRule)
 from hiercubes.oracle import enumerate_system, gibbs_ratio_function
@@ -15,9 +15,10 @@ from hiercubes.sampler import (Configuration, InvalidConfiguration,
                                SampleBatch, ancestor_chain_cdf, estimate,
                                estimate_chunked, sample_bernoulli_max,
                                sample_gibbs, sample_gibbs_infinite,
-                               sample_mandelbrot, _uniform)
-from hiercubes.analytics import (UncertifiedComputation, effective_activity,
-                                 exact_marginal, occupation_ratio)
+                               sample_mandelbrot, _ratio_lookup, _sample_topdown,
+                               _uniform)
+from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
+                                 effective_activity, exact_marginal, occupation_ratio)
 
 GEO = Geometry(1)
 W = block(0, 0)
@@ -211,6 +212,60 @@ def test_mandelbrot_sampler_degenerate():
     assert sample_mandelbrot(1.0, GEO, W, 2, seed=1).blocks == (W,)
     with pytest.raises(ValueError):
         sample_mandelbrot(-0.1, GEO, W, 2, seed=1)
+    # a system the walk cannot cover is refused, as by sample_gibbs
+    for depth, says in [(-1, "depth"), (-2, "depth"), (2, "dimension")]:
+        window = W if depth < 0 else block(0, 0, 0)
+        with pytest.raises(ValueError, match=says):
+            sample_mandelbrot(0.0, GEO, window, depth, seed=1)
+
+
+def _depth_first_draw(ratio, geo, window, depth, seed, index):
+    """The occupied blocks of a depth-first walk on `Block`s: a visited block
+    is occupied when its uniform falls below its ratio, and otherwise its
+    `children` are visited, down to scale -depth."""
+    out, stack = [], [window]
+    while stack:
+        b = stack.pop()
+        if _uniform(seed, index, "occ", b.scale, b.index) < ratio(b.scale, b.index):
+            out.append(b)
+        elif b.scale > -depth:
+            stack.extend(children(b, geo))
+    return out
+
+
+@st.composite
+def mixed_systems(draw):
+    """Small systems of random Explicit and scale-wise models."""
+    geo = Geometry(draw(st.integers(1, 2)), draw(st.integers(2, 3)))
+    scale = draw(st.integers(-1, 1))
+    levels = draw(st.integers(max(scale, 0), 4 if geo.branching == 2 else 2))
+    window = Block(scale, tuple(draw(st.integers(0, 3)) for _ in range(geo.d)))
+    value = st.floats(0.05, 3.0)
+    kind = draw(st.sampled_from(["explicit", "homogeneous", "parametric"]))
+    if kind == "explicit":
+        blocks = descendants(window, scale - levels, geo)
+        model = Explicit.from_values(geo, {b: draw(value) for b in blocks})
+    elif kind == "homogeneous":
+        model = Homogeneous.from_values(
+            geo, {j: draw(value) for j in range(scale - levels, scale + 1)})
+    else:
+        model = Parametric(geo, draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 2.0)), 0.5)
+    return model, window, levels - scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_systems(), st.integers(0, 2**32))
+def test_topdown_draws_match_a_depth_first_walk(system, seed):
+    model, window, depth = system
+    geo = model.geometry
+    ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
+    for index in range(8):
+        got = _sample_topdown(ratio, geo, window, depth, seed, index)
+        want = _depth_first_draw(ratio, geo, window, depth, seed, index)
+        assert len(got) == len(set(got)) and set(got) == set(want)
+    for p in (0.3, 0.7):
+        got = _sample_topdown(lambda j, m: p, geo, window, depth, seed, 0)
+        assert set(got) == set(_depth_first_draw(lambda j, m: p, geo, window, depth, seed, 0))
 
 
 def test_sample_determinism():
@@ -359,7 +414,7 @@ def test_batch_merge_counts():
 
 # -- the pinned stream ----------------------------------------------------------------
 # sha256 of the sorted draws of fixed seeds and indices: any change to the
-# blake2b stream, the visit order or the occupation ratios changes them.
+# blake2b stream, the blocks a draw visits or the occupation ratios changes them.
 
 def draws_digest(configs) -> str:
     lines = sorted(" ".join(format_block(b) for b in cfg.blocks)
