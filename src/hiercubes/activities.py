@@ -4,6 +4,11 @@ All evaluation happens in log domain (see logreal); a block with zero weight
 has log activity -inf.  Models are immutable after construction and safe for
 concurrent reads.
 
+A model defines one read: a scale-wise constant model (z_j) the activities
+of a range of scales, `log_activities(j_lo, j_hi)`; any other model the
+activity of one block, `log_activity(block)`.  `ActivityModel` derives the
+one-scale read and, for scale-wise models, the per-block read from the first.
+
 JSON schema (consumed by every CLI command via --model FILE):
 
     {"kind": "homogeneous", "d": 1, "M": 2,
@@ -60,20 +65,19 @@ class TailRule:
 
     @staticmethod
     def from_json_obj(obj: Optional[dict]) -> "TailRule":
-        if obj is None:
-            return TailRule()
-        if obj["kind"] == "zero":
-            return TailRule()
-        return TailRule("geometric", float(obj["ratio"]))
+        kind = "zero" if obj is None else obj["kind"]
+        return TailRule(kind, float(obj["ratio"])) if kind == "geometric" else TailRule(kind)
 
 
 class ActivityModel:
-    """Base class.  Subclasses provide log_activity(block)."""
+    """Base class.  A scale-wise constant subclass defines
+    `log_activities(j_lo, j_hi)`, any other `log_activity(block)`."""
 
     geometry: Geometry
 
     def log_activity(self, b: Block) -> float:
-        raise NotImplementedError
+        """The activity of one block: of a scale-wise model, that of its scale."""
+        return self.log_activity_at_scale(b.scale)
 
     @property
     def is_homogeneous(self) -> bool:
@@ -81,11 +85,12 @@ class ActivityModel:
         return False
 
     def log_activity_at_scale(self, j: int) -> float:
-        raise NotImplementedError(f"{type(self).__name__} is not scale-wise constant")
+        """The activity of scale j."""
+        return self.log_activities(j, j)[0]
 
     def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
-        """`log_activity_at_scale(j)` for j = j_lo, ..., j_hi, in order."""
-        return [self.log_activity_at_scale(j) for j in range(j_lo, j_hi + 1)]
+        """The activity of each scale j = j_lo, ..., j_hi, in order."""
+        raise NotImplementedError(f"{type(self).__name__} is not scale-wise constant")
 
     def homogeneous_within(self, window: Block) -> bool:
         """Scale-wise constant on the subtree below `window`."""
@@ -130,18 +135,22 @@ class Homogeneous(ActivityModel):
     def is_homogeneous(self) -> bool:
         return True
 
-    def log_activity_at_scale(self, j: int) -> float:
-        if not self.log_table:
-            return -math.inf
-        lo, hi = min(self.log_table), max(self.log_table)
-        if j < lo:
-            return self.log_table[lo] + (lo - j) * self.tail_down.log_ratio
-        if j > hi:
-            return self.log_table[hi] + (j - hi) * self.tail_up.log_ratio
-        return self.log_table.get(j, -math.inf)
-
-    def log_activity(self, b: Block) -> float:
-        return self.log_activity_at_scale(b.scale)
+    def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
+        table = self.log_table
+        if not table:
+            return [-math.inf] * (j_hi - j_lo + 1)
+        lo, hi = min(table), max(table)
+        out = []
+        for j in range(j_lo, j_hi + 1):
+            # a tail's log_ratio property is read only beyond the table, so a
+            # per-block read inside it stays cheap
+            if j < lo:
+                out.append(table[lo] + (lo - j) * self.tail_down.log_ratio)
+            elif j > hi:
+                out.append(table[hi] + (j - hi) * self.tail_up.log_ratio)
+            else:
+                out.append(table.get(j, -math.inf))
+        return out
 
     def min_active_scale(self) -> Optional[int]:
         active = [j for j, lv in self.log_table.items() if lv > -math.inf]
@@ -178,29 +187,20 @@ class Parametric(ActivityModel):
     def is_homogeneous(self) -> bool:
         return True
 
-    def log_activity_at_scale(self, j: int) -> float:
-        if j < 0:
-            return -math.inf
-        d, M = self.geometry.d, self.geometry.M
-        return M ** (d * j) * self.mu - M ** (self.alpha * d * j) * self.J
-
     def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
         """The activities read from one power table, shared by every model
-        with the same M, d and alpha, in the float order of
-        `log_activity_at_scale`."""
+        with the same M, d and alpha."""
+        d, M, alpha = self.geometry.d, self.geometry.M, self.alpha
         first = min(max(j_lo, 0), j_hi + 1)
-        powers = _parametric_powers(self.geometry.M, self.geometry.d, self.alpha,
-                                    first, j_hi)
+        powers = _parametric_powers(M, d, alpha, first, j_hi)
         mu, J = self.mu, self.J
         out = [-math.inf] * (first - j_lo)
         out += [vol * mu - cost * J for vol, cost in powers]
-        # the table ends where a power overflows: those scales raise as in
-        # `log_activity_at_scale`
-        out += [self.log_activity_at_scale(j) for j in range(first + len(powers), j_hi + 1)]
+        # the table ends where a power overflows a float: the scales past it
+        # are evaluated in full, and raise where a float overflows
+        out += [M ** (d * j) * mu - M ** (alpha * d * j) * J
+                for j in range(first + len(powers), j_hi + 1)]
         return out
-
-    def log_activity(self, b: Block) -> float:
-        return self.log_activity_at_scale(b.scale)
 
     def min_active_scale(self) -> Optional[int]:
         return 0
@@ -298,23 +298,9 @@ class EffectiveDesign(ActivityModel):
         active = [j for j, lv in self.log_zhat_table.items() if lv > -math.inf]
         return min(active) if active else 0
 
-    def log_activity_at_scale(self, j: int) -> float:
-        lz_hat = self.log_zhat_at_scale(j)
-        if lz_hat == -math.inf:
-            return -math.inf
-        lo = self.min_active_scale()
-        d, M = self.geometry.d, self.geometry.M
-        # p_{j-1} accumulated from the lowest designed scale upwards
-        p = 0.0
-        for k in range(lo, j):
-            lz_k = self.log_zhat_at_scale(k)
-            if lz_k > -math.inf:
-                p += M ** (-d * k) * log1p_exp(lz_k)
-        return lz_hat + M ** (d * j) * p
-
     def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
-        """One upward pass: p_{j-1} grows by each scale's term once, in the
-        order `log_activity_at_scale` sums them."""
+        """One upward pass: p_{j-1} is summed from the lowest designed scale
+        upwards, each scale's term added once."""
         d, M = self.geometry.d, self.geometry.M
         out = []
         p, k = 0.0, self.min_active_scale()    # p sums the scales below k
@@ -330,9 +316,6 @@ class EffectiveDesign(ActivityModel):
                 k += 1
             out.append(lz_hat + M ** (d * j) * p)
         return out
-
-    def log_activity(self, b: Block) -> float:
-        return self.log_activity_at_scale(b.scale)
 
     def to_json_obj(self) -> dict:
         return {
@@ -391,14 +374,9 @@ class VolumeTruncated(ActivityModel):
             return False
         return self.inner.homogeneous_within(window)
 
-    def log_activity_at_scale(self, j: int) -> float:
+    def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
         # valid only on the subtree below self.window; guarded by callers
         # via homogeneous_within
-        if j > self.window.scale:
-            return -math.inf
-        return self.inner.log_activity_at_scale(j)
-
-    def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
         top = max(min(j_hi, self.window.scale), j_lo - 1)
         return self.inner.log_activities(j_lo, top) + [-math.inf] * (j_hi - top)
 
@@ -432,11 +410,6 @@ class ScaleTruncated(ActivityModel):
         if b.scale < -self.depth:
             return -math.inf
         return self.inner.log_activity(b)
-
-    def log_activity_at_scale(self, j: int) -> float:
-        if j < -self.depth:
-            return -math.inf
-        return self.inner.log_activity_at_scale(j)
 
     def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
         bottom = min(max(j_lo, -self.depth), j_hi + 1)

@@ -439,6 +439,7 @@ def scale_profile(model: ActivityModel, j_hi: int,
     enough that the neglected geometric tail is below 1e-18.  The result is
     the caller's own: a copy of the memo's profile, with maps of its own.
     """
+    _require_scalewise(model, "scale profile")
     prof = _scale_profile(model, j_hi, depth)
     scales = range(prof.j_lo, prof.j_hi + 1)
     return replace(prof, **{name: {j: getattr(prof, name)[j] for j in scales}
@@ -448,8 +449,6 @@ def scale_profile(model: ActivityModel, j_hi: int,
 def _scale_profile(model: ActivityModel, j_hi: int,
                    depth: Optional[int] = None) -> ScaleProfile:
     """`scale_profile`, read from the memo: shared, read only."""
-    if not model.is_homogeneous:
-        raise ValueError("scale profiles need a scale-wise constant activity")
     j_lo = -depth if depth is not None else _profile_start_scale(model)
     return _shared_profile(model, j_lo, j_hi)
 
@@ -699,9 +698,21 @@ def _condition_ii(model: ActivityModel) -> ConditionVerdict:
     return ConditionVerdict("undecided", detail="no decision after j_max = 512")
 
 
+def _require_scalewise(model: ActivityModel, what: str) -> None:
+    """The one refusal of a model that is not scale-wise constant, where
+    `what` reads a scale profile: a ValueError.  Each public reader of a
+    profile calls it first, a certifying one through `_require_condition_ii`;
+    the private readers assume it."""
+    if not model.is_homogeneous:
+        raise ValueError(f"{what} needs a scale-wise constant activity; "
+                         f"{type(model).__name__} is not")
+
+
 def _require_condition_ii(model: ActivityModel, what: str) -> None:
-    """The one certification gate of the infinite-volume computations: raise
+    """The one certification gate of the infinite-volume computations: refuse
+    a model that is not scale-wise constant, then raise
     UncertifiedComputation unless condition (ii) holds for the model."""
+    _require_scalewise(model, what)
     cii = check_condition_ii(model)
     if not cii.holds:
         raise UncertifiedComputation(
@@ -785,9 +796,8 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
     window=None, the infinite-volume measure (scale-wise constant models only,
     refused unless condition (ii) is certified).
     """
-    if window is None and not model.is_homogeneous:
-        raise ValueError(f"infinite-volume marginal (window=None) needs a scale-wise "
-                         f"constant activity; {type(model).__name__} is not")
+    if window is None:
+        _require_scalewise(model, "infinite-volume marginal")
     blocks = sorted(set(blocks))
     if not blocks:
         return 1.0
@@ -940,6 +950,7 @@ class PressureProfile:
 def pressure_profile(model: ActivityModel, tol: float = DEFAULT_TOL,
                      j_max: int = 64) -> PressureProfile:
     """Pressure p = sum M**(-d j) log(1 + zhat_j) and stability threshold."""
+    _require_scalewise(model, "scale profile")
     prof = _scale_profile(model, j_max)
     if prof.j_lo > j_max:
         raise ValueError(f"j_max {j_max} lies below the profile's first scale {prof.j_lo}")
@@ -987,6 +998,11 @@ def _log_R(prof: ScaleProfile, j: int) -> Optional[tuple[float, float, float]]:
 def log_tail_ratio(model: ActivityModel, j: int) -> float:
     """log R_j with R_j = prod_{k >= j}(1 + zhat_k) - 1, stable far below
     double underflow, from the profile up to scale max(j, 0) + 80."""
+    _require_scalewise(model, "scale profile")
+    return _log_tail_ratio(model, j)
+
+
+def _log_tail_ratio(model: ActivityModel, j: int) -> float:
     prof = _scale_profile(model, max(j + 80, 80))
     r = _log_R(prof, j)
     return -math.inf if r is None else r[0]
@@ -995,7 +1011,7 @@ def log_tail_ratio(model: ActivityModel, j: int) -> float:
 def tail_ratio_R(model: ActivityModel, j: int, tol: float = DEFAULT_TOL) -> float:
     """R_j as a float (0.0 when it underflows; use log_tail_ratio then)."""
     _require_condition_ii(model, "tail ratio")
-    lr = log_tail_ratio(model, j)
+    lr = _log_tail_ratio(model, j)
     return math.exp(lr) if lr > -700 else 0.0
 
 
@@ -1009,19 +1025,21 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
     """
     _require_condition_ii(model, "decay profile")
     geo = model.geometry
-    prof = _scale_profile(model, j_max + 90)
+    # 90 scales above the highest row, or above the profile's first scale
+    prof = _scale_profile(model, max(j_max, _profile_start_scale(model)) + 90)
     parametric = isinstance(_unwrap(model)[0], Parametric)
     rows = []
     for j in range(0, j_max + 1):
         vol = float(geo.M) ** (geo.d * j)
-        r = _log_R(prof, j)
+        # zhat vanishes below the profile: R_j there is R of its first scale
+        r = _log_R(prof, max(j, prof.j_lo))
         if r is None:
             rows.append({"j": j, "log_R": -math.inf, "scaled_log_R": -math.inf,
                          "residual": None})
             continue
         log_R, lead, rel = r
         row = {"j": j, "log_R": log_R, "scaled_log_R": log_R / vol, "residual": None}
-        if parametric and prof.log_zhat[j] > -math.inf:
+        if parametric and prof.log_zhat.get(j, -math.inf) > -math.inf:
             # delta = log R_j - log zhat_j, computed without cancellation
             log_S = lead + math.log1p(rel)
             S = math.exp(min(log_S, 700.0))

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 from .blocks import Block, Geometry, format_block, subtree_levels
 from .activities import ActivityModel
 from .analytics import (TruncatedSystem, _ancestor_chain, _check_system,
-                        _require_condition_ii)
+                        _require_condition_ii, _require_scalewise)
 
 
 class InvalidConfiguration(ValueError):
@@ -261,6 +261,7 @@ def ancestor_chain_cdf(model: ActivityModel, window: Block,
     and p_none the convergent product of (1-rho_l), over the ancestor chain
     of `analytics._ancestor_chain`, the one the infinite-volume marginals use.
     """
+    _require_scalewise(model, "scale profile")
     j0 = window.scale
     prof, j_cut = _ancestor_chain(model, j0, depth)
     log_none_above = 0.0

@@ -1,16 +1,19 @@
+import dataclasses
 import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercubes.blocks import Block, Geometry, block
+from hiercubes.blocks import Block, Geometry, block, contains
 from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
-                                  Homogeneous, Parametric, TailRule,
+                                  Homogeneous, Parametric, ScaleTruncated,
+                                  TailRule, VolumeTruncated,
                                   activity_from_effective, load_model,
                                   model_from_json_obj, truncate_scale,
                                   truncate_volume)
 from hiercubes.analytics import scale_profile
+from hiercubes.logreal import log1p_exp
 
 GEO = Geometry(1)
 W = block(0, 0)
@@ -158,6 +161,10 @@ def test_activity_from_effective_matches_design():
     Explicit.from_values(Geometry(2), {block(0, 0, 0): 2.0, block(-1, 1, 1): 0.5}),
     EffectiveDesign.from_values(GEO, {0: 1.0, 3: 0.25},
                                 zhat_tail_up=TailRule("geometric", 0.5)),
+    VolumeTruncated(ScaleTruncated(Parametric(GEO, -1.0, 1.0, 0.5), 3), block(2, 1)),
+    ScaleTruncated(VolumeTruncated(
+        Explicit.from_values(GEO, {block(0, 4): 2.0, block(-1, 9): 0.5, block(-3, 33): 1.5},
+                             default=0.25), block(1, 2)), 2),
 ])
 def test_json_roundtrip(model):
     clone = model_from_json_obj(model.to_json_obj())
@@ -227,6 +234,38 @@ def scale_wise_models(draw):
     return model
 
 
+def reference_scale_value(model, j):
+    """The activity of scale j, each model's closed form written out per
+    scale, with the float expressions and summation order of the models."""
+    if isinstance(model, ScaleTruncated):
+        return -math.inf if j < -model.depth else reference_scale_value(model.inner, j)
+    if isinstance(model, VolumeTruncated):
+        return -math.inf if j > model.window.scale else reference_scale_value(model.inner, j)
+    d, M = model.geometry.d, model.geometry.M
+    if isinstance(model, Parametric):
+        return -math.inf if j < 0 else M ** (d * j) * model.mu - M ** (model.alpha * d * j) * model.J
+    if isinstance(model, Homogeneous):
+        table = model.log_table
+        if not table:
+            return -math.inf
+        lo, hi = min(table), max(table)
+        if j < lo:
+            return table[lo] + (lo - j) * model.tail_down.log_ratio
+        if j > hi:
+            return table[hi] + (j - hi) * model.tail_up.log_ratio
+        return table.get(j, -math.inf)
+    # EffectiveDesign: p_{j-1} summed afresh from the lowest designed scale up
+    lz_hat = model.log_zhat_at_scale(j)
+    if lz_hat == -math.inf:
+        return -math.inf
+    p = 0.0
+    for k in range(model.min_active_scale(), j):
+        lz_k = model.log_zhat_at_scale(k)
+        if lz_k > -math.inf:
+            p += M ** (-d * k) * log1p_exp(lz_k)
+    return lz_hat + M ** (d * j) * p
+
+
 def scale_values(call):
     try:
         return call()
@@ -240,8 +279,43 @@ def test_activity_list_matches_the_per_scale_values(model, j_lo, length):
     # j_lo < 0 and ranges below the lowest active scale included; an empty
     # range when length is -1
     j_hi = j_lo + length
-    assert model.log_activities(j_lo, j_hi) == \
-        [model.log_activity_at_scale(j) for j in range(j_lo, j_hi + 1)]
+    got = model.log_activities(j_lo, j_hi)
+    assert got == [reference_scale_value(model, j) for j in range(j_lo, j_hi + 1)]
+    assert got == [model.log_activity_at_scale(j) for j in range(j_lo, j_hi + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale_wise_models(), st.integers(-8, 8), st.data())
+def test_block_read_is_the_scale_read(model, j, data):
+    # a volume truncation reads the scale inside its window, -inf outside
+    geo = model.geometry
+    b = Block(j, tuple(data.draw(st.integers(0, 40)) for _ in range(geo.d)))
+    inside = not isinstance(model, VolumeTruncated) or contains(model.window, b, geo)
+    want = scale_values(lambda: reference_scale_value(model, j)) if inside else -math.inf
+    assert scale_values(lambda: model.log_activity(b)) == want
+    if inside:
+        assert scale_values(lambda: model.log_activities(j, j)[0]) == want
+
+
+@pytest.mark.parametrize("model", [
+    Homogeneous.from_values(GEO, {0: 1.0}, TailRule("geometric", 0.5)),
+    Parametric(GEO, -1.0, 1.0, 0.5),
+    EffectiveDesign.from_values(GEO, {0: 1.0}, TailRule("geometric", 0.5)),
+], ids=["homogeneous", "parametric", "design"])
+def test_scale_wise_reads_come_from_the_range_read(model):
+    # the one-scale and the per-block read answer what log_activities says
+    calls = []
+
+    class Recording(type(model)):
+        def log_activities(self, j_lo, j_hi):
+            calls.append((j_lo, j_hi))
+            return [0.25 * j for j in range(j_lo, j_hi + 1)]
+
+    rec = Recording(**{f.name: getattr(model, f.name)
+                       for f in dataclasses.fields(model) if f.init})
+    calls.clear()
+    assert rec.log_activity_at_scale(3) == 0.75 and rec.log_activity(block(-2, 1)) == -0.5
+    assert calls == [(3, 3), (-2, -2)]
 
 
 @pytest.mark.parametrize("model", [
@@ -252,8 +326,9 @@ def test_activity_list_matches_the_per_scale_values(model, j_lo, length):
 ], ids=["parametric-d2", "parametric-d3M3", "design-d2"])
 def test_activity_list_overflows_where_the_per_scale_values_do(model):
     got = scale_values(lambda: model.log_activities(-3, 700))
-    want = scale_values(lambda: [model.log_activity_at_scale(j) for j in range(-3, 701)])
+    want = scale_values(lambda: [reference_scale_value(model, j) for j in range(-3, 701)])
     assert isinstance(want, str) and got == want
+    assert scale_values(lambda: [model.log_activity_at_scale(j) for j in range(-3, 701)]) == want
 
 
 def test_profile_overflow_is_still_a_known_defect():

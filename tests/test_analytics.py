@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -26,7 +27,7 @@ from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  series_summand_bounds, tail_ratio_R)
 from hiercubes.cli import _validation_matrix
 from hiercubes.logreal import logaddexp
-from hiercubes.sampler import sample_gibbs_infinite
+from hiercubes.sampler import ancestor_chain_cdf, sample_gibbs_infinite
 
 GEO = Geometry(1)
 GEO2 = Geometry(2)
@@ -329,16 +330,71 @@ def test_infinite_marginal_below_the_depth_is_zero():
 
 def test_infinite_volume_needs_a_scalewise_model():
     # condition (ii) holds (finitely many active blocks), but the chain to
-    # infinity is read from a scale profile, which Explicit has not
+    # infinity is read from a scale profile, which Explicit has not; a
+    # Formula model is refused before its condition (i) scan reads a block
     m = Explicit.from_values(GEO, {block(0, 0): 0.5, block(-1, 0): 1.0})
     assert check_condition_ii(m).holds
-    for call in [lambda: exact_marginal(m, [block(-1, 0)], None, 1),
-                 lambda: pair_covariance(m, block(-1, 0), block(-1, 1), None, 1),
-                 lambda: config_covariance(m, [block(-1, 0)], [block(-1, 1)], None, 1)]:
-        with pytest.raises(ValueError, match="^infinite-volume marginal .*scale-wise constant"):
-            call()
+    read = []
+    formula = Formula(GEO, lambda b: read.append(b) or 1.0)
+    for what, call in [
+            ("infinite-volume marginal", lambda m: exact_marginal(m, [block(-1, 0)], None, 1)),
+            ("infinite-volume marginal",
+             lambda m: pair_covariance(m, block(-1, 0), block(-1, 1), None, 1)),
+            ("infinite-volume marginal",
+             lambda m: config_covariance(m, [block(-1, 0)], [block(-1, 1)], None, 1)),
+            ("tail ratio", lambda m: tail_ratio_R(m, 0)),
+            ("decay profile", lambda m: decay_profile(m, 4)),
+            ("infinite-volume sampling",
+             lambda m: sample_gibbs_infinite(m, block(0, 0), 1, seed=1))]:
+        for model in (m, formula):
+            with pytest.raises(ValueError) as exc:
+                call(model)
+            assert str(exc.value) == (f"{what} needs a scale-wise constant activity; "
+                                      f"{type(model).__name__} is not")
+    # the readers that do not certify refuse in the same words
+    for call in [lambda m: scale_profile(m, 4), lambda m: pressure_profile(m),
+                 lambda m: log_tail_ratio(m, 0),
+                 lambda m: ancestor_chain_cdf(m, block(0, 0), 1)]:
+        for model in (m, formula):
+            with pytest.raises(ValueError) as exc:
+                call(model)
+            assert str(exc.value) == ("scale profile needs a scale-wise constant activity; "
+                                      f"{type(model).__name__} is not")
+    assert read == []
     # a window makes the same queries finite-volume ones
     assert exact_marginal(m, [block(-1, 0)], W, 1) > 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("mu", [-1.0, -0.5, 0.0])
+def test_infinite_config_covariance_factorizes(d, mu):
+    # joint = P1 P2 (1 + R) over the common chain, read in infinite volume
+    geo = Geometry(d)
+    m = Parametric(geo, mu, 1.0, 0.5)
+    blocks = [Block(j, idx) for j in (1, 0)
+              for idx in itertools.product(range(2 ** (2 - j)), repeat=d)]
+    for b1, b2 in itertools.combinations(blocks, 2):
+        cv = config_covariance(m, [b1], [b2], None, 0)
+        assert abs(cv["joint"] - cv["factored_joint"]) <= 1e-12 * abs(cv["factored_joint"])
+    assert cv["joint"] > 0.0
+
+
+@pytest.mark.parametrize("lo", [100, 108, 200])
+def test_decay_rows_below_the_profile_read_its_first_scale(lo):
+    # nothing is active below scale lo, so R_j = R_lo for every row; scales
+    # 108 and 200 lie near and above the 90 scales past the highest row, 20
+    m = Homogeneous.from_values(GEO, {lo: 1.0})
+    rows = decay_profile(m, 20)
+    assert [r["j"] for r in rows] == list(range(21))
+    assert all(r["log_R"] == rows[0]["log_R"] and r["residual"] is None for r in rows)
+    assert rows[0]["log_R"] == pytest.approx(0.0, abs=1e-15)   # R = (1 + 1) - 1
+    # with an upward tail, R sums as far above lo as log_tail_ratio does: its
+    # terms at lo + 3, lo + 4 are about exp(-8), exp(-15)
+    m = Homogeneous.from_values(GEO, {lo: 1.0}, tail_up=TailRule("geometric", 0.5))
+    rows = decay_profile(m, 20)
+    assert all(r["log_R"] == rows[0]["log_R"] for r in rows)
+    assert rows[0]["log_R"] == pytest.approx(log_tail_ratio(m, lo), rel=1e-15)
+    assert rows[0]["log_R"] > 0.2          # above scale lo's own R = 1
 
 
 def test_impossible_systems_are_rejected():

@@ -193,6 +193,19 @@ def test_correlate_tables(tmp_path):
     assert len(drows) == 9
 
 
+def test_correlate_model_active_above_the_decay_rows(tmp_path):
+    # the decay table's rows lie below the profile's first scale, 100
+    m = write_model(tmp_path, {"kind": "homogeneous", "d": 1, "M": 2, "table": {"100": 1.0}})
+    out = tmp_path / "o"
+    assert main(["correlate", "--model", m, "--out", str(out), "--window", "0:(0)",
+                 "--depth", "2", "--seed", "1", "--samples", "10"]) == EXIT_OK
+    with (out / "decay.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["j"]) for r in rows] == list(range(21))
+    # R = (1 + 1) - 1 from scale 100 alone
+    assert all(abs(float(r["log_R"])) < 1e-15 and r["residual"] == "" for r in rows)
+
+
 def test_correlate_matches_per_pair_estimates(tmp_path):
     # one shared batch gives the numbers of one estimate per distance pair
     m = write_model(tmp_path, UNIT_DEPTH8)
@@ -370,8 +383,10 @@ def test_flags_of_each_subcommand():
     ({**UNIT_DEPTH8, "tail_down": 3}, "wrong type"),
     ({**UNIT_DEPTH8, "d": None}, "wrong type"),
     (None, "Is a directory"),
+    ({"kind": "homogeneous", "d": 1, "M": 2, "table": {"0": 1.0},
+      "tail_down": {"kind": "bogus", "ratio": 0.5}}, "unknown tail rule 'bogus'"),
 ], ids=["no-dimension", "top-level-list", "table-list", "window-int", "inner-int",
-        "tail-int", "dimension-null", "directory"])
+        "tail-int", "dimension-null", "directory", "tail-kind"])
 def test_malformed_model_is_rejected(tmp_path, obj, says):
     m = str(tmp_path) if obj is None else write_model(tmp_path, obj)
     res = run_cli("analyze", "--model", m, "--out", str(tmp_path / "o"))
