@@ -8,6 +8,11 @@ A model defines one read: a scale-wise constant model (z_j) the activities
 of a range of scales, `log_activities(j_lo, j_hi)`; any other model the
 activity of one block, `log_activity(block)`.  `ActivityModel` derives the
 one-scale read and, for scale-wise models, the per-block read from the first.
+The block lane of the analytics reads one level of the tree per call,
+`level_log_activities(scale, indices)`: the activity of each block
+(scale, index) in order.  Its default asks `log_activity` per block;
+`Explicit` and both truncations answer it from index tuples, building no
+`Block`, with the same values.
 
 JSON schema (consumed by every CLI command via --model FILE):
 
@@ -71,13 +76,21 @@ class TailRule:
 
 class ActivityModel:
     """Base class.  A scale-wise constant subclass defines
-    `log_activities(j_lo, j_hi)`, any other `log_activity(block)`."""
+    `log_activities(j_lo, j_hi)`, any other `log_activity(block)`.  Either
+    may also override `level_log_activities`, the read of one level of
+    blocks, to answer it without a `Block` per index; it must return the
+    values of the default."""
 
     geometry: Geometry
 
     def log_activity(self, b: Block) -> float:
         """The activity of one block: of a scale-wise model, that of its scale."""
         return self.log_activity_at_scale(b.scale)
+
+    def level_log_activities(self, scale: int, indices: list) -> list[float]:
+        """The activity of each block (scale, index), for the index tuples
+        `indices`, in order: by default `log_activity` of each block."""
+        return [self.log_activity(Block(scale, index)) for index in indices]
 
     @property
     def is_homogeneous(self) -> bool:
@@ -108,6 +121,12 @@ def _check_nonneg(values, what: str):
     for v in values:
         if v < 0 or math.isnan(v) or math.isinf(v):
             raise ValueError(f"{what} must be finite and >= 0, got {v}")
+
+
+def _check_dimension(b: Block, geometry: Geometry, what: str):
+    if b.d != geometry.d:
+        raise ValueError(f"{what} {format_block(b)} has dimension {b.d}, "
+                         f"not the model's {geometry.d}")
 
 
 @dataclass(frozen=True)
@@ -232,6 +251,10 @@ class Explicit(ActivityModel):
     log_entries: dict[Block, float] = field(default_factory=dict)
     log_default: float = -math.inf
 
+    def __post_init__(self):
+        for b in self.log_entries:
+            _check_dimension(b, self.geometry, "entry")
+
     @staticmethod
     def from_values(geometry: Geometry, entries: dict[Block, float],
                     default: float = 0.0) -> "Explicit":
@@ -243,6 +266,19 @@ class Explicit(ActivityModel):
 
     def log_activity(self, b: Block) -> float:
         return self.log_entries.get(b, self.log_default)
+
+    @functools.cached_property
+    def _entries_by_scale(self) -> dict[int, dict[tuple, float]]:
+        """scale -> {index -> log activity} of the entries, built on the first
+        level read and kept on the instance."""
+        by_scale: dict[int, dict[tuple, float]] = {}
+        for b, lv in self.log_entries.items():
+            by_scale.setdefault(b.scale, {})[b.index] = lv
+        return by_scale
+
+    def level_log_activities(self, scale: int, indices: list) -> list[float]:
+        entries, default = self._entries_by_scale.get(scale, {}), self.log_default
+        return [entries.get(index, default) for index in indices]
 
     def min_active_scale(self) -> Optional[int]:
         if self.log_default > -math.inf:
@@ -360,6 +396,9 @@ class VolumeTruncated(ActivityModel):
     inner: ActivityModel
     window: Block
 
+    def __post_init__(self):
+        _check_dimension(self.window, self.geometry, "window")
+
     @property
     def geometry(self) -> Geometry:  # type: ignore[override]
         return self.inner.geometry
@@ -368,6 +407,17 @@ class VolumeTruncated(ActivityModel):
         if not contains(self.window, b, self.geometry):
             return -math.inf
         return self.inner.log_activity(b)
+
+    def level_log_activities(self, scale: int, indices: list) -> list[float]:
+        """The inner model's read, -inf at each index whose ancestor at the
+        window's scale is not the window."""
+        window = self.window
+        if scale > window.scale:
+            return [-math.inf] * len(indices)
+        shift = self.geometry.M ** (window.scale - scale)
+        values = self.inner.level_log_activities(scale, indices)
+        return [lv if tuple([m // shift for m in index]) == window.index else -math.inf
+                for index, lv in zip(indices, values)]
 
     def homogeneous_within(self, window: Block) -> bool:
         if not contains(self.window, window, self.geometry):
@@ -410,6 +460,11 @@ class ScaleTruncated(ActivityModel):
         if b.scale < -self.depth:
             return -math.inf
         return self.inner.log_activity(b)
+
+    def level_log_activities(self, scale: int, indices: list) -> list[float]:
+        if scale < -self.depth:
+            return [-math.inf] * len(indices)
+        return self.inner.level_log_activities(scale, indices)
 
     def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
         bottom = min(max(j_lo, -self.depth), j_hi + 1)

@@ -2,13 +2,13 @@
 
 Everything extensive lives in log domain.  Inhomogeneous models use a block
 lane at small truncation depth: one pass per level over the (scale, index)
-tuples of the system, bottom level first, tabulates log Xi and log zhat of
-every block.  For scale-wise constant activities z_j the tree recursion is
-one scalar recursion, built only by `_build_profile` into a `ScaleProfile`
-that the scale lane of `TruncatedSystem` and every infinite-volume quantity
-read.  Its only read of the activity is the model's list
-`log_activities(j_lo, j_hi)`.  Its float order, from log Xi = p = 0 below
-the first scale:
+tuples of the system, bottom level first, reads the level's activities in one
+`level_log_activities` call and tabulates log Xi and log zhat of every block.
+For scale-wise constant activities z_j the tree recursion is one scalar
+recursion, built only by `_build_profile` into a `ScaleProfile` that the
+scale lane of `TruncatedSystem` and every infinite-volume quantity read.
+Its only read of the activity is the model's list `log_activities(j_lo,
+j_hi)`.  Its float order, from log Xi = p = 0 below the first scale:
 
     below      = M**d * log Xi_{j-1}
     log Xi_j   = logaddexp(log z_j, below)
@@ -185,17 +185,18 @@ class TruncatedSystem:
 
         The levels are those of `blocks.subtree_levels`, so the children of
         the i-th block of a level are the slice [i*B:(i+1)*B] of the level
-        below (B = M**d); they are filled bottom-up.  A `Block` is built only
-        to ask the model for its activity.  Raises IndexRangeError first when
-        a bottom-scale index would reach INDEX_LIMIT.
+        below (B = M**d); they are filled bottom-up.  The activities of a
+        level are one `level_log_activities` read of the model.  Raises
+        IndexRangeError first when a bottom-scale index would reach
+        INDEX_LIMIT.
         """
         bottom, B = -self.depth, self.geo.branching
         levels = subtree_levels(self.window, bottom, self.geo)
-        log_activity = self.model.log_activity
+        level_log_activities = self.model.level_log_activities
         table = {}
         xi: list[float] = []
         for scale, level in enumerate(reversed(levels), bottom):
-            lz = [log_activity(Block(scale, index)) for index in level]
+            lz = level_log_activities(scale, level)
             if scale == bottom:
                 below, lzh = [0.0] * len(lz), lz
             else:
@@ -209,15 +210,18 @@ class TruncatedSystem:
         return table
 
     def _values(self, b: Block) -> tuple[float, float]:
-        """(log Xi, log zhat) of b.  Outside the system zhat is 0, and Xi is
-        the window's for a block containing the window and 1 for any other."""
+        """(log Xi, log zhat) of b.  The block lane reads its table first.
+        Outside the system zhat is 0, and Xi is the window's for a block
+        containing the window and 1 for any other."""
+        if not self._scalewise:
+            values = self._table.get((b.scale, b.index))
+            if values is not None:
+                return values
         if b.scale < -self.depth or not overlaps(self.window, b, self.geo):
             return 0.0, -math.inf
         if b.scale > self.window.scale:
             return self._values(self.window)[0], -math.inf
-        if self._scalewise:
-            return self._profile.log_xi[b.scale], self._profile.log_zhat[b.scale]
-        return self._table[b.scale, b.index]
+        return self._profile.log_xi[b.scale], self._profile.log_zhat[b.scale]
 
     def log_xi(self, b: Block) -> float:
         """log of the partition function of the subtree below b."""
@@ -302,7 +306,7 @@ def partition_function_limit(model: ActivityModel, window: Block,
         return LimitResult(LogReal.infinite(), True, 0,
                            "closed-form tail: sum of activities below window diverges")
     if not model.homogeneous_within(window):
-        # the block lane makes one activity call per block: branching**depth at the bottom
+        # the block lane tabulates every block: branching**depth at the bottom
         branching, cap = model.geometry.branching, 0
         while branching ** (cap + 1) <= BLOCK_LANE_MAX_BLOCKS:
             cap += 1
@@ -701,8 +705,8 @@ def _condition_ii(model: ActivityModel) -> ConditionVerdict:
 def _require_scalewise(model: ActivityModel, what: str) -> None:
     """The one refusal of a model that is not scale-wise constant, where
     `what` reads a scale profile: a ValueError.  Each public reader of a
-    profile calls it first, a certifying one through `_require_condition_ii`;
-    the private readers assume it."""
+    profile calls it once, first, a certifying one through
+    `_require_condition_ii`; the private readers assume it."""
     if not model.is_homogeneous:
         raise ValueError(f"{what} needs a scale-wise constant activity; "
                          f"{type(model).__name__} is not")
@@ -710,9 +714,14 @@ def _require_scalewise(model: ActivityModel, what: str) -> None:
 
 def _require_condition_ii(model: ActivityModel, what: str) -> None:
     """The one certification gate of the infinite-volume computations: refuse
-    a model that is not scale-wise constant, then raise
-    UncertifiedComputation unless condition (ii) holds for the model."""
+    a model that is not scale-wise constant, then certify it."""
     _require_scalewise(model, what)
+    _require_certified(model, what)
+
+
+def _require_certified(model: ActivityModel, what: str) -> None:
+    """UncertifiedComputation unless condition (ii) holds for `model`, which
+    the caller has found scale-wise constant."""
     cii = check_condition_ii(model)
     if not cii.holds:
         raise UncertifiedComputation(
@@ -827,7 +836,7 @@ def _strict_ancestor_set(blocks, up_to_scale: int, geo: Geometry) -> set:
 
 def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int) -> float:
     geo = model.geometry
-    _require_condition_ii(model, "infinite-volume marginal")
+    _require_certified(model, "infinite-volume marginal")
     cover = covering_block(blocks[0], blocks[0], geo)
     for b in blocks[1:]:
         cover = covering_block(cover, b, geo)

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercubes.blocks import Block, Geometry, block, contains
-from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
+from hiercubes.blocks import (Block, Geometry, block, contains, descendants,
+                              subtree_levels)
+from hiercubes.activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                                   Homogeneous, Parametric, ScaleTruncated,
                                   TailRule, VolumeTruncated,
                                   activity_from_effective, load_model,
@@ -99,6 +101,20 @@ def test_formula_wraps_callable():
     assert m.log_activity(block(0, 0)) == -math.inf
     with pytest.raises(TypeError):
         m.to_json_obj()
+
+
+def test_activity_data_of_another_dimension_rejected():
+    # a d=2 entry in a d=1 model would make scale -5 its lowest active scale
+    with pytest.raises(ValueError, match="entry -5:\\(0,0\\) has dimension 2, not the model's 1"):
+        Explicit.from_values(Geometry(1), {block(-5, 0, 0): 1.0, block(0, 1): 2.0}, 0.0)
+    with pytest.raises(ValueError, match="dimension 1, not the model's 2"):
+        Explicit(Geometry(2), {block(0, 0): 0.0})
+    inner = Explicit.from_values(Geometry(1), {}, 0.5)
+    with pytest.raises(ValueError, match="window 1:\\(0,0\\) has dimension 2, not the model's 1"):
+        truncate_volume(inner, block(1, 0, 0))
+    with pytest.raises(ValueError, match="window"):
+        model_from_json_obj({"kind": "volume_truncated", "window": "1:(0,0)",
+                             "inner": inner.to_json_obj()})
 
 
 # -- truncations --------------------------------------------------------------
@@ -335,3 +351,67 @@ def test_profile_overflow_is_still_a_known_defect():
     # M**(d j) does not fit a float at scale 512 in d=2 (ROADMAP item 2c)
     with pytest.raises(OverflowError):
         scale_profile(Parametric(Geometry(2), 0.0, 1.0, 0.5), 600)
+
+
+# -- the read of one level of blocks -------------------------------------------
+
+class CountingModel(ActivityModel):
+    """A user model: defines only `log_activity`, read from `inner`, and
+    counts its calls."""
+
+    def __init__(self, inner):
+        self.geometry, self.inner, self.calls = inner.geometry, inner, 0
+
+    def log_activity(self, b):
+        self.calls += 1
+        return self.inner.log_activity(b)
+
+
+@st.composite
+def level_reads(draw):
+    """A model over d 1-3 and a list of index tuples at one scale: a level of
+    a small subtree, or of one a scale above it, plus a few tuples outside.
+    Explicit models with -inf entries and a zero or positive default, bare
+    or read through `CountingModel`; Homogeneous and Parametric models; each
+    inside up to three volume and scale truncations, nested, of windows that
+    cut the levels."""
+    geo = Geometry(draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    levels = 3 if geo.branching <= 4 else 2 if geo.branching <= 9 else 1
+    top = Block(1, tuple(rng.randrange(2) for _ in range(geo.d)))
+    blocks = descendants(top, 1 - levels, geo)
+    kind = draw(st.sampled_from(["explicit", "counting", "homogeneous", "parametric"]))
+    if kind in ("explicit", "counting"):
+        model = Explicit.from_values(
+            geo, {b: 0.0 if rng.random() < 0.3 else rng.uniform(0.05, 3.0)
+                  for b in blocks if rng.random() < 0.7},
+            default=rng.choice([0.0, 0.5, 2.0]))
+        if kind == "counting":
+            model = CountingModel(model)
+    elif kind == "homogeneous":
+        model = Homogeneous.from_values(geo, {j: rng.choice([0.0, 1.5]) for j in range(-2, 2)},
+                                        TailRule("geometric", 0.5))
+    else:
+        model = Parametric(geo, rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0),
+                           rng.uniform(0.1, 0.9))
+    for wrap in draw(st.lists(st.sampled_from(["volume", "scale"]), max_size=3)):
+        if wrap == "volume":
+            model = truncate_volume(model, rng.choice(blocks))
+        else:
+            model = truncate_scale(model, rng.randint(-2, levels))
+    scale = draw(st.integers(1 - levels, 2))
+    level = subtree_levels(Block(top.scale + (scale > 1), top.index), scale, geo)[-1]
+    outside = [tuple(rng.randrange(40) for _ in range(geo.d)) for _ in range(3)]
+    return model, scale, level + outside
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_reads())
+def test_level_read_is_the_block_read(read):
+    model, scale, indices = read
+    got = model.level_log_activities(scale, indices)
+    assert got == [model.log_activity(Block(scale, index)) for index in indices]
+    if isinstance(model, CountingModel):
+        model.calls = 0
+        assert model.level_log_activities(scale, indices) == got
+        assert model.calls == len(indices)       # the default: one call per block

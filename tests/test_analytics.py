@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiercubes.blocks import (Block, Geometry, IndexRangeError, block, children,
-                              descendants)
-from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
+                              descendants, overlaps)
+from hiercubes.activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                                   Homogeneous, Parametric, TailRule,
                                   truncate_scale, truncate_volume)
-from hiercubes import analytics
+from hiercubes import analytics, sampler
 from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  _build_profile, check_condition_i,
                                  check_condition_ii,
@@ -363,6 +363,28 @@ def test_infinite_volume_needs_a_scalewise_model():
     assert read == []
     # a window makes the same queries finite-volume ones
     assert exact_marginal(m, [block(-1, 0)], W, 1) > 0.0
+
+
+def test_scalewise_refusal_runs_once_per_call(monkeypatch):
+    # the certifying readers refuse a model that is not scale-wise once,
+    # before they certify it
+    runs = []
+    original = analytics._require_scalewise
+
+    def counted(model, what):
+        runs.append(what)
+        original(model, what)
+    monkeypatch.setattr(analytics, "_require_scalewise", counted)
+    monkeypatch.setattr(sampler, "_require_scalewise", counted)
+    m = Parametric(GEO, -1.0, 1.0, 0.5)
+    assert exact_marginal(m, [block(0, 1)], None, 2) > 0.0
+    assert runs == ["infinite-volume marginal"]
+    runs.clear()
+    sample_gibbs_infinite(m, W, 2, seed=1)
+    assert runs == ["infinite-volume sampling"]
+    runs.clear()
+    ancestor_chain_cdf(m, W, 2)
+    assert runs == ["scale profile"]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -776,6 +798,57 @@ def test_block_lane_index_limit():
         partition_function(model, block(0, 2**127), 1)
     got = partition_function(model, block(0, 2**127 - 1), 1)    # bottom index 2**128 - 1
     assert got.log == pytest.approx(math.log(1.5 + 1.5**2))
+
+
+class CountingModel(ActivityModel):
+    """A user model: defines only `log_activity`, read from `inner`, and
+    counts its calls."""
+
+    def __init__(self, inner):
+        self.geometry, self.inner, self.calls = inner.geometry, inner, 0
+
+    def log_activity(self, b):
+        self.calls += 1
+        return self.inner.log_activity(b)
+
+
+def test_block_lane_reads_one_level_per_call(monkeypatch):
+    # Explicit and its truncations answer each level without a per-block
+    # read; a model that defines only log_activity gets the same bits
+    # through the default level read, one call per block
+    calls = []
+    original = Explicit.log_activity
+
+    def counted(self, b):
+        calls.append(b)
+        return original(self, b)
+    monkeypatch.setattr(Explicit, "log_activity", counted)
+    systems = block_lane_systems() + seeded_block_lane_systems()
+    systems.append((truncate_scale(systems[-1][0], 1), *systems[-1][1:]))
+    for model, window, depth in systems:
+        table = TruncatedSystem(model, window, depth)._table
+        assert calls == []
+        user = CountingModel(model)
+        assert repr(TruncatedSystem(user, window, depth)._table) == repr(table)
+        assert user.calls == len(table)
+        calls.clear()
+
+
+def test_block_lane_reads_its_table_before_the_overlap_test(monkeypatch):
+    # a block of the system is answered from the table; only a block
+    # outside it reaches the overlap test
+    model, window, depth = seeded_block_lane_systems()[0]
+    sys = TruncatedSystem(model, window, depth)
+    tested = []
+    monkeypatch.setattr(analytics, "overlaps",
+                        lambda b1, b2, geo: tested.append(b2) or overlaps(b1, b2, geo))
+    inside = sys.blocks()
+    rhos = [sys.rho(b) for b in inside]
+    assert tested == [] and any(0.0 < r < 1.0 for r in rhos)
+    outside = [block(0, 0), block(-2, 0), block(1, 0)]     # the last contains the window
+    assert [sys.log_zhat(b) for b in outside] == [-math.inf] * 3
+    assert tested == outside
+    assert sys.log_xi(block(1, 0)) == sys.log_xi(window)
 
 
 # -- the pinned scale recursion ------------------------------------------------------

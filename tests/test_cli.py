@@ -422,6 +422,21 @@ def test_window_of_another_dimension_rejected(tmp_path, command, extra):
     assert "Traceback" not in res.stderr and "dimension" in res.stderr
 
 
+@pytest.mark.parametrize("obj,says", [
+    ({"kind": "explicit", "d": 1, "M": 2, "entries": {"-5:(0,0)": 1.0, "0:(1)": 2.0},
+      "default": 0.0}, "entry -5:(0,0) has dimension 2, not the model's 1"),
+    ({"kind": "volume_truncated", "window": "1:(0,0)",
+      "inner": {"kind": "explicit", "d": 1, "M": 2, "entries": {}, "default": 0.5}},
+     "window 1:(0,0) has dimension 2, not the model's 1"),
+], ids=["explicit-entry", "volume-window"])
+def test_activity_data_of_another_dimension_rejected(tmp_path, obj, says):
+    m = write_model(tmp_path, obj)
+    res = run_cli("analyze", "--model", m, "--out", str(tmp_path / "o"))
+    assert res.returncode == EXIT_VALIDATION
+    assert "Traceback" not in res.stderr and f"error: {says}" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("obj,argv,says", [
     # the downward tail decays but its start scale is not found: refused
     ({"kind": "homogeneous", "d": 1, "table": {"0": 1.0, "-1": 0.8},
