@@ -11,8 +11,8 @@ one-scale read and, for scale-wise models, the per-block read from the first.
 The block lane of the analytics reads one level of the tree per call,
 `level_log_activities(scale, indices)`: the activity of each block
 (scale, index) in order.  Its default asks `log_activity` per block;
-`Explicit` and both truncations answer it from index tuples, building no
-`Block`, with the same values.
+`Explicit` answers it from index tuples, building no `Block`, with the same
+values.
 
 JSON schema (consumed by every CLI command via --model FILE):
 
@@ -408,17 +408,6 @@ class VolumeTruncated(ActivityModel):
             return -math.inf
         return self.inner.log_activity(b)
 
-    def level_log_activities(self, scale: int, indices: list) -> list[float]:
-        """The inner model's read, -inf at each index whose ancestor at the
-        window's scale is not the window."""
-        window = self.window
-        if scale > window.scale:
-            return [-math.inf] * len(indices)
-        shift = self.geometry.M ** (window.scale - scale)
-        values = self.inner.level_log_activities(scale, indices)
-        return [lv if tuple([m // shift for m in index]) == window.index else -math.inf
-                for index, lv in zip(indices, values)]
-
     def homogeneous_within(self, window: Block) -> bool:
         if not contains(self.window, window, self.geometry):
             return False
@@ -460,11 +449,6 @@ class ScaleTruncated(ActivityModel):
         if b.scale < -self.depth:
             return -math.inf
         return self.inner.log_activity(b)
-
-    def level_log_activities(self, scale: int, indices: list) -> list[float]:
-        if scale < -self.depth:
-            return [-math.inf] * len(indices)
-        return self.inner.level_log_activities(scale, indices)
 
     def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
         bottom = min(max(j_lo, -self.depth), j_hi + 1)

@@ -210,14 +210,15 @@ class TruncatedSystem:
         return table
 
     def _values(self, b: Block) -> tuple[float, float]:
-        """(log Xi, log zhat) of b.  The block lane reads its table first.
-        Outside the system zhat is 0, and Xi is the window's for a block
-        containing the window and 1 for any other."""
-        if not self._scalewise:
-            values = self._table.get((b.scale, b.index))
-            if values is not None:
-                return values
-        if b.scale < -self.depth or not overlaps(self.window, b, self.geo):
+        """(log Xi, log zhat) of b.  The block lane reads its table for a
+        block at a scale of the system.  Outside the system zhat is 0, and Xi
+        is the window's for a block containing the window and 1 for any other."""
+        if b.scale < -self.depth:
+            return 0.0, -math.inf
+        if not self._scalewise and b.scale <= self.window.scale:
+            # the table holds every block of the window at these scales
+            return self._table.get((b.scale, b.index), (0.0, -math.inf))
+        if not overlaps(self.window, b, self.geo):
             return 0.0, -math.inf
         if b.scale > self.window.scale:
             return self._values(self.window)[0], -math.inf
@@ -705,8 +706,8 @@ def _condition_ii(model: ActivityModel) -> ConditionVerdict:
 def _require_scalewise(model: ActivityModel, what: str) -> None:
     """The one refusal of a model that is not scale-wise constant, where
     `what` reads a scale profile: a ValueError.  Each public reader of a
-    profile calls it once, first, a certifying one through
-    `_require_condition_ii`; the private readers assume it."""
+    profile calls it first, a certifying one through `_require_condition_ii`;
+    the private readers assume it."""
     if not model.is_homogeneous:
         raise ValueError(f"{what} needs a scale-wise constant activity; "
                          f"{type(model).__name__} is not")

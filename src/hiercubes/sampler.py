@@ -262,12 +262,6 @@ def ancestor_chain_cdf(model: ActivityModel, window: Block,
     of `analytics._ancestor_chain`, the one the infinite-volume marginals use.
     """
     _require_scalewise(model, "scale profile")
-    return _chain_cdf(model, window, depth)
-
-
-def _chain_cdf(model: ActivityModel, window: Block,
-               depth: int) -> tuple[list[tuple[int, float]], float]:
-    """`ancestor_chain_cdf` of a model the caller has found scale-wise constant."""
     j0 = window.scale
     prof, j_cut = _ancestor_chain(model, j0, depth)
     log_none_above = 0.0
@@ -297,7 +291,7 @@ def _infinite_sampler(model: ActivityModel, window: Block,
     _require_condition_ii(model, "infinite-volume sampling")
     geo = model.geometry
     _check_system(geo, window, depth)
-    rows, p_none = _chain_cdf(model, window, depth)
+    rows, p_none = ancestor_chain_cdf(model, window, depth)
     finite: Optional[Callable[[int, int], Configuration]] = None
 
     def draw(seed: int, index: int) -> Configuration:
