@@ -201,6 +201,8 @@ class Parametric(ActivityModel):
     def __post_init__(self):
         if not (0 < self.alpha < 1):
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
+        if not (math.isfinite(self.mu) and math.isfinite(self.J)):
+            raise ValueError(f"mu and J must be finite, got mu={self.mu}, J={self.J}")
 
     @property
     def is_homogeneous(self) -> bool:

@@ -17,7 +17,9 @@ j_hi)`.  Its float order, from log Xi = p = 0 below the first scale:
 
 so rho_j = zhat_j / (1 + zhat_j) = z_j / Xi_j.  p_j equals M**(-d j) log Xi_j
 but is accumulated, not divided out, so it saturates where log Xi_j overflows.
-`_log_R` gives R_j = prod_{k >= j} (1 + zhat_k) - 1.
+`_log_R` folds the `_R_terms` of a profile into R_j = prod_{k >= j} (1 +
+zhat_k) - 1; `decay_profile` computes the terms once per call and folds a
+suffix of them per row.
 
 The infinite-volume ancestor chain of a block is cut by `_ancestor_chain`
 alone: one profile from -depth up to CHAIN_SCALES above the block or above
@@ -50,9 +52,11 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Optional
 
 from .blocks import (Block, Geometry, ancestors, children, contains,
@@ -206,7 +210,7 @@ class TruncatedSystem:
                 # -inf also when a child's log Xi is +inf
                 lzh = [z - c for z, c in zip(lz, below)]
             xi = list(map(logaddexp, lz, below))
-            table.update(zip([(scale, index) for index in level], zip(xi, lzh)))
+            table.update(zip(zip(repeat(scale), level), zip(xi, lzh)))
         return table
 
     def _values(self, b: Block) -> tuple[float, float]:
@@ -981,23 +985,24 @@ def pressure_profile(model: ActivityModel, tol: float = DEFAULT_TOL,
     return PressureProfile(partial, p, theta, exact, (prof.j_lo, prof.j_hi))
 
 
-def _log_R(prof: ScaleProfile, j: int) -> Optional[tuple[float, float, float]]:
-    """(log R_j, lead, rel), with log S_j = lead + log1p(rel) for S_j = log(1 +
-    R_j) = sum_{k >= j} log(1 + zhat_k), stable far below double underflow;
-    None when every zhat_k vanishes."""
-    terms = []
-    for k in range(j, prof.j_hi + 1):
-        lzh = prof.log_zhat[k]
-        if lzh == -math.inf:
-            continue
-        if lzh < -30:
-            terms.append(lzh)  # log(log1p(zhat)) = log zhat + O(zhat)
-        else:
-            terms.append(math.log(log1p_exp(lzh)))
+def _R_terms(prof: ScaleProfile, j: int) -> tuple[list[int], list[float]]:
+    """The scales k >= j of the profile where zhat_k does not vanish, and
+    the terms log log(1 + zhat_k) of S_j = log(1 + R_j) = sum_{k >= j} log(1 +
+    zhat_k) at them, in scale order."""
+    scales = [k for k in range(j, prof.j_hi + 1) if prof.log_zhat[k] != -math.inf]
+    # log(log1p(zhat)) = log zhat + O(zhat) below -30
+    return scales, [prof.log_zhat[k] if prof.log_zhat[k] < -30
+                    else math.log(prof.log1p_zhat[k]) for k in scales]
+
+
+def _log_R(terms: list[float]) -> Optional[tuple[float, float, float]]:
+    """(log R_j, lead, rel) from the `_R_terms` of scale j or a suffix of
+    them, with log S_j = lead + log1p(rel), stable far below double
+    underflow; None when there are none (every zhat_k vanishes)."""
     if not terms:
         return None
     lead = max(terms)
-    rel = ordered_sum(math.exp(t - lead) for t in terms) - 1.0
+    rel = ordered_sum(map(math.exp, map(operator.sub, terms, repeat(lead)))) - 1.0
     log_S = lead + math.log1p(rel)
     if log_S > -30:
         S = math.exp(min(log_S, 700.0))
@@ -1014,7 +1019,7 @@ def log_tail_ratio(model: ActivityModel, j: int) -> float:
 
 def _log_tail_ratio(model: ActivityModel, j: int) -> float:
     prof = _scale_profile(model, max(j + 80, 80))
-    r = _log_R(prof, j)
+    r = _log_R(_R_terms(prof, j)[1])
     return -math.inf if r is None else r[0]
 
 
@@ -1032,17 +1037,25 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
     evaluated as (log R_j - log zhat_j) + M**(d j) * tail_p(j), where
     tail_p(j) = sum_{k >= j} M**(-d k) log(1 + zhat_k) is summed directly so
     no catastrophic cancellation against the pressure limit occurs.
+
+    The terms of S_j and of tail_p(j) are computed once per call, from the
+    lowest row's scale up; each row folds its own suffix of them.
     """
     _require_condition_ii(model, "decay profile")
     geo = model.geometry
     # 90 scales above the highest row, or above the profile's first scale
     prof = _scale_profile(model, max(j_max, _profile_start_scale(model)) + 90)
     parametric = isinstance(_unwrap(model)[0], Parametric)
+    scales, terms = _R_terms(prof, max(0, prof.j_lo))
+    # log(M**(-d k) log(1 + zhat_k)), the same -30 branch as the R terms
+    log_M = math.log(geo.M)
+    tail_terms = [t - geo.d * k * log_M for k, t in zip(scales, terms)]
     rows = []
     for j in range(0, j_max + 1):
         vol = float(geo.M) ** (geo.d * j)
         # zhat vanishes below the profile: R_j there is R of its first scale
-        r = _log_R(prof, max(j, prof.j_lo))
+        i = bisect_left(scales, j)
+        r = _log_R(terms[i:])
         if r is None:
             rows.append({"j": j, "log_R": -math.inf, "scaled_log_R": -math.inf,
                          "residual": None})
@@ -1055,12 +1068,7 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
             S = math.exp(min(log_S, 700.0))
             corr = log_R - log_S if log_S > -30 and S < 700 else 0.0
             delta = (lead - prof.log_zhat[j]) + math.log1p(rel) + corr
-            log_tail_terms = [math.log(prof.log1p_zhat[k]) - geo.d * k * math.log(geo.M)
-                              if prof.log1p_zhat[k] > 0 and prof.log_zhat[k] >= -30
-                              else prof.log_zhat[k] - geo.d * k * math.log(geo.M)
-                              for k in range(j, prof.j_hi + 1)
-                              if prof.log_zhat[k] > -math.inf]
-            log_tail_p = logsumexp_iter(log_tail_terms)
+            log_tail_p = logsumexp_iter(tail_terms[i:])
             tail_contrib = math.exp(geo.d * j * math.log(geo.M) + log_tail_p) \
                 if log_tail_p > -math.inf else 0.0
             row["residual"] = delta + tail_contrib

@@ -13,7 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from operator import add
 from typing import Callable, Optional
 
 # Index components are kept exact but bounded; anything larger is almost
@@ -112,18 +111,25 @@ def subtree_levels(b: Block, bottom: int, geo: Geometry,
     from b.scale down.  Each list holds the children, in lexicographic order,
     of the tuples above it for which `expand(scale, index)` is true; without
     `expand`, of every tuple, so the children of the i-th tuple of a list are
-    the slice [i*B:(i+1)*B] of the next (B = M**d).  Raises IndexRangeError
-    before any work when an index at `bottom` would reach INDEX_LIMIT.
+    the slice [i*B:(i+1)*B] of the next (B = M**d).  A level is built one
+    coordinate column at a time, x * M + o for each x of the column above and
+    each child offset o in that coordinate, and zipped into tuples.  Raises
+    IndexRangeError before any work when an index at `bottom` would reach
+    INDEX_LIMIT.
     """
     M = geo.M
     if b.scale > bottom and (max(b.index) + 1) * M ** (b.scale - bottom) > INDEX_LIMIT:
         raise IndexRangeError(f"index at scale {bottom} below {b} exceeds 2**128")
-    offsets = list(itertools.product(range(M), repeat=geo.d))
+    # the per-coordinate columns of the child offsets, in lexicographic order
+    offsets = list(zip(*itertools.product(range(M), repeat=geo.d)))
     levels = [[b.index]]
+    columns = [[x] for x in b.index]
     for scale in range(b.scale, bottom, -1):
-        above = levels[-1] if expand is None else [m for m in levels[-1] if expand(scale, m)]
-        levels.append([tuple(map(add, base, offs))
-                       for base in ([x * M for x in m] for m in above) for offs in offsets])
+        if expand is not None:
+            columns = list(zip(*[m for m in levels[-1] if expand(scale, m)])) or [()] * geo.d
+        columns = [[x * M + o for x in column for o in offs]
+                   for column, offs in zip(columns, offsets)]
+        levels.append(list(zip(*columns)))
     return levels
 
 

@@ -11,6 +11,7 @@ when a child's log Xi is +inf (see `analytics.TruncatedSystem`).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -86,4 +87,4 @@ def logsumexp_iter(values) -> float:
     hi = max(vals)
     if hi == math.inf:
         return math.inf
-    return hi + math.log(ordered_sum(math.exp(v - hi) for v in vals))
+    return hi + math.log(ordered_sum(map(math.exp, map(operator.sub, vals, itertools.repeat(hi)))))

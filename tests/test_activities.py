@@ -14,7 +14,7 @@ from hiercubes.activities import (ActivityModel, EffectiveDesign, Explicit, Form
                                   activity_from_effective, load_model,
                                   model_from_json_obj, truncate_scale,
                                   truncate_volume)
-from hiercubes.analytics import scale_profile
+from hiercubes.analytics import critical_mu, scale_profile
 from hiercubes.logreal import log1p_exp
 
 GEO = Geometry(1)
@@ -84,6 +84,21 @@ def test_parametric_alpha_validation():
         Parametric(GEO, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         Parametric(GEO, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["mu", "J"])
+def test_parametric_non_finite_parameters_rejected(name, bad):
+    # a NaN mu used to run condition (ii) to its scale cap, and a NaN J to
+    # break the bisection bracket of critical_mu
+    params = {"mu": 0.0, "J": 1.0, name: bad}
+    with pytest.raises(ValueError, match="mu and J must be finite"):
+        Parametric(GEO, alpha=0.5, **params)
+    with pytest.raises(ValueError, match="mu and J must be finite"):
+        model_from_json_obj({"kind": "parametric", "d": 1, "M": 2, "alpha": 0.5, **params})
+    if name == "J":
+        with pytest.raises(ValueError, match="mu and J must be finite"):
+            critical_mu(bad, 0.5, 1e-6)
 
 
 # -- explicit and formula -----------------------------------------------------

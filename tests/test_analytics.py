@@ -26,7 +26,8 @@ from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  pressure_profile, scale_profile,
                                  series_summand_bounds, tail_ratio_R)
 from hiercubes.cli import _validation_matrix
-from hiercubes.logreal import logaddexp
+from hiercubes.logreal import (log1p_exp, log_expm1, logaddexp, logsumexp_iter,
+                              ordered_sum)
 from hiercubes.sampler import ancestor_chain_cdf, sample_gibbs_infinite
 
 from test_activities import CountingModel
@@ -539,6 +540,96 @@ def test_decay_profile_scaled_log_R_limit():
     gap = prof.theta_star - prof.pressure
     j, val = rows[-1]["j"], rows[-1]["scaled_log_R"]
     assert abs(val - gap) < 2.0 ** (-0.5 * j) * 1.5 + 1e-12
+
+
+def _per_row_log_R(prof, j):
+    # reference: R_j folded in one pass over the scales j..j_hi of its own row
+    terms = []
+    for k in range(j, prof.j_hi + 1):
+        lzh = prof.log_zhat[k]
+        if lzh == -math.inf:
+            continue
+        if lzh < -30:
+            terms.append(lzh)
+        else:
+            terms.append(math.log(log1p_exp(lzh)))
+    if not terms:
+        return None
+    lead = max(terms)
+    rel = ordered_sum(math.exp(t - lead) for t in terms) - 1.0
+    log_S = lead + math.log1p(rel)
+    if log_S > -30:
+        S = math.exp(min(log_S, 700.0))
+        return (log_expm1(S) if S < 700 else S), lead, rel
+    return log_S, lead, rel
+
+
+def _per_row_decay_profile(model, j_max):
+    # reference: each row builds its own R terms and pressure-tail terms
+    geo = model.geometry
+    prof = scale_profile(model, max(j_max, analytics._profile_start_scale(model)) + 90)
+    parametric = isinstance(analytics._unwrap(model)[0], Parametric)
+    rows = []
+    for j in range(0, j_max + 1):
+        vol = float(geo.M) ** (geo.d * j)
+        r = _per_row_log_R(prof, max(j, prof.j_lo))
+        if r is None:
+            rows.append({"j": j, "log_R": -math.inf, "scaled_log_R": -math.inf,
+                         "residual": None})
+            continue
+        log_R, lead, rel = r
+        row = {"j": j, "log_R": log_R, "scaled_log_R": log_R / vol, "residual": None}
+        if parametric and prof.log_zhat.get(j, -math.inf) > -math.inf:
+            log_S = lead + math.log1p(rel)
+            S = math.exp(min(log_S, 700.0))
+            corr = log_R - log_S if log_S > -30 and S < 700 else 0.0
+            delta = (lead - prof.log_zhat[j]) + math.log1p(rel) + corr
+            log_tail_terms = [math.log(prof.log1p_zhat[k]) - geo.d * k * math.log(geo.M)
+                              if prof.log1p_zhat[k] > 0 and prof.log_zhat[k] >= -30
+                              else prof.log_zhat[k] - geo.d * k * math.log(geo.M)
+                              for k in range(j, prof.j_hi + 1)
+                              if prof.log_zhat[k] > -math.inf]
+            log_tail_p = logsumexp_iter(log_tail_terms)
+            tail_contrib = math.exp(geo.d * j * math.log(geo.M) + log_tail_p) \
+                if log_tail_p > -math.inf else 0.0
+            row["residual"] = delta + tail_contrib
+        rows.append(row)
+    return rows
+
+
+_DECAY_MODELS = {
+    "parametric-d1": Parametric(GEO, mu=-0.5, J=1.0, alpha=0.5),
+    "parametric-d1-near-threshold": Parametric(GEO, mu=0.2, J=1.2, alpha=0.45),
+    "parametric-d2": Parametric(GEO2, mu=-0.2, J=1.0, alpha=0.5),
+    "parametric-d2-alpha": Parametric(GEO2, mu=-1.0, J=0.8, alpha=0.7),
+    # geometric tails both ways, and no activity at scales 2 and 3
+    "homogeneous-gap-d1": Homogeneous.from_values(
+        GEO, {-2: 1.5 / 6.0 ** 2, -1: 1.5 / 6.0, 0: 1.5, 1: 0.4, 2: 0.0, 3: 0.0, 4: 2.5},
+        TailRule("geometric", 1 / 6.0), TailRule("geometric", 0.3)),
+    "homogeneous-gap-d2": Homogeneous.from_values(
+        GEO2, {0: 0.8, 1: 0.0, 2: 1.7}, TailRule("geometric", 0.07),
+        TailRule("geometric", 0.2)),
+    # nothing active below scale 3: the rows below it read R of scale 3
+    "first-scale-3": Homogeneous.from_values(
+        GEO, {3: 0.5, 4: 0.0, 5: 1e-20, 6: 2.0}, tail_up=TailRule("geometric", 0.4)),
+}
+
+
+@pytest.mark.parametrize("name", list(_DECAY_MODELS))
+def test_decay_table_equals_the_per_row_fold(name):
+    model = _DECAY_MODELS[name]
+    rows = decay_profile(model, 12)
+    assert repr(rows) == repr(_per_row_decay_profile(model, 12))
+    first = analytics._profile_start_scale(model)
+    for j in range(max(first, 0), 14):
+        want = _per_row_log_R(scale_profile(model, max(j + 80, 80)), j)
+        assert repr(log_tail_ratio(model, j)) == repr(-math.inf if want is None else want[0])
+    # the cases above reach both sides of the -30 branch of the R terms
+    prof = scale_profile(model, 102)
+    lzh = [prof.log_zhat[k] for k in range(max(first, 0), 103)]
+    assert any(-math.inf < v < -30 for v in lzh) and any(v >= -30 for v in lzh)
+    # and every non-parametric case has a scale with no activity among its first
+    assert name.startswith("parametric") != any(v == -math.inf for v in lzh[:8])
 
 
 # -- series sandwich bounds ------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -434,6 +435,21 @@ def test_activity_data_of_another_dimension_rejected(tmp_path, obj, says):
     res = run_cli("analyze", "--model", m, "--out", str(tmp_path / "o"))
     assert res.returncode == EXIT_VALIDATION
     assert "Traceback" not in res.stderr and f"error: {says}" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical", "--J", "nan", "--alpha", "0.5"],
+    ["critical", "--J=-inf", "--alpha", "0.5"],
+    ["analyze", "--model", {**PARAMETRIC, "mu": math.nan}],
+    ["analyze", "--model", {**PARAMETRIC, "J": math.inf}],
+], ids=["critical-J-nan", "critical-J-minus-inf", "analyze-mu-nan", "analyze-J-inf"])
+def test_non_finite_parametric_rejected(tmp_path, argv):
+    # json writes NaN and Infinity, which the model loader reads back
+    argv = [write_model(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    res = run_cli(*argv, "--out", str(tmp_path / "o"))
+    assert res.returncode == EXIT_VALIDATION
+    assert "Traceback" not in res.stderr and "error: mu and J must be finite" in res.stderr
     assert not (tmp_path / "o").exists()
 
 

@@ -1,13 +1,15 @@
-"""Every module-level import of the package is used by its module, and every
-private module-level function or class and every UPPER_CASE module-level
-constant is named somewhere in the package besides its own definition, so a
-replaced helper or a leftover constant cannot linger.
+"""Every module-level import of the package is used by its module and names
+the standard library or the package itself, and every private module-level
+function or class and every UPPER_CASE module-level constant is named
+somewhere in the package besides its own definition, so a replaced helper or
+a leftover constant cannot linger.
 
 Uses only the standard library (`ast`), so it needs no linter.  The package's
 `__init__.py` re-exports names and is exempt from the import check.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -38,6 +40,30 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level packages named by the module's top-level imports that are
+    neither in the standard library nor relative."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - sys.stdlib_module_names)
+
+
+def test_non_stdlib_imports_are_found():
+    src = ("from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+           "from scipy.special import expit\nfrom . import blocks\nfrom .logreal import x\n")
+    assert non_stdlib_imports(src) == ["numpy", "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=[p.stem for p in sorted(PACKAGE.glob("*.py"))])
+def test_package_has_no_runtime_dependency(path):
+    assert non_stdlib_imports(path.read_text()) == []
 
 
 def names_in(node: ast.AST) -> Counter:
