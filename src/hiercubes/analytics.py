@@ -1116,10 +1116,15 @@ def critical_mu(J: float, alpha: float, tol: float,
 
     Returns mu_c (math.inf when the predicate holds up to the bracket cap),
     the bisection trace, and whether a Gibbs measure appears to survive at
-    mu_c (True/False/"undecided").
+    mu_c (True/False/"undecided").  tol, J and alpha are checked before any
+    mu is tried, so an error names the argument the caller gave.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not math.isfinite(J):
+        raise ValueError(f"J must be finite, got J={J}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0,1), got alpha={alpha}")
     geo = geometry or Geometry(1)
     lo, hi = bracket
     trace = []

@@ -106,10 +106,11 @@ def ancestor_at(b: Block, scale: int, geo: Geometry) -> Block:
 
 
 def subtree_levels(b: Block, bottom: int, geo: Geometry,
-                   expand: Optional[Callable[[int, tuple], bool]] = None) -> list[list]:
+                   expand: Optional[Callable[[int, list], list]] = None) -> list[list]:
     """b's subtree down to scale `bottom` as index tuples, one list per scale
     from b.scale down.  Each list holds the children, in lexicographic order,
-    of the tuples above it for which `expand(scale, index)` is true; without
+    of the tuples that `expand(scale, level)` returns for the list above it,
+    a sublist in its order, with one call per list above the bottom; without
     `expand`, of every tuple, so the children of the i-th tuple of a list are
     the slice [i*B:(i+1)*B] of the next (B = M**d).  A level is built one
     coordinate column at a time, x * M + o for each x of the column above and
@@ -126,7 +127,7 @@ def subtree_levels(b: Block, bottom: int, geo: Geometry,
     columns = [[x] for x in b.index]
     for scale in range(b.scale, bottom, -1):
         if expand is not None:
-            columns = list(zip(*[m for m in levels[-1] if expand(scale, m)])) or [()] * geo.d
+            columns = list(zip(*expand(scale, levels[-1]))) or [()] * geo.d
         columns = [[x * M + o for x in column for o in offs]
                    for column, offs in zip(columns, offsets)]
         levels.append(list(zip(*columns)))

@@ -5,12 +5,17 @@ All randomness comes from a counter-based generator: a keyed blake2b hash of
 a pure function of their coordinates, so serial and parallel runs, and any
 chunking of a batch, produce bit-identical results.
 
-The top-down walk runs level by level, from the window down, on the
-(scale, index) tuples of `blocks.subtree_levels`, with index a plain int
-tuple; a `Block` is built only for an occupied block.  A draw costs one
+The top-down walk runs a level at a time, from the window down, on the
+index tuples of `blocks.subtree_levels`: each call of its level filter draws
+the uniforms of one level, reads that level's occupation ratios in one
+lookup, and returns the vacant tuples, whose children form the next level.
+A draw is the sorted list of its occupied (scale, index) pairs, with index a
+plain int tuple.  The samplers that return a `Configuration` build a `Block`
+only for those pairs; `estimate` builds none, and matches each probe, a
+frozenset of pairs, against the set of a draw's pairs.  A draw costs one
 uniform (a copy of the cached keyed hash state of its seed and sample index,
-fed the block's tokens) and one ratio lookup per visited block, and its
-validation O(distinct ancestors of the occupied blocks).
+fed the block's tokens) per visited block, and its validation O(distinct
+ancestors of the occupied blocks).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Callable, Iterable, Optional
 
 from .blocks import Block, Geometry, format_block, subtree_levels
@@ -136,6 +142,15 @@ def _keyed_state(seed: int, index: int):
     return h
 
 
+# the sample indices the uniforms can hash: 8 bytes, signed
+_INDEX_RANGE = range(-2**63, 2**63)
+
+
+def _check_index(name: str, value: int) -> None:
+    if value not in _INDEX_RANGE:
+        raise ValueError(f"{name} must lie in [-2**63, 2**63), got {value}")
+
+
 def _uniform(seed: int, index: int, *tokens) -> float:
     """Deterministic uniform in [0,1) keyed by (seed, sample index, tokens).
 
@@ -153,15 +168,17 @@ def _uniform(seed: int, index: int, *tokens) -> float:
 # samplers
 # ---------------------------------------------------------------------------
 
-_Ratio = Callable[[int, tuple], float]
+# (scale, level) -> the occupation ratio of each index tuple of the level
+_Ratios = Callable[[int, list], list]
 
 
-def _ratio_lookup(sys: TruncatedSystem) -> _Ratio:
-    """The (scale, index) -> occupation ratio lookup of a truncated system.
+def _ratio_lookup(sys: TruncatedSystem) -> _Ratios:
+    """The (scale, level) -> occupation ratios lookup of a truncated system,
+    one ratio per index tuple of the level, in its order.
 
     Scale lane (the model is scale-wise constant in the window): one
     `sys.rho` per scale, taken on the scale's first block in the window.
-    Block lane: `sys.rho` of the block, computed on its first visit and kept.
+    Block lane: `sys.rho` of each block, computed on its first visit and kept.
     """
     window = sys.window
     if sys.model.homogeneous_within(window):
@@ -169,51 +186,56 @@ def _ratio_lookup(sys: TruncatedSystem) -> _Ratio:
         for j in range(window.scale, -sys.depth - 1, -1):
             shift = sys.geo.M ** (window.scale - j)
             by_scale[j] = sys.rho(Block(j, tuple(m * shift for m in window.index)))
-        return lambda scale, index: by_scale[scale]
+        return lambda scale, level: [by_scale[scale]] * len(level)
     memo: dict = {}
 
-    def block_rho(scale: int, index: tuple) -> float:
-        r = memo.get((scale, index))
+    def block_rho(scale: int, m: tuple) -> float:
+        r = memo.get((scale, m))
         if r is None:
-            r = memo[scale, index] = sys.rho(Block(scale, index))
+            r = memo[scale, m] = sys.rho(Block(scale, m))
         return r
-    return block_rho
+    return lambda scale, level: [block_rho(scale, m) for m in level]
 
 
-def _sample_topdown(ratio: _Ratio, geo: Geometry, window: Block, depth: int,
-                    seed: int, index: int) -> list[Block]:
-    """One top-down draw: the occupied blocks, top scale first.
+def _sample_topdown(ratios: _Ratios, geo: Geometry, window: Block, depth: int,
+                    seed: int, index: int) -> list[tuple[int, tuple]]:
+    """One top-down draw: the occupied (scale, index) pairs, sorted as their
+    `Block`s sort.
 
     Walks the levels of `blocks.subtree_levels` from the window down to
-    scale -depth.  Each visited block draws one uniform and is occupied when
-    it falls below `ratio(scale, index)`, which prunes its subtree; otherwise
-    its children are visited on the next level.  Raises IndexRangeError
-    before drawing when a bottom-scale index would reach INDEX_LIMIT.
+    scale -depth, a whole level per call of its filter.  Each visited block
+    draws one uniform and is occupied when it falls below its entry of
+    `ratios(scale, level)`, which prunes its subtree; otherwise its children
+    are visited on the next level.  Raises IndexRangeError before drawing
+    when a bottom-scale index would reach INDEX_LIMIT.
     """
-    out: list[Block] = []
+    occupied: list[tuple[int, tuple]] = []
 
-    def vacant(scale: int, m: tuple) -> bool:
-        if _uniform(seed, index, "occ", scale, m) < ratio(scale, m):
-            out.append(Block(scale, m))        # occupied: prune the subtree
-            return False
-        return True
+    def vacant(scale: int, level: list) -> list:
+        keep = []
+        for m, r in zip(level, ratios(scale, level)):
+            if _uniform(seed, index, "occ", scale, m) < r:
+                occupied.append((scale, m))     # prunes the subtree
+            else:
+                keep.append(m)
+        return keep
 
     bottom = -depth
-    for m in subtree_levels(window, bottom, geo, vacant)[-1]:
-        vacant(bottom, m)                      # the walk expands no bottom tuple
-    return out
+    vacant(bottom, subtree_levels(window, bottom, geo, vacant)[-1])
+    occupied.sort()
+    return occupied
 
 
 def _finite_sampler(model: ActivityModel, window: Block,
                     depth: int) -> Callable[[int, int], Configuration]:
     """`draw(seed, index)`: draws from the law of the doubly truncated system
     that share one `TruncatedSystem` and one ratio lookup, built here."""
-    ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
+    ratios = _ratio_lookup(TruncatedSystem(model, window, depth))
     geo = model.geometry
 
     def draw(seed: int, index: int) -> Configuration:
-        blocks = _sample_topdown(ratio, geo, window, depth, seed, index)
-        return _make_config(blocks, window, depth, seed, geo)
+        pairs = _sample_topdown(ratios, geo, window, depth, seed, index)
+        return _make_config(starmap(Block, pairs), window, depth, seed, geo)
     return draw
 
 
@@ -225,6 +247,7 @@ def sample_gibbs(model: ActivityModel, window: Block, depth: int, seed: int,
     from the truncated activity, so the sampled law is exactly the truncated
     one); recurse into the children otherwise.
     """
+    _check_index("index", index)
     return _finite_sampler(model, window, depth)(seed, index)
 
 
@@ -234,8 +257,10 @@ def sample_mandelbrot(p: float, geo: Geometry, window: Block, depth: int,
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
     _check_system(geo, window, depth)
-    blocks = _sample_topdown(lambda scale, m: p, geo, window, depth, seed, index)
-    return _make_config(blocks, window, depth, seed, geo)
+    _check_index("index", index)
+    pairs = _sample_topdown(lambda scale, level: [p] * len(level), geo, window,
+                            depth, seed, index)
+    return _make_config(starmap(Block, pairs), window, depth, seed, geo)
 
 
 def sample_bernoulli_max(ratios: dict[Block, float], geo: Geometry,
@@ -318,6 +343,7 @@ def sample_gibbs_infinite(model: ActivityModel, window: Block, depth: int,
     window; when an ancestor is occupied the draw reports only the covering
     scale, otherwise the finite sampler runs inside the window.
     """
+    _check_index("index", index)
     return _infinite_sampler(model, window, depth)(seed, index)
 
 
@@ -366,22 +392,27 @@ def estimate(model: ActivityModel, window: Block, depth: int, N: int,
 
     Each draw is keyed by its absolute sample index, so splitting [0, N) into
     chunks (via `start_index`) and merging reproduces the serial result
-    exactly.
+    exactly.  A draw is kept as the set of its occupied (scale, index) pairs
+    and a probe hits when its pairs, as a frozenset, are a subset of it: an
+    empty probe hits every draw, and a block outside the system none.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_index("start_index", start_index)
+    _check_index("start_index + N - 1", start_index + N - 1)
     probes = {pid: tuple(sorted(bs)) for pid, bs in probes.items()}
-    ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
+    wanted = [(pid, frozenset((b.scale, b.index) for b in bs))
+              for pid, bs in probes.items()]
+    ratios = _ratio_lookup(TruncatedSystem(model, window, depth))
     geo = model.geometry
     hits = {pid: 0 for pid in probes}
     empty = 0
     for i in range(start_index, start_index + N):
-        blocks = _sample_topdown(ratio, geo, window, depth, seed, i)
-        got = set(blocks)
+        got = set(_sample_topdown(ratios, geo, window, depth, seed, i))
         if not got:
             empty += 1
-        for pid, bs in probes.items():
-            if all(b in got for b in bs):
+        for pid, want in wanted:
+            if want <= got:
                 hits[pid] += 1
     return SampleBatch(N, hits, empty, probes)
 
@@ -390,6 +421,10 @@ def estimate_chunked(model: ActivityModel, window: Block, depth: int, N: int,
                      probes: dict[str, Iterable[Block]], seed: int,
                      chunks: int = 1) -> SampleBatch:
     """Chunked batch estimation; the aggregate is independent of `chunks`."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if chunks < 1:
+        raise ValueError(f"chunks must be >= 1, got {chunks}")
     sizes = [N // chunks + (1 if i < N % chunks else 0) for i in range(chunks)]
     out: Optional[SampleBatch] = None
     start = 0

@@ -9,11 +9,12 @@ import json
 import math
 import time
 from collections import Counter
+from itertools import starmap
 
 import pytest
 from scipy.stats import chi2
 
-from hiercubes.blocks import Geometry, block
+from hiercubes.blocks import Block, Geometry, block
 from hiercubes.activities import (EffectiveDesign, Explicit, Homogeneous,
                                   Parametric, TailRule)
 from hiercubes.analytics import (TruncatedSystem, critical_mu, decay_profile,
@@ -81,8 +82,8 @@ def test_criterion_3_sampler_chi_square():
     crit = chi2.ppf(1 - 1e-3, len(dist.support) - 1)
     expected = {cfg: n * p for cfg, p in zip(dist.support, dist.probs)}
 
-    ratio = _ratio_lookup(TruncatedSystem(m, W, 2))
-    h_top = Counter(frozenset(_sample_topdown(ratio, GEO, W, 2, 1001, i))
+    ratios = _ratio_lookup(TruncatedSystem(m, W, 2))
+    h_top = Counter(frozenset(starmap(Block, _sample_topdown(ratios, GEO, W, 2, 1001, i)))
                     for i in range(n))
     stat_top = sum((h_top.get(cfg, 0) - e) ** 2 / e
                    for cfg, e in expected.items())

@@ -97,7 +97,8 @@ def test_parametric_non_finite_parameters_rejected(name, bad):
     with pytest.raises(ValueError, match="mu and J must be finite"):
         model_from_json_obj({"kind": "parametric", "d": 1, "M": 2, "alpha": 0.5, **params})
     if name == "J":
-        with pytest.raises(ValueError, match="mu and J must be finite"):
+        # refused before the bisection tries a mu the caller never gave
+        with pytest.raises(ValueError, match=r"^J must be finite, got J="):
             critical_mu(bad, 0.5, 1e-6)
 
 

@@ -701,6 +701,22 @@ def test_critical_mu_validation():
             critical_mu(1.0, 0.5, tol=tol)
 
 
+@pytest.mark.parametrize("J,alpha,says", [
+    (math.nan, 0.5, r"^J must be finite, got J=nan$"),
+    (math.inf, 0.5, r"^J must be finite, got J=inf$"),
+    (-math.inf, 0.5, r"^J must be finite, got J=-inf$"),
+    (1.0, 0.0, r"^alpha must lie in \(0,1\), got alpha=0.0$"),
+    (1.0, 1.0, r"^alpha must lie in \(0,1\), got alpha=1.0$"),
+    (1.0, math.nan, r"^alpha must lie in \(0,1\), got alpha=nan$"),
+], ids=["J-nan", "J-inf", "J-minus-inf", "alpha-0", "alpha-1", "alpha-nan"])
+def test_critical_mu_checks_J_and_alpha_before_bisecting(monkeypatch, J, alpha, says):
+    # the message names the argument, not the end of the bisection bracket
+    monkeypatch.setattr(analytics, "_gibbs_predicate",
+                        lambda *args: pytest.fail("bisection started"))
+    with pytest.raises(ValueError, match=says):
+        critical_mu(J, alpha, tol=1e-6)
+
+
 # -- scale profile sanity ---------------------------------------------------------
 
 def test_scale_profile_pressure_partials_increase():

@@ -210,17 +210,19 @@ def test_subtree_levels_match_a_plain_recursion(geo, scale, levels, corner, salt
     bottom = scale - levels
 
     def expand(j, m):
-        calls.append((j, m))
         return not prune or (sum(m) + j + salt) % 3 != 0
+
+    def expand_level(j, level):
+        calls.append((j, list(level)))
+        return [m for m in level if expand(j, m)]
 
     calls = []
     want = [[] for _ in range(levels + 1)]
     _plain_levels(b.index, scale, bottom, geo, expand, want)
-    calls.clear()
-    got = subtree_levels(b, bottom, geo, expand if prune else None)
+    got = subtree_levels(b, bottom, geo, expand_level if prune else None)
     assert got == want
-    if prune:   # one call per tuple above the bottom, in list order
-        assert calls == [(scale - k, m) for k, level in enumerate(got[:levels]) for m in level]
+    if prune:   # one call per list above the bottom, with that list
+        assert calls == [(scale - k, level) for k, level in enumerate(got[:levels])]
         return
     B = geo.branching
     for k, level in enumerate(got[:-1]):

@@ -438,19 +438,33 @@ def test_activity_data_of_another_dimension_rejected(tmp_path, obj, says):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["critical", "--J", "nan", "--alpha", "0.5"],
-    ["critical", "--J=-inf", "--alpha", "0.5"],
-    ["analyze", "--model", {**PARAMETRIC, "mu": math.nan}],
-    ["analyze", "--model", {**PARAMETRIC, "J": math.inf}],
+@pytest.mark.parametrize("argv,says", [
+    # critical names J: it gives no mu, so none may appear in the message
+    (["critical", "--J", "nan", "--alpha", "0.5"], "error: J must be finite, got J=nan\n"),
+    (["critical", "--J=-inf", "--alpha", "0.5"], "error: J must be finite, got J=-inf\n"),
+    (["analyze", "--model", {**PARAMETRIC, "mu": math.nan}], "error: mu and J must be finite"),
+    (["analyze", "--model", {**PARAMETRIC, "J": math.inf}], "error: mu and J must be finite"),
 ], ids=["critical-J-nan", "critical-J-minus-inf", "analyze-mu-nan", "analyze-J-inf"])
-def test_non_finite_parametric_rejected(tmp_path, argv):
+def test_non_finite_parametric_rejected(tmp_path, argv, says):
     # json writes NaN and Infinity, which the model loader reads back
     argv = [write_model(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     res = run_cli(*argv, "--out", str(tmp_path / "o"))
     assert res.returncode == EXIT_VALIDATION
-    assert "Traceback" not in res.stderr and "error: mu and J must be finite" in res.stderr
+    assert "Traceback" not in res.stderr and says in res.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("J,alpha,says", [
+    ("inf", "0.5", "J must be finite, got J=inf"),
+    ("1.0", "0", "alpha must lie in (0,1), got alpha=0.0"),
+    ("1.0", "1.5", "alpha must lie in (0,1), got alpha=1.5"),
+    ("1.0", "nan", "alpha must lie in (0,1), got alpha=nan"),
+], ids=["J-inf", "alpha-0", "alpha-above-1", "alpha-nan"])
+def test_critical_names_the_bad_argument(tmp_path, capsys, J, alpha, says):
+    out = tmp_path / "o"
+    assert main(["critical", "--J", J, "--alpha", alpha, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {says}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("obj,argv,says", [

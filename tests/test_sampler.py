@@ -219,14 +219,14 @@ def test_mandelbrot_sampler_degenerate():
             sample_mandelbrot(0.0, GEO, window, depth, seed=1)
 
 
-def _depth_first_draw(ratio, geo, window, depth, seed, index):
+def _depth_first_draw(ratios, geo, window, depth, seed, index):
     """The occupied blocks of a depth-first walk on `Block`s: a visited block
-    is occupied when its uniform falls below its ratio, and otherwise its
-    `children` are visited, down to scale -depth."""
+    is occupied when its uniform falls below its ratio, read as a level of
+    one, and otherwise its `children` are visited, down to scale -depth."""
     out, stack = [], [window]
     while stack:
         b = stack.pop()
-        if _uniform(seed, index, "occ", b.scale, b.index) < ratio(b.scale, b.index):
+        if _uniform(seed, index, "occ", b.scale, b.index) < ratios(b.scale, [b.index])[0]:
             out.append(b)
         elif b.scale > -depth:
             stack.extend(children(b, geo))
@@ -258,14 +258,49 @@ def mixed_systems(draw):
 def test_topdown_draws_match_a_depth_first_walk(system, seed):
     model, window, depth = system
     geo = model.geometry
-    ratio = _ratio_lookup(TruncatedSystem(model, window, depth))
+    ratios = _ratio_lookup(TruncatedSystem(model, window, depth))
     for index in range(8):
-        got = _sample_topdown(ratio, geo, window, depth, seed, index)
-        want = _depth_first_draw(ratio, geo, window, depth, seed, index)
-        assert len(got) == len(set(got)) and set(got) == set(want)
+        got = _sample_topdown(ratios, geo, window, depth, seed, index)
+        want = _depth_first_draw(ratios, geo, window, depth, seed, index)
+        assert got == sorted((b.scale, b.index) for b in want)
     for p in (0.3, 0.7):
-        got = _sample_topdown(lambda j, m: p, geo, window, depth, seed, 0)
-        assert set(got) == set(_depth_first_draw(lambda j, m: p, geo, window, depth, seed, 0))
+        constant = lambda j, level: [p] * len(level)
+        got = _sample_topdown(constant, geo, window, depth, seed, 0)
+        want = _depth_first_draw(constant, geo, window, depth, seed, 0)
+        assert got == sorted((b.scale, b.index) for b in want)
+
+
+@st.composite
+def probed_systems(draw):
+    """A small system with probes on its blocks and on blocks outside it: the
+    window's parent and next sibling, and a block below scale -depth."""
+    model, window, depth = draw(mixed_systems())
+    geo = model.geometry
+    below = Block(-depth - 1, tuple(m * geo.M ** (window.scale + depth + 1)
+                                    for m in window.index))
+    outside = [Block(window.scale + 1, tuple(m // geo.M for m in window.index)),
+               Block(window.scale, tuple(m + 1 for m in window.index)), below]
+    inside = descendants(window, -depth, geo)
+    pool = st.sampled_from(inside + outside)
+    probes = {"empty": [], "outside": [draw(st.sampled_from(outside))],
+              "twice": [draw(st.sampled_from(inside))] * 2}
+    probes.update(draw(st.dictionaries(st.text("abc", min_size=1, max_size=3),
+                                       st.lists(pool, max_size=4), max_size=6)))
+    return model, window, depth, probes
+
+
+@settings(max_examples=40, deadline=None)
+@given(probed_systems(), st.integers(0, 2**32), st.integers(0, 2**40))
+def test_estimate_counts_containment_in_the_drawn_configurations(system, seed, start):
+    model, window, depth, probes = system
+    n = 12
+    batch = estimate(model, window, depth, n, probes, seed, start_index=start)
+    drawn = [set(sample_gibbs(model, window, depth, seed, i).blocks)
+             for i in range(start, start + n)]
+    assert batch.probe_hits == {pid: sum(set(bs) <= got for got in drawn)
+                                for pid, bs in probes.items()}
+    assert batch.empty_count == sum(not got for got in drawn)
+    assert batch.probe_hits["empty"] == n and batch.probe_hits["outside"] == 0
 
 
 def test_sample_determinism():
@@ -310,6 +345,41 @@ def test_csv_rows_have_empty_marker():
 def test_estimate_requires_positive_N():
     with pytest.raises(ValueError):
         estimate(unit_model(), W, 1, N=0, probes={}, seed=1)
+
+
+@pytest.mark.parametrize("chunks", [0, -1])
+def test_estimate_chunked_requires_positive_chunks(chunks):
+    with pytest.raises(ValueError, match=f"^chunks must be >= 1, got {chunks}$"):
+        estimate_chunked(unit_model(), W, 1, N=10, probes={}, seed=1, chunks=chunks)
+    with pytest.raises(ValueError, match="^N must be >= 1$"):
+        estimate_chunked(unit_model(), W, 1, N=0, probes={}, seed=1)
+
+
+@pytest.mark.parametrize("index", [2**70, 2**63, -2**63 - 1])
+def test_sample_index_outside_the_hashed_range_rejected(index):
+    # the uniforms hash the sample index as 8 signed bytes
+    says = r"^index must lie in \[-2\*\*63, 2\*\*63\), got "
+    with pytest.raises(ValueError, match=says):
+        sample_gibbs(unit_model(), W, 1, seed=1, index=index)
+    with pytest.raises(ValueError, match=says):
+        sample_mandelbrot(0.5, GEO, W, 1, seed=1, index=index)
+    with pytest.raises(ValueError, match=says):
+        sample_gibbs_infinite(Parametric(GEO, mu=0.0, J=0.2, alpha=0.5), W, 1,
+                              seed=1, index=index)
+    with pytest.raises(ValueError, match="^start_index must lie in"):
+        estimate(unit_model(), W, 1, N=1, probes={}, seed=1, start_index=index)
+
+
+def test_sample_index_range_ends():
+    for index in (2**63 - 1, -2**63):
+        sample_gibbs(unit_model(), W, 1, seed=1, index=index)
+    batch = estimate(unit_model(), W, 1, N=4, probes={"t": [W]}, seed=1,
+                     start_index=2**63 - 4)
+    assert batch.count == 4
+    # the last index of a batch is checked too, before any draw
+    with pytest.raises(ValueError, match=r"^start_index \+ N - 1 must lie in .*, got "
+                                         + str(2**63)):
+        estimate(unit_model(), W, 1, N=5, probes={}, seed=1, start_index=2**63 - 4)
 
 
 # -- infinite-volume sampling -------------------------------------------------------
