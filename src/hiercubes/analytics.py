@@ -669,8 +669,7 @@ def _condition_i_scan(model: Formula, max_depth: int) -> ConditionVerdict:
                                             "divergent finite-Xi subcube mass")
 
 
-def check_condition_ii(model: ActivityModel,
-                       tol: float = DEFAULT_TOL) -> ConditionVerdict:
+def check_condition_ii(model: ActivityModel) -> ConditionVerdict:
     """Summability of effective activities along the ancestor chain of scale 0,
     read from profiles up to scale 64, doubled up to 512 until decided."""
     return _memoized(model, "condition_ii", 1, _condition_ii, model)
@@ -803,7 +802,7 @@ def _hard_core(blocks, geo: Geometry) -> bool:
 
 
 def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
-                   depth: int, tol: float = DEFAULT_TOL) -> float:
+                   depth: int) -> float:
     """P(omega contains all of `blocks`) under the hierarchical measure.
 
     With a `window`, the law of the doubly truncated activity; with
@@ -1012,18 +1011,18 @@ def _log_R(terms: list[float]) -> Optional[tuple[float, float, float]]:
 
 def log_tail_ratio(model: ActivityModel, j: int) -> float:
     """log R_j with R_j = prod_{k >= j}(1 + zhat_k) - 1, stable far below
-    double underflow, from the profile up to scale max(j, 0) + 80."""
+    double underflow, from the profile up to scale max(j, 0) + CHAIN_SCALES."""
     _require_scalewise(model, "scale profile")
     return _log_tail_ratio(model, j)
 
 
 def _log_tail_ratio(model: ActivityModel, j: int) -> float:
-    prof = _scale_profile(model, max(j + 80, 80))
+    prof = _scale_profile(model, max(j, 0) + CHAIN_SCALES)
     r = _log_R(_R_terms(prof, j)[1])
     return -math.inf if r is None else r[0]
 
 
-def tail_ratio_R(model: ActivityModel, j: int, tol: float = DEFAULT_TOL) -> float:
+def tail_ratio_R(model: ActivityModel, j: int) -> float:
     """R_j as a float (0.0 when it underflows; use log_tail_ratio then)."""
     _require_condition_ii(model, "tail ratio")
     lr = _log_tail_ratio(model, j)

@@ -27,7 +27,7 @@ from .oracle import (enumerate_system, gibbs_ratio_function,
                      mandelbrot_gnz_report, verify_gnz,
                      verify_hierarchical_formula, verify_topdown)
 from .render import render_svg
-from .sampler import _finite_sampler, _infinite_sampler, estimate_chunked
+from .sampler import _finite_sampler, _infinite_sampler, estimate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -138,8 +138,8 @@ def cmd_correlate(args) -> int:
         probes = {}
         for l, b1, b2 in pairs:
             probes.update({f"{l}:pair": [b1, b2], f"{l}:b1": [b1], f"{l}:b2": [b2]})
-        batch = estimate_chunked(model, window, args.depth, args.samples, probes,
-                                 seed=args.seed)
+        batch = estimate(model, window, args.depth, args.samples, probes,
+                         seed=args.seed)
         for l, b1, b2 in pairs:
             cv = pair_covariance(model, b1, b2, window, args.depth)
             p12, err = batch.estimate(f"{l}:pair")

@@ -3,7 +3,7 @@
 All randomness comes from a counter-based generator: a keyed blake2b hash of
 (seed, sample index, block) mapped to a uniform in [0,1).  Draws are therefore
 a pure function of their coordinates, so serial and parallel runs, and any
-chunking of a batch, produce bit-identical results.
+split of a batch into sample-index ranges, produce bit-identical results.
 
 The top-down walk runs a level at a time, from the window down, on the
 index tuples of `blocks.subtree_levels`: each call of its level filter draws
@@ -24,7 +24,7 @@ import functools
 import hashlib
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterable, Optional
 
@@ -269,6 +269,7 @@ def sample_bernoulli_max(ratios: dict[Block, float], geo: Geometry,
     """Cross-validation sampler: independent Bernoulli draws on every block,
     keeping only the maximal occupied ones.  Distributionally identical to
     the pruned top-down sampler for the same ratios."""
+    _check_index("index", index)
     occupied = [b for b, r in ratios.items()
                 if _uniform(seed, index, "occ", b.scale, b.index) < r]
     occ = {(b.scale, b.index) for b in occupied}
@@ -358,7 +359,6 @@ class SampleBatch:
     count: int
     probe_hits: dict[str, int]
     empty_count: int
-    probes: dict[str, tuple] = field(default_factory=dict)
 
     def estimate(self, probe_id: str) -> tuple[float, float]:
         """(frequency, binomial standard error) for a probe."""
@@ -367,22 +367,12 @@ class SampleBatch:
         return p, math.sqrt(p * (1 - p) / n)
 
     def merge(self, other: "SampleBatch") -> "SampleBatch":
+        """The batch of both draw ranges: for batches drawn over disjoint
+        `start_index` ranges, e.g. in separate processes, it equals the one
+        batch drawn over their union."""
         hits = {k: v + other.probe_hits[k] for k, v in self.probe_hits.items()}
         return SampleBatch(self.count + other.count, hits,
-                           self.empty_count + other.empty_count, self.probes)
-
-    def to_csv_rows(self) -> list[dict]:
-        rows = []
-        for pid in sorted(self.probe_hits):
-            est, err = self.estimate(pid)
-            rows.append({"probe": pid, "hits": self.probe_hits[pid],
-                         "N": self.count, "estimate": est, "stderr": err})
-        rows.append({"probe": "__empty__", "hits": self.empty_count,
-                     "N": self.count, "estimate": self.empty_count / self.count,
-                     "stderr": math.sqrt(max(self.empty_count / self.count
-                                             * (1 - self.empty_count / self.count), 0.0)
-                                         / self.count)})
-        return rows
+                           self.empty_count + other.empty_count)
 
 
 def estimate(model: ActivityModel, window: Block, depth: int, N: int,
@@ -391,21 +381,21 @@ def estimate(model: ActivityModel, window: Block, depth: int, N: int,
     """N independent draws with per-probe hit counts and an emptiness counter.
 
     Each draw is keyed by its absolute sample index, so splitting [0, N) into
-    chunks (via `start_index`) and merging reproduces the serial result
-    exactly.  A draw is kept as the set of its occupied (scale, index) pairs
-    and a probe hits when its pairs, as a frozenset, are a subset of it: an
-    empty probe hits every draw, and a block outside the system none.
+    ranges (via `start_index`) and combining their batches with
+    `SampleBatch.merge` reproduces the serial result exactly.  A draw is kept
+    as the set of its occupied (scale, index) pairs and a probe hits when its
+    pairs, as a frozenset, are a subset of it: an empty probe hits every
+    draw, and a block outside the system none.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_index("start_index", start_index)
     _check_index("start_index + N - 1", start_index + N - 1)
-    probes = {pid: tuple(sorted(bs)) for pid, bs in probes.items()}
     wanted = [(pid, frozenset((b.scale, b.index) for b in bs))
               for pid, bs in probes.items()]
     ratios = _ratio_lookup(TruncatedSystem(model, window, depth))
     geo = model.geometry
-    hits = {pid: 0 for pid in probes}
+    hits = {pid: 0 for pid, _ in wanted}
     empty = 0
     for i in range(start_index, start_index + N):
         got = set(_sample_topdown(ratios, geo, window, depth, seed, i))
@@ -414,25 +404,4 @@ def estimate(model: ActivityModel, window: Block, depth: int, N: int,
         for pid, want in wanted:
             if want <= got:
                 hits[pid] += 1
-    return SampleBatch(N, hits, empty, probes)
-
-
-def estimate_chunked(model: ActivityModel, window: Block, depth: int, N: int,
-                     probes: dict[str, Iterable[Block]], seed: int,
-                     chunks: int = 1) -> SampleBatch:
-    """Chunked batch estimation; the aggregate is independent of `chunks`."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if chunks < 1:
-        raise ValueError(f"chunks must be >= 1, got {chunks}")
-    sizes = [N // chunks + (1 if i < N % chunks else 0) for i in range(chunks)]
-    out: Optional[SampleBatch] = None
-    start = 0
-    for size in sizes:
-        if size == 0:
-            continue
-        b = estimate(model, window, depth, size, probes, seed, start_index=start)
-        out = b if out is None else out.merge(b)
-        start += size
-    assert out is not None
-    return out
+    return SampleBatch(N, hits, empty)

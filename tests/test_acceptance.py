@@ -25,8 +25,10 @@ from hiercubes.cli import main, run_validation_suite
 from hiercubes.oracle import (condensation_table, enumerate_system,
                               fragmentation_table, gibbs_ratio_function,
                               mandelbrot_gnz_report, verify_gnz)
-from hiercubes.sampler import (_ratio_lookup, _sample_topdown,
-                               estimate_chunked, sample_bernoulli_max)
+from hiercubes.sampler import (_ratio_lookup, _sample_topdown, estimate,
+                               sample_bernoulli_max)
+
+from test_sampler import estimate_in_splits
 
 GEO = Geometry(1)
 GEO2 = Geometry(2)
@@ -216,11 +218,12 @@ def test_criterion_10_reproducibility(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("configs.jsonl", "configs.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    # chunked Monte Carlo aggregation is worker-count independent
+    # Monte Carlo batches over any split of the sample indices merge to the
+    # serial batch, so the aggregate is worker-count independent
     m = unit_model()
     probes = {"q": [block(-2, 3)]}
-    serial = estimate_chunked(m, W, 2, 777, probes, seed=5, chunks=1)
-    for chunks in (2, 4, 8):
-        split = estimate_chunked(m, W, 2, 777, probes, seed=5, chunks=chunks)
+    serial = estimate(m, W, 2, 777, probes, seed=5)
+    for splits in (2, 4, 8):
+        split = estimate_in_splits(m, W, 2, 777, probes, 5, splits)
         assert split.probe_hits == serial.probe_hits
         assert split.empty_count == serial.empty_count

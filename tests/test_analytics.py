@@ -208,6 +208,29 @@ def test_condition_i_formula_decaying_holds():
     assert check_condition_i(m).holds
 
 
+def divergent_formula():
+    # 4**j on scales -11..0, 1 on every block below -11, 0 above scale 0
+    return Formula(GEO, lambda b: 0.0 if b.scale > 0 else
+                   4.0 ** b.scale if b.scale >= -11 else 1.0)
+
+
+def test_divergent_formula_has_infinite_partition_functions():
+    # the activity of the strict-xfail test below: its scale-wise twin fails
+    # condition (i), and log Xi of the window grows without bound with depth
+    twin = Homogeneous.from_values(GEO, {**{j: 4.0 ** j for j in range(-11, 1)}, -12: 1.0},
+                                   tail_down=TailRule("geometric", 1.0))
+    assert check_condition_i(twin).status == "fails"
+    log_xi = [partition_function(divergent_formula(), W, depth).log for depth in (8, 12)]
+    assert log_xi[0] == pytest.approx(1.19, abs=0.01)
+    assert log_xi[1] == pytest.approx(2839.1, abs=0.1)
+
+
+@pytest.mark.xfail(strict=True, reason="the condition (i) scan of a Formula certifies a "
+                                       "divergent activity (ROADMAP item 3)")
+def test_condition_i_scan_does_not_certify_a_divergent_formula():
+    assert check_condition_i(divergent_formula()).status != "holds"
+
+
 def test_condition_ii_auto_when_i_fails():
     m = Homogeneous.from_values(GEO, {0: 1.0},
                                 tail_down=TailRule("geometric", 0.5))

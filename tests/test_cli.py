@@ -17,7 +17,7 @@ from hiercubes.blocks import block, parse_block
 from hiercubes.cli import (EXIT_OK, EXIT_UNDECIDED, EXIT_VALIDATION,
                            _distance_pairs, build_parser, main,
                            run_validation_suite)
-from hiercubes.sampler import estimate_chunked, sample_gibbs, sample_gibbs_infinite
+from hiercubes.sampler import estimate, sample_gibbs, sample_gibbs_infinite
 
 
 def write_model(tmp_path, obj, name="model.json"):
@@ -220,8 +220,8 @@ def test_correlate_matches_per_pair_estimates(tmp_path):
     pairs = _distance_pairs(model.geometry, window, 4)
     assert [int(r["lcs_scale"]) for r in rows] == [l for l, _, _ in pairs]
     for r, (l, b1, b2) in zip(rows, pairs):
-        batch = estimate_chunked(model, window, 4, 300,
-                                 {"pair": [b1, b2], "b1": [b1], "b2": [b2]}, seed=4)
+        batch = estimate(model, window, 4, 300,
+                         {"pair": [b1, b2], "b1": [b1], "b2": [b2]}, seed=4)
         p12, err = batch.estimate("pair")
         assert float(r["cov_mc"]) == p12 - batch.estimate("b1")[0] * batch.estimate("b2")[0]
         assert float(r["stderr"]) == err

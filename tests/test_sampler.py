@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from collections import Counter
@@ -13,7 +14,7 @@ from hiercubes.activities import (EffectiveDesign, Explicit, Homogeneous,
 from hiercubes.oracle import enumerate_system, gibbs_ratio_function
 from hiercubes.sampler import (Configuration, InvalidConfiguration,
                                SampleBatch, ancestor_chain_cdf, estimate,
-                               estimate_chunked, sample_bernoulli_max,
+                               sample_bernoulli_max,
                                sample_gibbs, sample_gibbs_infinite,
                                sample_mandelbrot, _ratio_lookup, _sample_topdown,
                                _uniform)
@@ -323,36 +324,29 @@ def test_estimate_matches_exact_marginal():
     assert abs(empty - 1 / 26) < 0.01
 
 
+def estimate_in_splits(model, window, depth, N, probes, seed, splits):
+    """`estimate` over `splits` consecutive sample-index ranges of [0, N),
+    combined with `SampleBatch.merge`."""
+    cuts = [N * k // splits for k in range(splits + 1)]
+    return functools.reduce(SampleBatch.merge, (
+        estimate(model, window, depth, hi - lo, probes, seed, start_index=lo)
+        for lo, hi in zip(cuts, cuts[1:])))
+
+
 def test_chunking_invariance():
     model = unit_model()
     probes = {"q": [block(-2, 1)]}
     serial = estimate(model, W, 2, N=1111, probes=probes, seed=9)
-    for chunks in (2, 3, 7):
-        split = estimate_chunked(model, W, 2, N=1111, probes=probes, seed=9,
-                                 chunks=chunks)
+    for splits in (2, 3, 7):
+        split = estimate_in_splits(model, W, 2, 1111, probes, 9, splits)
         assert split.probe_hits == serial.probe_hits
         assert split.empty_count == serial.empty_count
         assert split.count == serial.count
 
 
-def test_csv_rows_have_empty_marker():
-    batch = estimate(unit_model(), W, 1, N=100, probes={"t": [W]}, seed=1)
-    rows = batch.to_csv_rows()
-    assert rows[-1]["probe"] == "__empty__"
-    assert {"probe", "hits", "N", "estimate", "stderr"} <= set(rows[0])
-
-
 def test_estimate_requires_positive_N():
     with pytest.raises(ValueError):
         estimate(unit_model(), W, 1, N=0, probes={}, seed=1)
-
-
-@pytest.mark.parametrize("chunks", [0, -1])
-def test_estimate_chunked_requires_positive_chunks(chunks):
-    with pytest.raises(ValueError, match=f"^chunks must be >= 1, got {chunks}$"):
-        estimate_chunked(unit_model(), W, 1, N=10, probes={}, seed=1, chunks=chunks)
-    with pytest.raises(ValueError, match="^N must be >= 1$"):
-        estimate_chunked(unit_model(), W, 1, N=0, probes={}, seed=1)
 
 
 @pytest.mark.parametrize("index", [2**70, 2**63, -2**63 - 1])
@@ -366,6 +360,8 @@ def test_sample_index_outside_the_hashed_range_rejected(index):
     with pytest.raises(ValueError, match=says):
         sample_gibbs_infinite(Parametric(GEO, mu=0.0, J=0.2, alpha=0.5), W, 1,
                               seed=1, index=index)
+    with pytest.raises(ValueError, match=says):
+        sample_bernoulli_max({W: 0.5}, GEO, W, 0, seed=1, index=index)
     with pytest.raises(ValueError, match="^start_index must lie in"):
         estimate(unit_model(), W, 1, N=1, probes={}, seed=1, start_index=index)
 
@@ -542,12 +538,11 @@ ESTIMATE_HITS = {"top": 0, "mid": 8, "pair": 19, "deep": 160}
 ESTIMATE_EMPTY = 0
 
 
-@pytest.mark.parametrize("chunks", [1, 3])
-def test_estimate_hits_are_pinned(chunks):
+@pytest.mark.parametrize("splits", [1, 3])
+def test_estimate_hits_are_pinned(splits):
     probes = {"top": [W], "mid": [block(-3, 2)], "pair": [block(-4, 0), block(-4, 15)],
               "deep": [block(-5, 7)]}
-    batch = estimate_chunked(unit_model(), W, 5, N=400, probes=probes, seed=12,
-                             chunks=chunks)
+    batch = estimate_in_splits(unit_model(), W, 5, 400, probes, 12, splits)
     assert (batch.probe_hits, batch.empty_count) == (ESTIMATE_HITS, ESTIMATE_EMPTY)
 
 
