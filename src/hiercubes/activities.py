@@ -173,7 +173,10 @@ class Homogeneous(ActivityModel):
 
     def min_active_scale(self) -> Optional[int]:
         active = [j for j, lv in self.log_table.items() if lv > -math.inf]
-        if self.tail_down.kind == "geometric" and self.log_table:
+        # a geometric tail continues the lowest table value, so it is zero
+        # when that value is
+        if self.tail_down.kind == "geometric" and self.log_table \
+                and self.log_table[min(self.log_table)] > -math.inf:
             return None
         return min(active) if active else 0
 

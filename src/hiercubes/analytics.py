@@ -180,7 +180,7 @@ class TruncatedSystem:
     def _profile(self) -> "ScaleProfile":
         """The scale lane, from -depth up to the window (read directly: a volume
         truncation, scale-wise constant in its window, has no `scale_profile`)."""
-        return _shared_profile(self.model, -self.depth, self.window.scale)
+        return _scale_profile(self.model, self.window.scale, self.depth)
 
     @cached_property
     def _table(self) -> dict[tuple[int, tuple[int, ...]], tuple[float, float]]:
@@ -344,30 +344,31 @@ def partition_function_limit(model: ActivityModel, window: Block,
                        False, depth // 2, "undecided: max depth exhausted")
 
 
-def _unwrap(model: ActivityModel) -> tuple[ActivityModel, bool]:
-    """The model inside its truncations, and whether one truncates scales."""
-    scale_truncated = False
+def _unwrap(model: ActivityModel) -> tuple[ActivityModel, list[Block], bool]:
+    """The model inside its truncations, the windows of its volume
+    truncations (outermost first), and whether one truncates scales: the one
+    walk over truncation layers, so no answer depends on their order."""
+    windows, scale_truncated = [], False
     while isinstance(model, (VolumeTruncated, ScaleTruncated)):
-        scale_truncated |= isinstance(model, ScaleTruncated)
+        if isinstance(model, VolumeTruncated):
+            windows.append(model.window)
+        else:
+            scale_truncated = True
         model = model.inner
-    return model, scale_truncated
+    return model, windows, scale_truncated
 
 
 def _downward_mass_diverges(model: ActivityModel, window: Block) -> bool:
     """Whether Xi of `window` is infinite in closed form: some block of the
-    window's subtree, the window itself or a volume-truncation window inside
-    it, has below it a Homogeneous activity, untruncated in scale, whose
-    downward mass sum diverges (condition (i) fails)."""
-    inner, scale_truncated = _unwrap(model)
+    window's subtree, the window itself or a volume-truncation window (from
+    `_unwrap`) inside it, has below it a Homogeneous activity, untruncated in
+    scale, whose downward mass sum diverges (condition (i) fails)."""
+    inner, windows, scale_truncated = _unwrap(model)
     if scale_truncated or not isinstance(inner, Homogeneous):
         return False
-    tops, m = [window], model
-    while isinstance(m, VolumeTruncated):
-        tops.append(m.window)
-        m = m.inner
     return (_condition_i_homogeneous(inner).status == "fails"
             and any(contains(window, b, model.geometry) and model.homogeneous_within(b)
-                    for b in tops))
+                    for b in [window, *windows]))
 
 
 # ---------------------------------------------------------------------------
@@ -421,22 +422,18 @@ def _build_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
             l1p = log1p_exp(lzh)
             # logaddexp(lz, below), sharing log1p_exp's log1p where lz <= below
             xi = below + l1p if lzh <= 0 else lz + math.log1p(math.exp(-lzh))
-            p += l1p / vol
+            if vol:
+                p += l1p / vol
+            elif l1p:   # M**(d j) underflows: the term from its log, saturating
+                log_term = math.log(l1p) - geo.d * j * math.log(geo.M)
+                p += math.exp(log_term) if log_term < 709 else math.inf
         log_xi[j] = xi
         log_zhat[j] = lzh
         log1p_zhat[j] = l1p
         p_partial[j] = p
-        vol *= branching
+        vol = vol * branching if vol else float(geo.M) ** (geo.d * (j + 1))
     return ScaleProfile(geo, j_lo, j_hi, log_z, log_xi, log_zhat, log1p_zhat,
                         p_partial)
-
-
-def _shared_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
-    """`_build_profile(model, j_lo, j_hi)`, read from the model's memo: shared,
-    read only, and its maps may run past j_hi."""
-    prof = _memoized(model, ("profile", j_lo), j_hi - j_lo + 1,
-                     _build_profile, model, j_lo, j_hi)
-    return prof if prof.j_hi == j_hi else replace(prof, j_hi=j_hi)
 
 
 def scale_profile(model: ActivityModel, j_hi: int,
@@ -457,9 +454,14 @@ def scale_profile(model: ActivityModel, j_hi: int,
 
 def _scale_profile(model: ActivityModel, j_hi: int,
                    depth: Optional[int] = None) -> ScaleProfile:
-    """`scale_profile`, read from the memo: shared, read only."""
+    """`scale_profile` without the refusal, read from the model's memo:
+    `_build_profile(model, j_lo, j_hi)`, j_lo = -depth or the start scale.
+    Shared and read only, its maps may run past j_hi.  The one path from any
+    reader to the profile memo, `TruncatedSystem`'s scale lane too."""
     j_lo = -depth if depth is not None else _profile_start_scale(model)
-    return _shared_profile(model, j_lo, j_hi)
+    prof = _memoized(model, ("profile", j_lo), j_hi - j_lo + 1,
+                     _build_profile, model, j_lo, j_hi)
+    return prof if prof.j_hi == j_hi else replace(prof, j_hi=j_hi)
 
 
 def _profile_start_scale(model: ActivityModel) -> int:
@@ -470,19 +472,22 @@ def _profile_start_scale(model: ActivityModel) -> int:
 
 
 def _walk_to_start_scale(model: ActivityModel) -> int:
-    # unbounded below: walk down until the per-scale pressure contribution
-    # M**(-d j) z_j drops under 1e-18; diverges if the downward mass does
+    # unbounded below: walk down, past the scales of zero activity, until the
+    # per-scale pressure contribution M**(-d j) z_j drops under 1e-18;
+    # diverges if the downward mass does
     geo = model.geometry
     j = 0
     for _ in range(2000):
-        contrib = model.log_activity_at_scale(j) - geo.d * j * math.log(geo.M)
-        if contrib < math.log(1e-18):
-            return j
-        nxt = model.log_activity_at_scale(j - 1) - geo.d * (j - 1) * math.log(geo.M)
-        if nxt >= contrib - 1e-15 and contrib > math.log(1e-18):
-            raise UncertifiedComputation(
-                "downward activity mass does not decay; partition functions "
-                "are infinite (condition (i) fails for this model)")
+        lz = model.log_activity_at_scale(j)
+        contrib = lz - geo.d * j * math.log(geo.M)
+        if lz > -math.inf:
+            if contrib < math.log(1e-18):
+                return j
+            nxt = model.log_activity_at_scale(j - 1) - geo.d * (j - 1) * math.log(geo.M)
+            if nxt >= contrib - 1e-15 and contrib > math.log(1e-18):
+                raise UncertifiedComputation(
+                    "downward activity mass does not decay; partition functions "
+                    "are infinite (condition (i) fails for this model)")
         j -= 1
     raise UncertifiedComputation("could not locate a negligible downward tail")
 
@@ -530,7 +535,7 @@ def check_condition_i(model: ActivityModel, max_depth: int = 24) -> ConditionVer
     downward mass sum M**(d j) z_{-j}; inhomogeneous models are scanned per
     the finite-partition-function subcube test.
     """
-    inner, scale_truncated = _unwrap(model)
+    inner, _, scale_truncated = _unwrap(model)
     if scale_truncated or isinstance(inner, (Parametric, EffectiveDesign)):
         return _NO_DOWNWARD_TAIL
     if isinstance(inner, Homogeneous):
@@ -682,18 +687,19 @@ def _condition_ii(model: ActivityModel) -> ConditionVerdict:
             "holds", detail="automatic: some partition function is infinite, so "
                             "effective activities vanish along the chain")
 
-    if isinstance(model, VolumeTruncated):
+    inner, windows, _ = _unwrap(model)
+    if windows:
         # zhat vanishes above the window: finite sum
         return ConditionVerdict("holds", detail="volume-truncated activity: "
                                                 "finitely many ancestors carry weight")
-    inner = _unwrap(model)[0]
     if isinstance(inner, Explicit) and inner.log_default == -math.inf:
         return ConditionVerdict("holds", detail="finitely many active blocks")
 
-    # a scale truncation changes effective activities: design models take
-    # the closed form only untruncated
-    if isinstance(model, EffectiveDesign):
-        return _condition_ii_design(model)
+    # a scale truncation that cuts an active scale changes the effective
+    # activities: design models take the closed form only when none is cut
+    if isinstance(inner, EffectiveDesign) \
+            and model.min_active_scale() == inner.min_active_scale():
+        return _condition_ii_design(inner)
 
     if not model.is_homogeneous:
         return ConditionVerdict("undecided",
@@ -717,15 +723,11 @@ def _require_scalewise(model: ActivityModel, what: str) -> None:
 
 
 def _require_condition_ii(model: ActivityModel, what: str) -> None:
-    """The one certification gate of the infinite-volume computations: refuse
-    a model that is not scale-wise constant, then certify it."""
+    """The one certification gate of the infinite-volume computations, which
+    each calls once on entry, before it answers anything: refuse a model that
+    is not scale-wise constant (ValueError), then raise
+    UncertifiedComputation unless condition (ii) holds for it."""
     _require_scalewise(model, what)
-    _require_certified(model, what)
-
-
-def _require_certified(model: ActivityModel, what: str) -> None:
-    """UncertifiedComputation unless condition (ii) holds for `model`, which
-    the caller has found scale-wise constant."""
     cii = check_condition_ii(model)
     if not cii.holds:
         raise UncertifiedComputation(
@@ -807,10 +809,10 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
 
     With a `window`, the law of the doubly truncated activity; with
     window=None, the infinite-volume measure (scale-wise constant models only,
-    refused unless condition (ii) is certified).
+    refused unless condition (ii) is certified, for any `blocks`).
     """
     if window is None:
-        _require_scalewise(model, "infinite-volume marginal")
+        _require_condition_ii(model, "infinite-volume marginal")
     blocks = sorted(set(blocks))
     if not blocks:
         return 1.0
@@ -828,19 +830,7 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
         for a in _strict_ancestor_set(blocks, window.scale, geo):
             log_p += sys.log_one_minus_rho(a)
         return math.exp(log_p)
-    return _exact_marginal_infinite(model, blocks, depth)
-
-
-def _strict_ancestor_set(blocks, up_to_scale: int, geo: Geometry) -> set:
-    anc = set()
-    for b in blocks:
-        anc.update(ancestors(b, up_to_scale, geo))
-    return anc - set(blocks)
-
-
-def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int) -> float:
-    geo = model.geometry
-    _require_certified(model, "infinite-volume marginal")
+    # infinite volume: the chain of the covering block
     cover = covering_block(blocks[0], blocks[0], geo)
     for b in blocks[1:]:
         cover = covering_block(cover, b, geo)
@@ -861,6 +851,13 @@ def _exact_marginal_infinite(model: ActivityModel, blocks, depth: int) -> float:
         if lzh > -math.inf:
             log_p += -log1p_exp(lzh)
     return math.exp(log_p)
+
+
+def _strict_ancestor_set(blocks, up_to_scale: int, geo: Geometry) -> set:
+    anc = set()
+    for b in blocks:
+        anc.update(ancestors(b, up_to_scale, geo))
+    return anc - set(blocks)
 
 
 def _ancestor_chain(model: ActivityModel, j0: int, depth: int) -> tuple[ScaleProfile, int]:

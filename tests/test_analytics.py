@@ -266,6 +266,29 @@ def test_existence_when_the_lowest_active_scale_is_above_the_anchor():
     assert rep.verdict == "unique Gibbs measure"
 
 
+def test_a_scale_truncation_that_cuts_nothing_keeps_the_design_verdict():
+    design = EffectiveDesign.from_values(GEO, {0: 1.0, 1: 0.5},
+                                         zhat_tail_up=TailRule("geometric", 0.5))
+    # nothing is active below scale 0, so depth 3 cuts nothing
+    truncated = truncate_scale(design, 3)
+    assert truncated.log_activities(-5, 8) == design.log_activities(-5, 8)
+    assert check_condition_ii(truncated) == check_condition_ii(design)
+    assert existence_report(truncated).verdict == "unique Gibbs measure"
+    # a truncation that cuts an active scale is read from its profile
+    cut = truncate_scale(EffectiveDesign.from_values(GEO, {-2: 1.0, 0: 1.0}), 1)
+    assert check_condition_ii(cut).detail.startswith("zhat tail under a geometric envelope")
+
+
+def test_existence_does_not_depend_on_truncation_order():
+    h = Homogeneous.from_values(GEO, {0: 1.0, -1: 1.0},
+                                tail_down=TailRule("geometric", 0.25))
+    window = block(2, 0)
+    scale_outer = truncate_scale(truncate_volume(h, window), 3)
+    volume_outer = truncate_volume(truncate_scale(h, 3), window)
+    assert existence_report(scale_outer) == existence_report(volume_outer)
+    assert existence_report(scale_outer).verdict == "unique Gibbs measure"
+
+
 def test_parametric_condition_ii_sign():
     # zhat summable for mu below critical, not above
     assert check_condition_ii(Parametric(GEO, 0.0, 1.0, 0.5)).holds
@@ -344,6 +367,17 @@ def test_infinite_marginal_refused_without_certificate():
     m = Parametric(GEO, mu=2.0, J=1.0, alpha=0.5)      # condition (ii) fails
     with pytest.raises(UncertifiedComputation):
         exact_marginal(m, [block(0, 0)], None, 6)
+
+
+@pytest.mark.parametrize("blocks", [[], [block(0, 0), block(-1, 0)]],
+                         ids=["empty", "nested"])
+def test_infinite_marginal_refuses_before_it_answers(blocks):
+    # the empty list and a nested pair have answers that read no chain (1
+    # and 0); the gate refuses them all the same
+    m = Parametric(GEO, 2.0, 1.0, 0.5)
+    with pytest.raises(UncertifiedComputation):
+        exact_marginal(m, blocks, None, 2)
+    assert exact_marginal(m, blocks, W, 2) == (1.0 if not blocks else 0.0)
 
 
 def test_infinite_marginal_below_the_depth_is_zero():
@@ -504,6 +538,42 @@ def test_pressure_design_unit():
     m = EffectiveDesign.from_values(GEO, {0: 1.0})
     prof = pressure_profile(m)
     assert prof.pressure == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("table,pressure", [
+    ({-5: 1.0}, 26.176289171510817),
+    ({0: 1.0, -1: 0.0, -2: 1.0}, 3.3092636428739453),
+], ids=["nothing-active-at-zero", "gap-below-zero"])
+def test_start_scale_walk_passes_scales_of_zero_activity(table, pressure):
+    # nothing is active above scale 0, so p = log Xi of a scale-0 block; the
+    # depth-40 system reaches below the walk's start scale
+    m = Homogeneous.from_values(GEO, table, tail_down=TailRule("geometric", 0.1))
+    assert m.min_active_scale() is None
+    log_xi = TruncatedSystem(m, W, 40).log_xi(W)
+    assert log_xi == pytest.approx(pressure, rel=1e-12)
+    assert pressure_profile(m).pressure == pytest.approx(log_xi, rel=1e-12)
+
+
+@pytest.mark.parametrize("tail", [TailRule(), TailRule("geometric", 0.1)],
+                         ids=["zero-tail", "geometric-tail"])
+def test_a_profile_below_the_underflow_of_the_volume_saturates(tail):
+    # M**(d j) is 0.0 as a float below scale -1074: the pressure term of an
+    # active scale there is read from its log, +inf where it overflows
+    m = Homogeneous.from_values(GEO, {-1100: 1.0}, tail_down=tail)
+    assert pressure_profile(m).pressure == math.inf
+    assert existence_report(m).verdict == "unique Gibbs measure"
+    # p_3 = M**(-3) log Xi_3, both of about 1e11
+    prof = scale_profile(Homogeneous.from_values(GEO, {-1100: 1e-320}), 3)
+    assert math.isfinite(prof.pressure_partial[3])
+    assert prof.pressure_partial[3] == pytest.approx(prof.log_xi[3] / 8, rel=1e-12)
+
+
+def test_a_geometric_tail_under_a_zero_lowest_value_is_zero():
+    m = Homogeneous.from_values(GEO, {0: 1.0, -1: 0.0}, tail_down=TailRule("geometric", 0.1))
+    assert m.log_activities(-4, -1) == [-math.inf] * 4
+    assert m.min_active_scale() == 0
+    assert scale_profile(m, 2).j_lo == 0
+    assert pressure_profile(m).pressure == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("model,j_max,first", [

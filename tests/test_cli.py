@@ -71,6 +71,23 @@ def test_analyze_fragmentation_and_condensation(tmp_path):
         assert rep["verdict"] == verdict
 
 
+def test_analyze_verdict_does_not_depend_on_truncation_order(tmp_path):
+    h = {"kind": "homogeneous", "d": 1, "M": 2, "table": {"0": 1.0, "-1": 1.0},
+         "tail_down": {"kind": "geometric", "ratio": 0.25}}
+    nestings = {
+        "scale-outer": {"kind": "scale_truncated", "depth": 3, "inner":
+                        {"kind": "volume_truncated", "window": "2:(0)", "inner": h}},
+        "volume-outer": {"kind": "volume_truncated", "window": "2:(0)", "inner":
+                         {"kind": "scale_truncated", "depth": 3, "inner": h}},
+    }
+    for name, obj in nestings.items():
+        out = tmp_path / name
+        assert main(["analyze", "--model", write_model(tmp_path, obj, f"{name}.json"),
+                     "--out", str(out)]) == EXIT_OK
+        rep = json.loads((out / "existence.json").read_text())
+        assert rep["verdict"] == "unique Gibbs measure"
+
+
 @pytest.mark.parametrize("obj,argv,says", [
     (PARAMETRIC, ["--jmax", "-5"], "j_max -5 lies below the profile's first scale 0"),
     ({"kind": "homogeneous", "d": 1, "M": 2, "table": {"100": 1.0}}, [],

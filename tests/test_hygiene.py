@@ -174,3 +174,52 @@ FORBIDDEN_IMPORTS = {"analytics": {"oracle", "sampler"}, "sampler": {"oracle"}}
 def test_computations_are_layered(module):
     source = (PACKAGE / f"{module}.py").read_text()
     assert package_imports(source) & FORBIDDEN_IMPORTS[module] == set()
+
+
+# truncation layers are unwrapped in one place, so no reader's answer depends
+# on their order: outside `activities`, only `analytics._unwrap` names a
+# truncation class or reads a model's `.inner`
+TRUNCATIONS = {"VolumeTruncated", "ScaleTruncated"}
+UNWRAP = ("analytics", "_unwrap")
+
+
+def truncation_walks(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each top-level statement (its line number when it
+    defines no name) outside `activities` and `analytics._unwrap` that uses
+    a truncation class, under any import name, or an `.inner` attribute.
+    An import alone is no use."""
+    found = set()
+    for mod, src in sources.items():
+        if mod == "activities":
+            continue
+        tree = ast.parse(src)
+        aliases = TRUNCATIONS | {a.asname for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                                 for a in n.names if a.name in TRUNCATIONS and a.asname}
+        for node in tree.body:
+            if (mod, getattr(node, "name", None)) == UNWRAP:
+                continue
+            if any(isinstance(n, ast.Name) and n.id in aliases
+                   or isinstance(n, ast.Attribute) and n.attr in TRUNCATIONS | {"inner"}
+                   for n in ast.walk(node)):
+                found.add(f"{mod}.{getattr(node, 'name', node.lineno)}")
+    return sorted(found)
+
+
+def test_truncation_walks_are_found():
+    sources = {"activities": "class VolumeTruncated: pass\ndef f(m): return m.inner\n",
+               "analytics": "from .activities import ScaleTruncated as ST, VolumeTruncated\n"
+                            "def _unwrap(m):\n"
+                            "    while isinstance(m, (ST, VolumeTruncated)): m = m.inner\n"
+                            "    return m\n"
+                            "def peel(m): return m.inner\n"
+                            "def is_cut(m): return isinstance(m, ST)\n",
+               "cli": "from . import activities\n"
+                      "CUT = activities.ScaleTruncated\n"
+                      "def _unwrap(m): return m.inner\n"}
+    assert truncation_walks(sources) == ["analytics.is_cut", "analytics.peel",
+                                         "cli.2", "cli._unwrap"]
+
+
+def test_truncations_are_unwrapped_in_one_place():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert truncation_walks(sources) == []
