@@ -34,7 +34,7 @@ least-recently-used memo: per start scale j_lo the longest profile
 `_build_profile(model, j_lo, j_hi)` asked for (key ("profile", j_lo)), the
 start scale found by walking down (key "start"), the condition (ii) verdict
 (key "condition_ii") and the condition (i) verdict of a scan (key
-("condition_i", max_depth)).  A profile up to a lower scale is read as a
+"condition_i").  A profile up to a lower scale is read as a
 prefix of the kept one, bit for bit the same, since the recursion at scale j
 reads only the scales up to j; one up to a higher scale is built and
 replaces it.  The bound is MEMO_SCALES memoized scales per model, the sum of
@@ -68,15 +68,17 @@ from .activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
 from .logreal import (LogReal, log1p_exp, log_expm1, logaddexp, logsumexp_iter,
                       ordered_sum)
 
-# log Xi above this is certified as divergent by the depth-doubling probe
-DIVERGENCE_LOG_THRESHOLD = 1.0e6
 DEFAULT_TOL = 1e-12
+LIMIT_MAX_DEPTH = 4096   # deepest truncation partition_function_limit evaluates
 BLOCK_LANE_MAX_BLOCKS = 2**16   # most bottom blocks partition_function_limit tabulates per block
 CHAIN_CUT = 1e-14   # ancestor zhat mass left beyond the infinite-volume chain
 CHAIN_SCALES = 80   # scales of the chain profile above max(block scale, 0)
 # work limits of the condition (i) scan of inhomogeneous activities
 SCAN_NODE_BUDGET = 2_000_000
 SCAN_LEVELS = 10
+SCAN_MAX_DEPTH = 24
+SERIES_MAX_TERMS = 2000   # most terms series_summand_bounds sums
+CRITICAL_BRACKET = (-50.0, 50.0)   # the mu range critical_mu bisects
 MEMO_SCALES = 1024   # most profile scales the memo keeps per model
 
 
@@ -292,30 +294,28 @@ class LimitResult:
     certificate: str = ""
 
 
-def partition_function_limit(model: ActivityModel, window: Block,
-                             tol: float = DEFAULT_TOL,
-                             max_depth: int = 4096) -> LimitResult:
+def partition_function_limit(model: ActivityModel, window: Block) -> LimitResult:
     """Xi of `window` without downward truncation.
 
-    A model with a lowest active scale is evaluated once, at the depth that
-    reaches it, where the truncation is exact; beyond `max_depth` (in the
-    block lane also beyond the depth with BLOCK_LANE_MAX_BLOCKS bottom
-    blocks) the result is undecided, with nothing evaluated and the value
-    the trivial lower bound Xi >= 1.  A
-    model active at every scale below doubles the truncation depth until
-    the log increments fall below `tol` (finite) or the log exceeds the
-    divergence threshold (infinite), unless a closed-form tail certificate
-    settles the question first.
+    Infinite in closed form where condition (i) fails (see
+    `_downward_mass_diverges`).  Otherwise a model with a lowest active scale
+    is evaluated once, at the depth that reaches it, where the truncation is
+    exact; beyond LIMIT_MAX_DEPTH (in the block lane also beyond the depth
+    with BLOCK_LANE_MAX_BLOCKS bottom blocks) the result is undecided, with
+    nothing evaluated and the value the trivial lower bound Xi >= 1.  A model
+    active at every scale below doubles the truncation depth until the log
+    increments fall below DEFAULT_TOL; a log that saturates at +inf never
+    does, and is undecided: divergence is not judged from its size.
     """
     if _downward_mass_diverges(model, window):
         return LimitResult(LogReal.infinite(), True, 0,
                            "closed-form tail: sum of activities below window diverges")
+    max_depth = LIMIT_MAX_DEPTH
     if not model.homogeneous_within(window):
         # the block lane tabulates every block: branching**depth at the bottom
-        branching, cap = model.geometry.branching, 0
-        while branching ** (cap + 1) <= BLOCK_LANE_MAX_BLOCKS:
-            cap += 1
-        max_depth = min(max_depth, cap)
+        branching, max_depth = model.geometry.branching, 0
+        while branching ** (max_depth + 1) <= BLOCK_LANE_MAX_BLOCKS:
+            max_depth += 1
 
     start = max(window.scale, 0) - window.scale  # reach at least the window scale
     lo = model.min_active_scale()
@@ -332,10 +332,7 @@ def partition_function_limit(model: ActivityModel, window: Block,
     depth = max(1, start)
     while depth <= max_depth:
         cur = TruncatedSystem(model, window, depth).log_xi(window)
-        if cur > DIVERGENCE_LOG_THRESHOLD:
-            return LimitResult(LogReal.infinite(), True, depth,
-                               "log partition function exceeded divergence threshold")
-        if prev is not None and abs(cur - prev) < tol:
+        if prev is not None and abs(cur - prev) < DEFAULT_TOL:
             return LimitResult(LogReal.from_log(cur), True, depth,
                                "depth-doubling increments below tolerance")
         prev = cur
@@ -359,15 +356,18 @@ def _unwrap(model: ActivityModel) -> tuple[ActivityModel, list[Block], bool]:
 
 
 def _downward_mass_diverges(model: ActivityModel, window: Block) -> bool:
-    """Whether Xi of `window` is infinite in closed form: some block of the
-    window's subtree, the window itself or a volume-truncation window (from
-    `_unwrap`) inside it, has below it a Homogeneous activity, untruncated in
-    scale, whose downward mass sum diverges (condition (i) fails)."""
+    """Whether Xi of `window` is infinite in closed form: the model inside
+    its truncations (from `_unwrap`), untruncated in scale, is a Homogeneous
+    or Explicit activity failing condition (i), so every block has infinite
+    Xi, and some block of the window's subtree, the window itself or a
+    volume-truncation window inside it, lies inside every volume-truncation
+    window.  A Formula's condition (i) scan is a heuristic and is not read."""
     inner, windows, scale_truncated = _unwrap(model)
-    if scale_truncated or not isinstance(inner, Homogeneous):
+    if scale_truncated or not isinstance(inner, (Homogeneous, Explicit)):
         return False
-    return (_condition_i_homogeneous(inner).status == "fails"
-            and any(contains(window, b, model.geometry) and model.homogeneous_within(b)
+    geo = model.geometry
+    return (check_condition_i(inner).status == "fails"
+            and any(contains(window, b, geo) and all(contains(w, b, geo) for w in windows)
                     for b in [window, *windows]))
 
 
@@ -474,9 +474,12 @@ def _profile_start_scale(model: ActivityModel) -> int:
 def _walk_to_start_scale(model: ActivityModel) -> int:
     # unbounded below: walk down, past the scales of zero activity, until the
     # per-scale pressure contribution M**(-d j) z_j drops under 1e-18;
-    # diverges if the downward mass does
-    geo = model.geometry
-    j = 0
+    # diverges if the downward mass does.  It starts at scale 0, or lower at
+    # the highest active scale of a Homogeneous table without an upward tail
+    geo, j = model.geometry, 0
+    inner = _unwrap(model)[0]
+    if isinstance(inner, Homogeneous) and inner.tail_up.kind == "zero":
+        j = min(0, max((k for k, lv in inner.log_table.items() if lv > -math.inf), default=0))
     for _ in range(2000):
         lz = model.log_activity_at_scale(j)
         contrib = lz - geo.d * j * math.log(geo.M)
@@ -528,7 +531,7 @@ class ExistenceReport:
                 "verdict": self.verdict}
 
 
-def check_condition_i(model: ActivityModel, max_depth: int = 24) -> ConditionVerdict:
+def check_condition_i(model: ActivityModel) -> ConditionVerdict:
     """Finiteness structure of partition functions.
 
     For scale-wise constant activities this is the summability of the
@@ -549,8 +552,7 @@ def check_condition_i(model: ActivityModel, max_depth: int = 24) -> ConditionVer
             detail="positive default activity: every block has infinite partition "
                    "function and no finite-Xi subcube exists")
     if isinstance(inner, Formula):
-        return _memoized(model, ("condition_i", max_depth), 1,
-                         _condition_i_scan, inner, max_depth)
+        return _memoized(model, "condition_i", 1, _condition_i_scan, inner)
     return ConditionVerdict("undecided", detail=f"no checker for {type(inner).__name__}")
 
 
@@ -575,7 +577,7 @@ def _condition_i_homogeneous(model: Homogeneous) -> ConditionVerdict:
                "infinite partition function and the finite-Xi subcube set is empty")
 
 
-def _condition_i_scan(model: Formula, max_depth: int) -> ConditionVerdict:
+def _condition_i_scan(model: Formula) -> ConditionVerdict:
     """Per-window test for inhomogeneous activities.
 
     A window with infinite partition function satisfies the condition iff its
@@ -622,7 +624,7 @@ def _condition_i_scan(model: Formula, max_depth: int) -> ConditionVerdict:
 
     def finite_mass_below(b: Block, depth: int, by_depth: list[float]) -> str:
         # per-spine-depth activity mass over maximal finite-Xi subcubes of b
-        if depth >= max_depth or budget[0] < 0:
+        if depth >= SCAN_MAX_DEPTH or budget[0] < 0:
             return "exhausted"
         for c in children(b, geo):
             st = xi_status(c)
@@ -651,7 +653,7 @@ def _condition_i_scan(model: Formula, max_depth: int) -> ConditionVerdict:
                 "fails", witness=root,
                 detail="every scanned subcube has infinite partition function; "
                        "the finite-Xi subcube set appears empty")
-        by_depth = [0.0] * max_depth
+        by_depth = [0.0] * SCAN_MAX_DEPTH
         out = finite_mass_below(root, 0, by_depth)
         if out == "undecided":
             return ConditionVerdict("undecided", witness=root,
@@ -790,6 +792,50 @@ def existence_report(model: ActivityModel) -> ExistenceReport:
     else:
         verdict = "undecided"
     return ExistenceReport(ci, cii, verdict)
+
+
+def fragmentation_table(model: ActivityModel, window: Block,
+                        depths: list[int]) -> list[dict]:
+    """Scale-truncation limits: per depth n, the exact probability that the
+    window is occupied, that its subtree is hit, and that it is empty
+    (= 1/Xi)."""
+    rows = []
+    for n in depths:
+        sys = TruncatedSystem(model, window, n)
+        p_empty = math.exp(-sys.log_xi(window))
+        rows.append({
+            "depth": n,
+            "p_block": math.exp(sys.log_rho(window)),
+            "p_subtree_hit": 1.0 - p_empty,
+            "p_empty": p_empty,
+            "log_partition": sys.log_xi(window),
+        })
+    return rows
+
+
+def condensation_table(model: ActivityModel, b: Block,
+                       windows: list[Block]) -> list[dict]:
+    """Volume limits: per growing window, the exact probability that the
+    probe block is occupied and that its ancestor chain inside the window is
+    hit (1 - prod 1/(1+zhat) over the chain, including the block itself)."""
+    geo = model.geometry
+    depth = max(0, -b.scale)
+    rows = []
+    for w in windows:
+        if not contains(w, b, geo):
+            raise ValueError(f"window {w} does not contain probe block {b}")
+        sys = TruncatedSystem(model, w, depth)
+        chain = [b] + ancestors(b, w.scale, geo)
+        log_none = ordered_sum(sys.log_one_minus_rho(a) for a in chain)
+        rows.append({
+            "window": str(w),
+            "chain_length": len(chain),
+            "p_block": math.exp(sys.log_rho(b)
+                                + ordered_sum(sys.log_one_minus_rho(a)
+                                              for a in chain if a != b)),
+            "p_chain_hit": -math.expm1(log_none),
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -1072,9 +1118,9 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
     return rows
 
 
-def series_summand_bounds(r: float, b: float, j: int,
-                          k_max: int = 2000) -> dict:
-    """The tail sum sum_{k >= j} exp(-r b**k) and its sandwich bounds.
+def series_summand_bounds(r: float, b: float, j: int) -> dict:
+    """The tail sum sum_{k >= j} exp(-r b**k), of at most SERIES_MAX_TERMS
+    terms, and its sandwich bounds.
 
     lower = exp(-r b**j), upper = lower * (1 + 1/(r log(b) b**j)); all three
     are also reported in log domain for deep-tail use.
@@ -1083,7 +1129,7 @@ def series_summand_bounds(r: float, b: float, j: int,
         raise ValueError(f"need r > 0 and b > 1, got r={r}, b={b}")
     log_lower = -r * b**j
     terms = []
-    for k in range(j, j + k_max):
+    for k in range(j, j + SERIES_MAX_TERMS):
         t = -r * b**k
         terms.append(t)
         if t < log_lower - 60:
@@ -1106,9 +1152,9 @@ def _gibbs_predicate(geo: Geometry, mu: float, J: float, alpha: float) -> str:
 
 
 def critical_mu(J: float, alpha: float, tol: float,
-                geometry: Optional[Geometry] = None,
-                bracket: tuple[float, float] = (-50.0, 50.0)) -> dict:
-    """Bisection on mu over the summability of the effective activities.
+                geometry: Optional[Geometry] = None) -> dict:
+    """Bisection on mu over the summability of the effective activities,
+    inside CRITICAL_BRACKET.
 
     Returns mu_c (math.inf when the predicate holds up to the bracket cap),
     the bisection trace, and whether a Gibbs measure appears to survive at
@@ -1122,7 +1168,7 @@ def critical_mu(J: float, alpha: float, tol: float,
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0,1), got alpha={alpha}")
     geo = geometry or Geometry(1)
-    lo, hi = bracket
+    lo, hi = CRITICAL_BRACKET
     trace = []
 
     def pred(mu: float) -> str:

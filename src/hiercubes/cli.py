@@ -16,22 +16,20 @@ import math
 import sys
 from pathlib import Path
 
-from .blocks import Block, Geometry, ancestors, block, format_block, parse_block
-from .activities import (EffectiveDesign, Explicit, Homogeneous, TailRule,
-                         load_model)
-from .analytics import (UncertifiedComputation, _check_system, critical_mu,
-                        decay_profile, existence_report, pair_covariance,
-                        pressure_profile, scale_profile)
-from .oracle import (enumerate_system, gibbs_ratio_function,
-                     condensation_table, fragmentation_table,
-                     mandelbrot_gnz_report, verify_gnz,
-                     verify_hierarchical_formula, verify_topdown)
+from .blocks import Block, Geometry, ancestors, format_block, parse_block
+from .activities import EffectiveDesign, Homogeneous, TailRule, load_model
+from .analytics import (UncertifiedComputation, _check_system,
+                        condensation_table, critical_mu, decay_profile,
+                        existence_report, fragmentation_table,
+                        pair_covariance, pressure_profile, scale_profile)
+from .oracle import run_validation_suite
 from .render import render_svg
 from .sampler import _finite_sampler, _infinite_sampler, estimate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNDECIDED = 3
+SAMPLE_FORMATS = ("csv", "json", "svg")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -87,8 +85,12 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     geo = model.geometry
     window = parse_block(args.window)
+    fmts = args.format.split(",")
+    unknown = [f for f in fmts if f not in SAMPLE_FORMATS]
+    if unknown:
+        raise ValueError(f"--format: unknown {', '.join(map(repr, unknown))}; "
+                         f"choose from {','.join(SAMPLE_FORMATS)}")
     out = _out_dir(args)
-    fmts = set(args.format.split(","))
     # one system, and one certificate and chain law, for all the command's draws
     sampler = _infinite_sampler if args.infinite else _finite_sampler
     draw = sampler(model, window, args.depth)
@@ -175,81 +177,6 @@ def cmd_critical(args) -> int:
     return EXIT_OK
 
 
-def _validation_matrix():
-    g1, g2 = Geometry(1), Geometry(2)
-    w1, w2 = block(0, 0), block(0, 0, 0)
-    systems = [
-        ("d1-const1-depth1", Homogeneous.constant(g1, 1.0, range(-1, 1)), w1, 1),
-        ("d1-const1-depth2", Homogeneous.constant(g1, 1.0, range(-2, 1)), w1, 2),
-        ("d1-const1-depth3", Homogeneous.constant(g1, 1.0, range(-3, 1)), w1, 3),
-        ("d1-const05-depth2", Homogeneous.constant(g1, 0.5, range(-2, 1)), w1, 2),
-        ("d1-graded-depth3", Homogeneous.from_values(
-            g1, {0: 0.5, -1: 1.0, -2: 2.0, -3: 0.25}), w1, 3),
-        ("d1-explicit-depth2", Explicit.from_values(
-            g1, {block(0, 0): 0.3, block(-1, 0): 1.5, block(-1, 1): 0.2,
-                 block(-2, 0): 0.8, block(-2, 3): 2.0}), w1, 2),
-        ("d1-design-depth2", EffectiveDesign.from_values(
-            g1, {0: 1.0, -1: 0.5, -2: 0.25}), w1, 2),
-        ("d1-shifted-window", Homogeneous.constant(g1, 1.0, range(-3, 0)),
-         block(-1, 1), 2),
-        ("d2-const1-depth1", Homogeneous.constant(g2, 1.0, range(-1, 1)), w2, 1),
-        ("d2-const07-depth1", Homogeneous.constant(g2, 0.7, range(-1, 1)), w2, 1),
-        ("d1-graded-depth2", Homogeneous.from_values(
-            g1, {0: 1.0, -1: 0.5, -2: 0.1}), w1, 2),
-        ("d2-explicit-depth1", Explicit.from_values(
-            g2, {block(0, 0, 0): 0.4, block(-1, 0, 0): 1.2,
-                 block(-1, 1, 1): 0.6}), w2, 1),
-    ]
-    return systems
-
-
-def run_validation_suite(tol: float = 1e-12) -> dict:
-    results = []
-    ok = True
-    for name, model, window, depth in _validation_matrix():
-        dist = enumerate_system(model, window, depth)
-        ratios = gibbs_ratio_function(model, window, depth)
-        checks = [verify_gnz(dist, model), verify_topdown(dist, ratios)]
-        # the product formula stays capped at 5,000 configurations: at d=1
-        # with 4 levels (458,330) its superset-sum table takes 2.3e8 submask
-        # steps, about 100 s on a 2-vCPU host, and for z = 1 the float sums
-        # miss the formula by 1.0e-11, above the 1e-12 tolerance; whether
-        # the sums or the formula's products are off needs an exact rational
-        # reference first
-        if len(dist.probs) <= 5000:
-            checks.append(verify_hierarchical_formula(dist, ratios))
-        worst = max(c["max_residual"] for c in checks)
-        passed = worst < tol
-        ok = ok and passed
-        results.append({"system": name, "max_residual": worst,
-                        "passed": passed,
-                        "checks": [{k: c[k] for k in
-                                    ("check", "max_residual", "worst_case_block",
-                                     "worst_case_event")} for c in checks]})
-    # sensitivity: a perturbed ratio function must be detected
-    g1, w1 = Geometry(1), block(0, 0)
-    m = Homogeneous.constant(g1, 1.0, range(-2, 1))
-    dist = enumerate_system(m, w1, 2)
-    base = gibbs_ratio_function(m, w1, 2)
-    perturbed = lambda b: min(base(b) + (0.1 if b.scale == -1 and b.index == (0,) else 0.0), 1.0)
-    sens = verify_topdown(dist, perturbed)
-    sens_ok = sens["max_residual"] > 0.01
-    ok = ok and sens_ok
-    results.append({"system": "sensitivity-perturbed-ratio",
-                    "max_residual": sens["max_residual"],
-                    "passed": sens_ok, "expected": "residual > 0.01"})
-    # the fractal-percolation violation: expected failure of the balance
-    mrep = mandelbrot_gnz_report(0.5, g1, w1, 2)
-    viol_ok = mrep["top_block_residual"] >= 0.1
-    ok = ok and viol_ok
-    results.append({"system": "mandelbrot-p05-depth2",
-                    "max_residual": mrep["max_residual"],
-                    "top_block_residual": mrep["top_block_residual"],
-                    "passed": viol_ok,
-                    "expected": "violation detected (EXPECTED pass)"})
-    return {"passed": ok, "tolerance": tol, "systems": results}
-
-
 def cmd_validate(args) -> int:
     out = _out_dir(args)
     report = run_validation_suite(tol=args.tol)
@@ -316,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw configurations, optional SVG")
     common(p, seed=True)
-    p.add_argument("--format", default="csv,json", help="comma list of csv,json,svg")
+    p.add_argument("--format", default="csv,json",
+                   help=f"comma list of {','.join(SAMPLE_FORMATS)}")
     p.add_argument("--window", required=True, help="window block 'j:(m,...)'")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, default=1)

@@ -15,20 +15,20 @@ PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2",
            "#59a14f", "#edc948", "#b07aa1", "#9c755f"]
 
 _VERSION_COMMENT = "<!-- hiercubes svg v1 -->"
+WIDTH = 640.0   # drawing width in SVG units
 
 
 def scale_color(j: int) -> str:
     return PALETTE[j % 8]
 
 
-def render_svg(cfg: Configuration, geo: Geometry,
-               width: float = 640.0) -> str:
-    """Deterministic SVG for a validated configuration."""
+def render_svg(cfg: Configuration, geo: Geometry) -> str:
+    """Deterministic SVG for a validated configuration, WIDTH units wide."""
     cfg.validate(geo)
     if geo.d == 1:
-        return _render_1d(cfg, geo, width)
+        return _render_1d(cfg, geo, WIDTH)
     if geo.d == 2:
-        return _render_2d(cfg, geo, width)
+        return _render_2d(cfg, geo, WIDTH)
     raise ValueError(f"SVG rendering supports d in {{1, 2}}, not d={geo.d}")
 
 

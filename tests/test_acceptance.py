@@ -17,14 +17,15 @@ from scipy.stats import chi2
 from hiercubes.blocks import Block, Geometry, block
 from hiercubes.activities import (EffectiveDesign, Explicit, Homogeneous,
                                   Parametric, TailRule)
-from hiercubes.analytics import (TruncatedSystem, critical_mu, decay_profile,
-                                 exact_marginal, pair_covariance,
+from hiercubes.analytics import (TruncatedSystem, condensation_table,
+                                 critical_mu, decay_profile, exact_marginal,
+                                 fragmentation_table, pair_covariance,
                                  partition_function, pressure_profile,
                                  scale_profile, series_summand_bounds)
-from hiercubes.cli import main, run_validation_suite
-from hiercubes.oracle import (condensation_table, enumerate_system,
-                              fragmentation_table, gibbs_ratio_function,
-                              mandelbrot_gnz_report, verify_gnz)
+from hiercubes.cli import main
+from hiercubes.oracle import (enumerate_system, gibbs_ratio_function,
+                              mandelbrot_gnz_report, run_validation_suite,
+                              verify_gnz)
 from hiercubes.sampler import (_ratio_lookup, _sample_topdown, estimate,
                                sample_bernoulli_max)
 

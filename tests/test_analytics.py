@@ -25,7 +25,7 @@ from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  partition_function, partition_function_limit,
                                  pressure_profile, scale_profile,
                                  series_summand_bounds, tail_ratio_R)
-from hiercubes.cli import _validation_matrix
+from hiercubes.oracle import _validation_matrix
 from hiercubes.logreal import (log1p_exp, log_expm1, logaddexp, logsumexp_iter,
                               ordered_sum)
 from hiercubes.sampler import ancestor_chain_cdf, sample_gibbs_infinite
@@ -112,6 +112,39 @@ def test_partition_limit_of_a_volume_truncation():
     assert outside.converged and outside.value.log == 0.0
     assert partition_function_limit(vt, block(-1, 1)).value.is_infinite
     assert partition_function_limit(vt, block(1, 0)).value.is_infinite
+
+
+def test_partition_limit_is_not_judged_by_size():
+    # condition (i) holds; log Xi is far above 1e6 yet finite, and the
+    # depth doubling settles it
+    m = Homogeneous.from_values(GEO, {0: 1.0}, tail_down=TailRule("geometric", 0.01))
+    assert check_condition_i(m).holds
+    res = partition_function_limit(m, block(25, 0))
+    assert res.converged and res.depth_used == 32
+    assert res.value.log == pytest.approx(23600546.55, abs=0.01)
+    m3 = Homogeneous.from_values(Geometry(3), {0: 1.0}, tail_down=TailRule("geometric", 0.01))
+    assert check_condition_i(m3).holds
+    res = partition_function_limit(m3, block(8, 0, 0, 0))
+    assert res.converged and res.depth_used == 32 and res.value.is_finite
+    # a log that saturates to +inf in floats is undecided, not divergent
+    m2 = Homogeneous.from_values(GEO2, {0: 1.0}, tail_down=TailRule("geometric", 0.01))
+    res = partition_function_limit(m2, block(600, 0, 0))
+    assert not res.converged and res.certificate.startswith("undecided")
+
+
+@pytest.mark.parametrize("default", [1e-20, 1.0])
+def test_partition_limit_of_a_positive_default_is_infinite(default):
+    # condition (i) fails: every block has infinite Xi, however small the default
+    m = Explicit.from_values(GEO, {}, default=default)
+    assert check_condition_i(m).status == "fails"
+    res = partition_function_limit(m, W)
+    assert res.converged and res.value.is_infinite and res.depth_used == 0
+    # volume-truncated to W, the activity acts only on W's subtree
+    vt = truncate_volume(m, W)
+    outside = partition_function_limit(vt, block(0, 1))
+    assert outside.converged and outside.value.log == 0.0
+    for window in (block(-1, 1), block(0, 0), block(1, 0)):
+        assert partition_function_limit(vt, window).value.is_infinite
 
 
 def test_partition_limit_does_not_read_a_gap_as_convergence():
@@ -552,6 +585,16 @@ def test_start_scale_walk_passes_scales_of_zero_activity(table, pressure):
     log_xi = TruncatedSystem(m, W, 40).log_xi(W)
     assert log_xi == pytest.approx(pressure, rel=1e-12)
     assert pressure_profile(m).pressure == pytest.approx(log_xi, rel=1e-12)
+
+
+def test_start_scale_walk_starts_at_the_highest_active_table_scale():
+    # every active scale lies 1500 or more below 0, beyond the walk's 2000
+    # steps from scale 0; nothing above the table is active, so the walk
+    # starts at its highest active scale
+    m = Homogeneous.from_values(GEO, {-1500: 1.0}, tail_down=TailRule("geometric", 0.1))
+    assert check_condition_i(m).holds
+    assert existence_report(m).verdict == "unique Gibbs measure"
+    assert scale_profile(m, 0).j_lo == -2172
 
 
 @pytest.mark.parametrize("tail", [TailRule(), TailRule("geometric", 0.1)],

@@ -15,8 +15,8 @@ from hiercubes.activities import load_model, model_from_json_obj
 from hiercubes.analytics import TruncatedSystem
 from hiercubes.blocks import block, parse_block
 from hiercubes.cli import (EXIT_OK, EXIT_UNDECIDED, EXIT_VALIDATION,
-                           _distance_pairs, build_parser, main,
-                           run_validation_suite)
+                           _distance_pairs, build_parser, main)
+from hiercubes.oracle import run_validation_suite
 from hiercubes.sampler import estimate, sample_gibbs, sample_gibbs_infinite
 
 
@@ -155,6 +155,21 @@ def test_sample_seed_required(tmp_path):
         main(["sample", "--model", m, "--out", str(tmp_path / "o"),
               "--window", "0:(0)", "--depth", "2"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("fmt,says", [
+    ("cvs,svgg", "'cvs', 'svgg'"),
+    ("csv,jsn", "'jsn'"),
+    ("csv,", "''"),
+], ids=["both-misspelt", "one-misspelt", "empty-item"])
+def test_sample_rejects_unknown_formats(tmp_path, capsys, fmt, says):
+    # refused before any draw: no output directory is made
+    m = write_model(tmp_path, UNIT_DEPTH8)
+    out = tmp_path / "o"
+    assert main(sample_args(m, out, extra=["--format", fmt])) == EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        f"error: --format: unknown {says}; choose from csv,json,svg\n"
+    assert not out.exists()
 
 
 def test_sample_infinite_refused_on_condensation(tmp_path, capsys):

@@ -10,7 +10,7 @@ Uses only the standard library (`ast`), so it needs no linter.  The package's
 
 import ast
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -143,37 +143,60 @@ def test_module_constants_are_named():
     assert unreferenced_constants(sources) == []
 
 
-def package_imports(source: str) -> set[str]:
-    """The package modules that a module imports, anywhere in its body."""
-    found = set()
+def package_imports(source: str) -> dict[str, set[str]]:
+    """The package modules that a module imports, anywhere in its body, each
+    with the names imported from it; "*" stands for the whole module,
+    imported by `from . import module` or `import hiercubes.module`."""
+    found = defaultdict(set)
     for n in ast.walk(ast.parse(source)):
         if isinstance(n, ast.ImportFrom):
             if n.level == 0 and not (n.module or "").startswith("hiercubes"):
                 continue
             module = (n.module or "").removeprefix("hiercubes").lstrip(".")
-            found |= {module} if module else {a.name for a in n.names}
+            for a in n.names:
+                if module:
+                    found[module].add(a.name)
+                else:
+                    found[a.name].add("*")
         elif isinstance(n, ast.Import):
-            found |= {a.name.split(".")[1] for a in n.names
-                      if a.name.startswith("hiercubes.")}
-    return found
+            for a in n.names:
+                if a.name.startswith("hiercubes."):
+                    found[a.name.split(".")[1]].add("*")
+    return dict(found)
 
 
 def test_package_imports_are_found():
     src = ("from .oracle import x\nfrom . import sampler\nimport hiercubes.render\n"
            "from hiercubes.cli import main\nfrom os import path\n"
-           "def f():\n    from .blocks import Block\n")
-    assert package_imports(src) == {"oracle", "sampler", "render", "cli", "blocks"}
+           "def f():\n    from .blocks import Block\n    from .oracle import _y as z\n")
+    assert package_imports(src) == {"oracle": {"x", "_y"}, "sampler": {"*"}, "render": {"*"},
+                                    "cli": {"main"}, "blocks": {"Block"}}
 
 
 # the three computations stay independent: the exact analytics use neither the
-# enumeration oracle nor the samplers, and the samplers do not use the oracle
-FORBIDDEN_IMPORTS = {"analytics": {"oracle", "sampler"}, "sampler": {"oracle"}}
+# enumeration oracle nor the samplers, the samplers do not use the oracle, and
+# the oracle uses no sampler, renderer or command line
+FORBIDDEN_IMPORTS = {"analytics": {"oracle", "sampler"}, "sampler": {"oracle"},
+                     "oracle": {"sampler", "render", "cli"}}
 
 
 @pytest.mark.parametrize("module", sorted(FORBIDDEN_IMPORTS))
 def test_computations_are_layered(module):
     source = (PACKAGE / f"{module}.py").read_text()
-    assert package_imports(source) & FORBIDDEN_IMPORTS[module] == set()
+    assert package_imports(source).keys() & FORBIDDEN_IMPORTS[module] == set()
+
+
+# the oracle reads from the analytics only the ratios its verifiers compare
+# against and the system check; the command line reads from the oracle only
+# the validation suite
+PINNED_IMPORTS = {("oracle", "analytics"): {"TruncatedSystem", "_check_system"},
+                  ("cli", "oracle"): {"run_validation_suite"}}
+
+
+@pytest.mark.parametrize("module,source_module", sorted(PINNED_IMPORTS))
+def test_layer_boundaries_are_pinned(module, source_module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert package_imports(source).get(source_module) == PINNED_IMPORTS[module, source_module]
 
 
 # truncation layers are unwrapped in one place, so no reader's answer depends

@@ -9,12 +9,11 @@ from hiercubes.blocks import (Geometry, ancestors, block, contains, descendants,
                               format_block, overlaps, parse_block)
 from hiercubes.activities import (EffectiveDesign, Explicit, Homogeneous,
                                   TailRule)
-from hiercubes.analytics import partition_function
-from hiercubes.cli import _validation_matrix
+from hiercubes.analytics import (condensation_table, fragmentation_table,
+                                 partition_function)
 from hiercubes.oracle import (ExactDistribution, SupportCapExceeded,
-                              condensation_table, enumerate_system,
-                              fragmentation_table, gibbs_ratio_function,
-                              hierarchical_distribution,
+                              _validation_matrix, enumerate_system,
+                              gibbs_ratio_function, hierarchical_distribution,
                               mandelbrot_distribution, mandelbrot_gnz_report,
                               support_count, verify_gnz,
                               verify_hierarchical_formula, verify_topdown)
@@ -81,8 +80,9 @@ def test_enumeration_oracle_probabilities():
 
 
 def test_support_cap():
+    # depth 5 at d=1 has 2.1e11 configurations: refused before any work
     with pytest.raises(SupportCapExceeded):
-        enumerate_system(unit_model(), W, 3, cap=100)
+        enumerate_system(unit_model(), W, 5)
 
 
 # -- identity verifiers ---------------------------------------------------------
