@@ -15,7 +15,8 @@ j_hi)`.  Its float order, from log Xi = p = 0 below the first scale:
     log zhat_j = log z_j - below
     p_j        = p_{j-1} + log(1 + zhat_j) / M**(d j)
 
-so rho_j = zhat_j / (1 + zhat_j) = z_j / Xi_j.  p_j equals M**(-d j) log Xi_j
+so rho_j = zhat_j / (1 + zhat_j) = z_j / Xi_j, built from log zhat only by
+`_log_rho` and `_log_one_minus_rho`.  p_j equals M**(-d j) log Xi_j
 but is accumulated, not divided out, so it saturates where log Xi_j overflows.
 `_log_R` folds the `_R_terms` of a profile into R_j = prod_{k >= j} (1 +
 zhat_k) - 1; `decay_profile` computes the terms once per call and folds a
@@ -26,7 +27,9 @@ alone: one profile from -depth up to CHAIN_SCALES above the block or above
 scale 0, whichever is higher (the chain of scale 0 is the one condition (ii)
 certifies), cut just above the highest scale whose zhat reaches
 CHAIN_CUT / e.  The marginals and the sampler's law of the lowest occupied
-ancestor both read it.
+ancestor both read it.  Every public infinite-volume reader calls the gate
+`_require_condition_ii` on entry; only `scale_profile` and
+`pressure_profile` read a profile uncertified.
 
 What the analytics derive from a model at more cost than a lookup is
 computed once per model instance and kept on it, by `_memoized` alone, in a
@@ -142,6 +145,16 @@ def _memoized(model: ActivityModel, key, weight: int, build: Callable, *args):
 # truncated finite systems (volume window + downward depth)
 # ---------------------------------------------------------------------------
 
+def _log_rho(lzh: float) -> float:
+    """log rho = log(zhat / (1 + zhat)) from log zhat."""
+    return -math.inf if lzh == -math.inf else lzh - log1p_exp(lzh)
+
+
+def _log_one_minus_rho(lzh: float) -> float:
+    """log(1 - rho) = -log(1 + zhat) from log zhat."""
+    return 0.0 if lzh == -math.inf else -log1p_exp(lzh)
+
+
 def _check_system(geo: Geometry, window: Block, depth: int) -> None:
     """Raise ValueError unless `window` down to scale -depth is a system of `geo`."""
     if window.d != geo.d:
@@ -240,20 +253,14 @@ class TruncatedSystem:
 
     def log_rho(self, b: Block) -> float:
         """log occupation ratio, log(zhat / (1 + zhat)) = log(z / Xi_b)."""
-        lzh = self.log_zhat(b)
-        if lzh == -math.inf:
-            return -math.inf
-        return lzh - log1p_exp(lzh)
+        return _log_rho(self.log_zhat(b))
 
     def rho(self, b: Block) -> float:
         return math.exp(self.log_rho(b))
 
     def log_one_minus_rho(self, b: Block) -> float:
         """log(1 - rho) = -log(1 + zhat)."""
-        lzh = self.log_zhat(b)
-        if lzh == -math.inf:
-            return 0.0
-        return -log1p_exp(lzh)
+        return _log_one_minus_rho(self.log_zhat(b))
 
     def blocks(self) -> list[Block]:
         """All blocks of the system, sorted top scale first."""
@@ -475,16 +482,20 @@ def _walk_to_start_scale(model: ActivityModel) -> int:
     # unbounded below: walk down, past the scales of zero activity, until the
     # per-scale pressure contribution M**(-d j) z_j drops under 1e-18;
     # diverges if the downward mass does.  It starts at scale 0, or lower at
-    # the highest active scale of a Homogeneous table without an upward tail
-    geo, j = model.geometry, 0
+    # the highest active scale of a Homogeneous table without an upward tail.
+    # Only a geometric tail may be cut, so a Homogeneous model stops no
+    # higher than its lowest table scale
+    geo, j, floor = model.geometry, 0, math.inf
     inner = _unwrap(model)[0]
-    if isinstance(inner, Homogeneous) and inner.tail_up.kind == "zero":
-        j = min(0, max((k for k, lv in inner.log_table.items() if lv > -math.inf), default=0))
+    if isinstance(inner, Homogeneous):
+        floor = min(inner.log_table)
+        if inner.tail_up.kind == "zero":
+            j = min(0, max((k for k, lv in inner.log_table.items() if lv > -math.inf), default=0))
     for _ in range(2000):
         lz = model.log_activity_at_scale(j)
         contrib = lz - geo.d * j * math.log(geo.M)
         if lz > -math.inf:
-            if contrib < math.log(1e-18):
+            if contrib < math.log(1e-18) and j <= floor:
                 return j
             nxt = model.log_activity_at_scale(j - 1) - geo.d * (j - 1) * math.log(geo.M)
             if nxt >= contrib - 1e-15 and contrib > math.log(1e-18):
@@ -717,8 +728,8 @@ def _condition_ii(model: ActivityModel) -> ConditionVerdict:
 def _require_scalewise(model: ActivityModel, what: str) -> None:
     """The one refusal of a model that is not scale-wise constant, where
     `what` reads a scale profile: a ValueError.  Each public reader of a
-    profile calls it first, a certifying one through `_require_condition_ii`;
-    the private readers assume it."""
+    profile calls it once, first: `scale_profile` and `pressure_profile`
+    directly, the rest through `_require_condition_ii`."""
     if not model.is_homogeneous:
         raise ValueError(f"{what} needs a scale-wise constant activity; "
                          f"{type(model).__name__} is not")
@@ -872,30 +883,27 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
         sys = TruncatedSystem(model, window, depth)
         if not all(sys.in_system(b) for b in blocks):
             return 0.0
-        log_p = ordered_sum(sys.log_rho(b) for b in blocks)
-        for a in _strict_ancestor_set(blocks, window.scale, geo):
-            log_p += sys.log_one_minus_rho(a)
-        return math.exp(log_p)
-    # infinite volume: the chain of the covering block
-    cover = covering_block(blocks[0], blocks[0], geo)
-    for b in blocks[1:]:
-        cover = covering_block(cover, b, geo)
-    if cover.scale < -depth:
-        return 0.0      # every block lies below the depth truncation
-    _check_system(geo, cover, depth)
-    prof, j_cut = _ancestor_chain(model, cover.scale, depth)
-    log_zhat = prof.log_zhat          # no scale below -depth is active
-    log_p = 0.0
-    for b in blocks:
-        lzh = log_zhat.get(b.scale, -math.inf)
-        log_p += lzh - log1p_exp(lzh) if lzh > -math.inf else -math.inf
-    # the strict ancestors up to the covering block, then its ancestors out
-    # to the chain cut, scale-wise
-    above = [a.scale for a in _strict_ancestor_set(blocks, cover.scale, geo)]
-    for j in above + list(range(cover.scale + 1, j_cut + 1)):
-        lzh = log_zhat.get(j, -math.inf)
-        if lzh > -math.inf:
-            log_p += -log1p_exp(lzh)
+        log_zhat = [sys.log_zhat(b) for b in blocks]
+        above = [sys.log_zhat(a) for a in _strict_ancestor_set(blocks, window.scale, geo)]
+    else:
+        # infinite volume: the chain of the covering block
+        cover = covering_block(blocks[0], blocks[0], geo)
+        for b in blocks[1:]:
+            cover = covering_block(cover, b, geo)
+        if cover.scale < -depth:
+            return 0.0      # every block lies below the depth truncation
+        _check_system(geo, cover, depth)
+        prof, j_cut = _ancestor_chain(model, cover.scale, depth)
+        by_scale = prof.log_zhat.get          # no scale below -depth is active
+        log_zhat = [by_scale(b.scale, -math.inf) for b in blocks]
+        # the strict ancestors up to the covering block, then its ancestors
+        # out to the chain cut, scale-wise
+        above = [by_scale(j, -math.inf) for j in
+                 [a.scale for a in _strict_ancestor_set(blocks, cover.scale, geo)]
+                 + list(range(cover.scale + 1, j_cut + 1))]
+    log_p = ordered_sum(map(_log_rho, log_zhat))
+    for lzh in above:
+        log_p += _log_one_minus_rho(lzh)
     return math.exp(log_p)
 
 
@@ -931,7 +939,6 @@ def pair_covariance(model: ActivityModel, b1: Block, b2: Block,
     pairs the joint probability is zero and the covariance is -P1*P2.
     Identical blocks get the variance P(1-P).
     """
-    geo = model.geometry
     p1 = exact_marginal(model, [b1], window, depth)
     if b1 == b2:
         return {"cov": p1 * (1 - p1), "factored_cov": p1 * (1 - p1),
@@ -939,7 +946,7 @@ def pair_covariance(model: ActivityModel, b1: Block, b2: Block,
     p2 = exact_marginal(model, [b2], window, depth)
     joint = exact_marginal(model, [b1, b2], window, depth)
     cov = joint - p1 * p2
-    if overlaps(b1, b2, geo):
+    if overlaps(b1, b2, model.geometry):
         factored = -p1 * p2
     else:
         factored = p1 * p2 * _common_chain_R(model, [b1], [b2], window, depth)
@@ -969,18 +976,16 @@ def config_covariance(model: ActivityModel, set1, set2,
     set1, set2 = sorted(set(set1)), sorted(set(set2))
     if set(set1) & set(set2):
         raise ValueError("configuration sets must be disjoint as sets")
-    geo = model.geometry
     p1 = exact_marginal(model, set1, window, depth)
     p2 = exact_marginal(model, set2, window, depth)
     joint = exact_marginal(model, set1 + set2, window, depth)
     cov = joint - p1 * p2
-    if not _hard_core(set1 + set2, geo):
+    if not _hard_core(set1 + set2, model.geometry):
         factored_joint = 0.0
     else:
         factored_joint = p1 * p2 * (1 + _common_chain_R(model, set1, set2, window, depth))
-    n_min = min(len(set1), len(set2))
     return {"cov": cov, "joint": joint, "factored_joint": factored_joint,
-            "p1": p1, "p2": p2, "min_size": n_min}
+            "p1": p1, "p2": p2, "min_size": min(len(set1), len(set2))}
 
 
 # ---------------------------------------------------------------------------
@@ -1054,12 +1059,9 @@ def _log_R(terms: list[float]) -> Optional[tuple[float, float, float]]:
 
 def log_tail_ratio(model: ActivityModel, j: int) -> float:
     """log R_j with R_j = prod_{k >= j}(1 + zhat_k) - 1, stable far below
-    double underflow, from the profile up to scale max(j, 0) + CHAIN_SCALES."""
-    _require_scalewise(model, "scale profile")
-    return _log_tail_ratio(model, j)
-
-
-def _log_tail_ratio(model: ActivityModel, j: int) -> float:
+    double underflow, from the profile up to scale max(j, 0) + CHAIN_SCALES;
+    refused unless condition (ii) is certified."""
+    _require_condition_ii(model, "tail ratio")
     prof = _scale_profile(model, max(j, 0) + CHAIN_SCALES)
     r = _log_R(_R_terms(prof, j)[1])
     return -math.inf if r is None else r[0]
@@ -1067,8 +1069,7 @@ def _log_tail_ratio(model: ActivityModel, j: int) -> float:
 
 def tail_ratio_R(model: ActivityModel, j: int) -> float:
     """R_j as a float (0.0 when it underflows; use log_tail_ratio then)."""
-    _require_condition_ii(model, "tail ratio")
-    lr = _log_tail_ratio(model, j)
+    lr = log_tail_ratio(model, j)
     return math.exp(lr) if lr > -700 else 0.0
 
 
@@ -1083,6 +1084,8 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
     The terms of S_j and of tail_p(j) are computed once per call, from the
     lowest row's scale up; each row folds its own suffix of them.
     """
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
     _require_condition_ii(model, "decay profile")
     geo = model.geometry
     # 90 scales above the highest row, or above the profile's first scale
@@ -1192,12 +1195,6 @@ def critical_mu(J: float, alpha: float, tol: float,
         else:
             hi = mid
     mu_c = 0.5 * (lo + hi)
-    at_mu_c = _gibbs_predicate(geo, mu_c, J, alpha)
-    gibbs_at: object
-    if at_mu_c == "holds":
-        gibbs_at = True
-    elif at_mu_c == "fails":
-        gibbs_at = False
-    else:
-        gibbs_at = "undecided"
+    gibbs_at = {"holds": True, "fails": False}.get(
+        _gibbs_predicate(geo, mu_c, J, alpha), "undecided")
     return {"mu_c": mu_c, "gibbs_at_mu_c": gibbs_at, "trace": trace, "note": ""}

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .blocks import Block, Geometry, ancestors, format_block, parse_block
 from .activities import EffectiveDesign, Homogeneous, TailRule, load_model
-from .analytics import (UncertifiedComputation, _check_system,
+from .analytics import (UncertifiedComputation, _check_system, _log_rho,
                         condensation_table, critical_mu, decay_profile,
                         existence_report, fragmentation_table,
                         pair_covariance, pressure_profile, scale_profile)
@@ -69,8 +69,7 @@ def cmd_analyze(args) -> int:
             rows = [{"j": j,
                      "log_z": sp.log_z[j],
                      "log_zhat": sp.log_zhat[j],
-                     "rho": math.exp(sp.log_zhat[j] - sp.log1p_zhat[j])
-                     if sp.log_zhat[j] > -math.inf else 0.0,
+                     "rho": math.exp(_log_rho(sp.log_zhat[j])),
                      "p_partial": sp.pressure_partial[j]}
                     for j in range(sp.j_lo, sp.j_hi + 1)]
             _write_csv(out / "scales.csv", rows)
@@ -95,9 +94,10 @@ def cmd_sample(args) -> int:
     sampler = _infinite_sampler if args.infinite else _finite_sampler
     draw = sampler(model, window, args.depth)
     configs = [draw(args.seed, i) for i in range(args.samples)]
-    with (out / "configs.jsonl").open("w") as fh:
-        for cfg in configs:
-            fh.write(json.dumps(cfg.to_json_obj(), sort_keys=True) + "\n")
+    if "json" in fmts:
+        with (out / "configs.jsonl").open("w") as fh:
+            for cfg in configs:
+                fh.write(json.dumps(cfg.to_json_obj(), sort_keys=True) + "\n")
     if "csv" in fmts:
         rows = [{"sample": i, "blocks": " ".join(format_block(b) for b in cfg.blocks),
                  "covered_by_ancestor": cfg.covered_by_ancestor
@@ -132,6 +132,8 @@ def cmd_correlate(args) -> int:
     geo = model.geometry
     window = parse_block(args.window)
     _check_system(geo, window, args.depth)
+    if args.jmax < 0:
+        raise ValueError(f"--jmax must be >= 0, got {args.jmax}")
     out = _out_dir(args)
     pairs = _distance_pairs(geo, window, args.depth)
     rows = []
@@ -185,6 +187,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.depth < 0:
+        raise ValueError(f"--depth must be >= 0, got {args.depth}")
     out = _out_dir(args)
     if args.model:
         models = [("model", load_model(args.model))]

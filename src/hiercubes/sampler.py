@@ -15,7 +15,8 @@ only for those pairs; `estimate` builds none, and matches each probe, a
 frozenset of pairs, against the set of a draw's pairs.  A draw costs one
 uniform (a copy of the cached keyed hash state of its seed and sample index,
 fed the block's tokens) per visited block, and its validation O(distinct
-ancestors of the occupied blocks).
+ancestors of the occupied blocks).  An infinite-volume draw is certified
+by the one call of `ancestor_chain_cdf` that builds its chain law.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Optional
 from .blocks import Block, Geometry, format_block, subtree_levels
 from .activities import ActivityModel
 from .analytics import (TruncatedSystem, _ancestor_chain, _check_system,
-                        _require_condition_ii, _require_scalewise)
+                        _log_one_minus_rho, _log_rho, _require_condition_ii)
 
 
 class InvalidConfiguration(ValueError):
@@ -286,20 +287,18 @@ def ancestor_chain_cdf(model: ActivityModel, window: Block,
     Returns ([(scale, prob)], p_none) with p(k) = rho_k * prod_{l>k}(1-rho_l)
     and p_none the convergent product of (1-rho_l), over the ancestor chain
     of `analytics._ancestor_chain`, the one the infinite-volume marginals use.
+    Refused unless condition (ii) is certified; then the system is checked.
     """
-    _require_scalewise(model, "scale profile")
+    _require_condition_ii(model, "infinite-volume sampling")
+    _check_system(model.geometry, window, depth)
     j0 = window.scale
     prof, j_cut = _ancestor_chain(model, j0, depth)
     log_none_above = 0.0
     rows = []
     for k in range(j_cut, j0, -1):
         lzh = prof.log_zhat[k]
-        if lzh == -math.inf:
-            rows.append((k, 0.0))
-            continue
-        log_rho = lzh - prof.log1p_zhat[k]
-        rows.append((k, math.exp(log_rho + log_none_above)))
-        log_none_above += -prof.log1p_zhat[k]
+        rows.append((k, math.exp(_log_rho(lzh) + log_none_above)))
+        log_none_above += _log_one_minus_rho(lzh)
     p_none = math.exp(log_none_above)
     rows.reverse()
     return rows, p_none
@@ -310,14 +309,12 @@ def _infinite_sampler(model: ActivityModel, window: Block,
     """`draw(seed, index)`: draws from the infinite-volume measure, seen
     through a window, that share one certificate and one ancestor-chain law.
 
-    Condition (ii), the system and the chain law are checked and built here,
-    once; the finite sampler inside the window is built on the first draw
-    that no ancestor covers.
+    The chain law, which certifies condition (ii) and checks the system, is
+    built here, once; the finite sampler inside the window is built on the
+    first draw that no ancestor covers.
     """
-    _require_condition_ii(model, "infinite-volume sampling")
-    geo = model.geometry
-    _check_system(geo, window, depth)
     rows, p_none = ancestor_chain_cdf(model, window, depth)
+    geo = model.geometry
     finite: Optional[Callable[[int, int], Configuration]] = None
 
     def draw(seed: int, index: int) -> Configuration:

@@ -14,7 +14,7 @@ from hiercubes.blocks import (Block, Geometry, IndexRangeError, block, children,
 from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
                                   Homogeneous, Parametric, TailRule,
                                   truncate_scale, truncate_volume)
-from hiercubes import analytics, sampler
+from hiercubes import analytics
 from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  _build_profile, check_condition_i,
                                  check_condition_ii,
@@ -436,18 +436,18 @@ def test_infinite_volume_needs_a_scalewise_model():
             ("infinite-volume marginal",
              lambda m: config_covariance(m, [block(-1, 0)], [block(-1, 1)], None, 1)),
             ("tail ratio", lambda m: tail_ratio_R(m, 0)),
+            ("tail ratio", lambda m: log_tail_ratio(m, 0)),
             ("decay profile", lambda m: decay_profile(m, 4)),
             ("infinite-volume sampling",
-             lambda m: sample_gibbs_infinite(m, block(0, 0), 1, seed=1))]:
+             lambda m: sample_gibbs_infinite(m, block(0, 0), 1, seed=1)),
+            ("infinite-volume sampling", lambda m: ancestor_chain_cdf(m, block(0, 0), 1))]:
         for model in (m, formula):
             with pytest.raises(ValueError) as exc:
                 call(model)
             assert str(exc.value) == (f"{what} needs a scale-wise constant activity; "
                                       f"{type(model).__name__} is not")
-    # the readers that do not certify refuse in the same words
-    for call in [lambda m: scale_profile(m, 4), lambda m: pressure_profile(m),
-                 lambda m: log_tail_ratio(m, 0),
-                 lambda m: ancestor_chain_cdf(m, block(0, 0), 1)]:
+    # the only readers that do not certify refuse in the same words
+    for call in [lambda m: scale_profile(m, 4), lambda m: pressure_profile(m)]:
         for model in (m, formula):
             with pytest.raises(ValueError) as exc:
                 call(model)
@@ -468,18 +468,18 @@ def test_scalewise_refusal_runs_once_per_call(monkeypatch):
         runs.append(what)
         original(model, what)
     monkeypatch.setattr(analytics, "_require_scalewise", counted)
-    monkeypatch.setattr(sampler, "_require_scalewise", counted)
     m = Parametric(GEO, -1.0, 1.0, 0.5)
     assert exact_marginal(m, [block(0, 1)], None, 2) > 0.0
     assert runs == ["infinite-volume marginal"]
-    runs.clear()
-    # the sampler refuses again in `ancestor_chain_cdf`, the name the bench
-    # tracer counts its chain law under
-    sample_gibbs_infinite(m, W, 2, seed=1)
-    assert runs == ["infinite-volume sampling", "scale profile"]
-    runs.clear()
-    ancestor_chain_cdf(m, W, 2)
-    assert runs == ["scale profile"]
+    # the sampler refuses once, in `ancestor_chain_cdf`, which certifies its
+    # chain law; the tail ratio once, in `log_tail_ratio`
+    for call, what in [(lambda: sample_gibbs_infinite(m, W, 2, seed=1), "infinite-volume sampling"),
+                       (lambda: ancestor_chain_cdf(m, W, 2), "infinite-volume sampling"),
+                       (lambda: tail_ratio_R(m, 0), "tail ratio"),
+                       (lambda: log_tail_ratio(m, 0), "tail ratio")]:
+        runs.clear()
+        call()
+        assert runs == [what]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -530,18 +530,33 @@ def test_impossible_systems_are_rejected():
 
 @pytest.mark.parametrize("what,call", [
     ("infinite-volume marginal", lambda m: exact_marginal(m, [block(0, 0)], None, 6)),
+    ("infinite-volume marginal",
+     lambda m: pair_covariance(m, block(-1, 0), block(-1, 1), None, 1)),
+    ("infinite-volume marginal",
+     lambda m: config_covariance(m, [block(-1, 0)], [block(-1, 1)], None, 1)),
     ("tail ratio", lambda m: tail_ratio_R(m, 0)),
+    ("tail ratio", lambda m: log_tail_ratio(m, 0)),
     ("decay profile", lambda m: decay_profile(m, 4)),
     ("infinite-volume sampling",
      lambda m: sample_gibbs_infinite(m, block(0, 0), 1, seed=1)),
-], ids=["marginal", "tail-ratio", "decay", "sampling"])
-def test_refusals_share_one_message_format(what, call):
-    m = Parametric(GEO, mu=2.0, J=1.0, alpha=0.5)      # condition (ii) fails
-    cii = check_condition_ii(m)
-    with pytest.raises(UncertifiedComputation) as exc:
-        call(m)
-    assert str(exc.value) == \
-        f"{what} refused: condition (ii) is '{cii.status}' ({cii.detail})"
+    ("infinite-volume sampling", lambda m: ancestor_chain_cdf(m, block(0, 0), 1)),
+], ids=["marginal", "pair-covariance", "config-covariance", "tail-ratio",
+        "log-tail-ratio", "decay", "sampling", "chain-law"])
+def test_refusals_share_one_message_format(what, call, monkeypatch):
+    # both models condense: condition (ii) fails, and no profile is read
+    models = [Parametric(GEO, mu=2.0, J=1.0, alpha=0.5),
+              EffectiveDesign.from_values(GEO, {0: 1.0}, TailRule("geometric", 1.0))]
+    verdicts = [check_condition_ii(m) for m in models]
+    assert [cii.status for cii in verdicts] == ["fails", "fails"]
+
+    def unread(*args):
+        raise AssertionError("a refused reader read a profile")
+    monkeypatch.setattr(analytics, "_scale_profile", unread)
+    for m, cii in zip(models, verdicts):
+        with pytest.raises(UncertifiedComputation) as exc:
+            call(m)
+        assert str(exc.value) == \
+            f"{what} refused: condition (ii) is '{cii.status}' ({cii.detail})"
 
 
 @settings(max_examples=40, deadline=None)
@@ -595,6 +610,22 @@ def test_start_scale_walk_starts_at_the_highest_active_table_scale():
     assert check_condition_i(m).holds
     assert existence_report(m).verdict == "unique Gibbs measure"
     assert scale_profile(m, 0).j_lo == -2172
+
+
+def test_start_scale_walk_takes_in_the_whole_table():
+    # the pressure term of scale -2 is tiny, but scale -60 carries the mass:
+    # only the geometric tail below the table may be cut, so the walk goes on
+    # to the scale where the tail's term drops under 1e-18
+    m = Homogeneous.from_values(GEO, {-2: 1e-30, -60: 1.0}, tail_down=TailRule("geometric", 0.1))
+    assert scale_profile(m, 0).j_lo == -112
+    log_xi = TruncatedSystem(m, W, 90).log_xi(W)
+    assert log_xi == pytest.approx(9.431002092700677e17, rel=1e-12)
+    assert pressure_profile(m).pressure == log_xi
+    # a table that grows downwards is still refused by the one-step test
+    m = Homogeneous.from_values(GEO, {-2: 1e-30, -60: 1.0, -61: 1.0},
+                                tail_down=TailRule("geometric", 0.1))
+    with pytest.raises(UncertifiedComputation, match="does not decay"):
+        scale_profile(m, 0)
 
 
 @pytest.mark.parametrize("tail", [TailRule(), TailRule("geometric", 0.1)],
@@ -651,6 +682,11 @@ def test_tail_ratio_monotone_to_zero():
     logs = [log_tail_ratio(m, j) for j in range(0, 12)]
     assert all(logs[k] > logs[k + 1] for k in range(len(logs) - 1))
     assert logs[-1] < -100
+
+
+def test_decay_profile_rejects_a_negative_j_max():
+    with pytest.raises(ValueError, match="j_max must be >= 0, got -1"):
+        decay_profile(Parametric(GEO, mu=-0.5, J=1.0, alpha=0.5), -1)
 
 
 def test_tail_ratio_refused_without_certificate():

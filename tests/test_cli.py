@@ -157,6 +157,19 @@ def test_sample_seed_required(tmp_path):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("fmt,files", [
+    ("csv", {"configs.csv"}),
+    ("json", {"configs.jsonl"}),
+    ("svg", {"sample_0.svg"}),
+    ("csv,json", {"configs.csv", "configs.jsonl"}),
+], ids=["csv", "json", "svg", "default"])
+def test_sample_writes_the_selected_formats_only(tmp_path, fmt, files):
+    m = write_model(tmp_path, UNIT_DEPTH8)
+    out = tmp_path / "o"
+    assert main(sample_args(m, out, extra=["--format", fmt])) == EXIT_OK
+    assert {p.name for p in out.iterdir()} == files
+
+
 @pytest.mark.parametrize("fmt,says", [
     ("cvs,svgg", "'cvs', 'svgg'"),
     ("csv,jsn", "'jsn'"),
@@ -350,6 +363,20 @@ def test_diagnose_builtin_tables(tmp_path):
 
 
 # -- inputs that must fail with a message, not a traceback -----------------------
+
+@pytest.mark.parametrize("argv,says", [
+    (["diagnose", "--depth", "-1"], "--depth must be >= 0, got -1"),
+    (["correlate", "--window", "0:(0)", "--depth", "2", "--seed", "1", "--samples", "10",
+      "--jmax", "-3"], "--jmax must be >= 0, got -3"),
+], ids=["diagnose-depth", "correlate-jmax"])
+def test_negative_depth_and_jmax_are_rejected(tmp_path, capsys, argv, says):
+    # refused before any output: no output directory is made
+    out = tmp_path / "o"
+    model = ["--model", write_model(tmp_path, PARAMETRIC)] if argv[0] == "correlate" else []
+    assert main([*argv, *model, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {says}\n"
+    assert not out.exists()
+
 
 def run_cli(*argv):
     src = str(Path(hiercubes.__file__).resolve().parents[1])

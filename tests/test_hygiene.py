@@ -246,3 +246,53 @@ def test_truncation_walks_are_found():
 def test_truncations_are_unwrapped_in_one_place():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert truncation_walks(sources) == []
+
+
+# the scale-wise refusal runs once per public reader: every certifying reader
+# calls it through the gate `_require_condition_ii`, so outside the gate only
+# the two readers that do not certify call it
+SCALEWISE = "_require_scalewise"
+SCALEWISE_CALLERS = {("analytics", "_require_condition_ii"), ("analytics", "scale_profile"),
+                     ("analytics", "pressure_profile")}
+
+
+def scalewise_refusals(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each top-level statement (its line number when it
+    defines no name) outside SCALEWISE_CALLERS that calls the scale-wise
+    refusal, under any import name or as a module attribute."""
+    found = set()
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        aliases = {SCALEWISE} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                                 for a in n.names if a.name == SCALEWISE and a.asname}
+        for node in tree.body:
+            if (mod, getattr(node, "name", None)) in SCALEWISE_CALLERS:
+                continue
+            if any(isinstance(n, ast.Call)
+                   and (isinstance(n.func, ast.Name) and n.func.id in aliases
+                        or isinstance(n.func, ast.Attribute) and n.func.attr == SCALEWISE)
+                   for n in ast.walk(node)):
+                found.add(f"{mod}.{getattr(node, 'name', node.lineno)}")
+    return sorted(found)
+
+
+def test_scalewise_refusals_are_found():
+    sources = {"analytics": "def _require_scalewise(m, what): pass\n"
+                            "def _require_condition_ii(m, what): _require_scalewise(m, what)\n"
+                            "def scale_profile(m): _require_scalewise(m, 'p')\n"
+                            "def log_tail_ratio(m): _require_scalewise(m, 'p')\n"
+                            "class System:\n"
+                            "    def read(self): _require_scalewise(self.m, 'p')\n",
+               "sampler": "from .analytics import _require_scalewise as refuse\n"
+                          "def chain(m): refuse(m, 'p')\n"
+                          "def pressure_profile(m): refuse(m, 'p')\n",
+               "cli": "from . import analytics\n"
+                      "check = analytics._require_scalewise\n"
+                      "analytics._require_scalewise(None, 'p')\n"}
+    assert scalewise_refusals(sources) == ["analytics.System", "analytics.log_tail_ratio",
+                                           "cli.3", "sampler.chain", "sampler.pressure_profile"]
+
+
+def test_scalewise_refusal_has_two_direct_callers():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert scalewise_refusals(sources) == []
