@@ -483,9 +483,6 @@ def activity_from_effective(target: dict[int, float], geometry: Geometry,
     `target` gives zhat_j for finitely many scales; scales below the table are
     zero, scales above follow `tail_up` applied to the topmost value.
     """
-    for v in target.values():
-        if v < 0:
-            raise ValueError(f"effective activities must be >= 0, got {v}")
     return EffectiveDesign.from_values(geometry, target, tail_up)
 
 

@@ -33,8 +33,8 @@ ancestor both read it.  Every public infinite-volume reader calls the gate
 
 What the analytics derive from a model at more cost than a lookup is
 computed once per model instance and kept on it, by `_memoized` alone, in a
-least-recently-used memo: per start scale j_lo the longest profile
-`_build_profile(model, j_lo, j_hi)` asked for (key ("profile", j_lo)), the
+plain dict: per start scale j_lo the longest profile `_build_profile(model,
+j_lo, j_hi)` asked for (key ("profile", j_lo)), the
 start scale found by walking down (key "start"), the condition (ii) verdict
 (key "condition_ii") and the condition (i) verdict of a scan (key
 "condition_i").  A profile up to a lower scale is read as a
@@ -42,12 +42,15 @@ prefix of the kept one, bit for bit the same, since the recursion at scale j
 reads only the scales up to j; one up to a higher scale is built and
 replaces it.  The bound is MEMO_SCALES memoized scales per model, the sum of
 j_hi - j_lo + 1 over the profiles kept (any other entry counts as one),
-since profile length sets the memory; a profile longer than that is not
-kept.  An exception is never kept, a model without `__dict__` is not
-memoized, and `TruncatedSystem`s and their block-lane tables are not
-memoized.  The memo's profiles are shared by every reader and are read
-only: `scale_profile` returns a copy, so edits to its result never reach
-the memo.
+since profile length sets the memory.  The memo keeps no recency order: an
+entry that would take the sum past the bound clears the memo first, so a
+full memo starts over, and a profile longer than the bound is not kept.
+The clearing guards memory, not speed: a model's memo in the benchmark
+workloads holds a few entries and a few hundred scales.  An exception is
+never kept, a model without `__dict__` is not memoized, and
+`TruncatedSystem`s and their block-lane tables are not memoized.  The memo's
+profiles are shared by every reader and are read only: `scale_profile`
+returns a copy, so edits to its result never reach the memo.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ import math
 import operator
 import threading
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
@@ -97,47 +99,33 @@ _MEMO_ATTR = "_analytics_memo"
 _MEMO_LOCK = threading.Lock()   # models are read concurrently; the memo is written
 
 
-class _Memo(OrderedDict):
-    """One model's entries, key -> (value, weight), least recently used
-    first, and their summed weight."""
-
-    weight = 0
-
-
 def _memoized(model: ActivityModel, key, weight: int, build: Callable, *args):
     """The value kept in the model's memo (see the module docstring) under
     `key` if it weighs at least `weight`, else `build(*args)`, which
     replaces it and weighs `weight`: under one key a heavier value serves
     every lighter request, as a longer profile holds every shorter one.
 
-    The entries least recently used are dropped while the weights exceed
-    MEMO_SCALES; a value heavier than that, or weighing nothing, is returned
-    but not kept.  Every change of the entries or their weight holds the
-    lock; a hit only moves its entry to the end, and skips that if another
-    thread dropped it.
+    The memo, key -> (value, weight), is cleared first if the other
+    entries' weights plus this one would pass MEMO_SCALES; a value heavier
+    than that, or weighing nothing, is returned but not kept.  The lock is
+    held from the sum of the weights to the write.
     """
     state = getattr(model, "__dict__", None)
     if state is None:
         return build(*args)
     memo = state.get(_MEMO_ATTR)
     if memo is None:
-        memo = state.setdefault(_MEMO_ATTR, _Memo())
+        memo = state.setdefault(_MEMO_ATTR, {})
     else:
         hit = memo.get(key)
         if hit is not None and hit[1] >= weight:
-            try:
-                memo.move_to_end(key)
-            except KeyError:
-                pass
             return hit[0]
     value = build(*args)
     if 0 < weight <= MEMO_SCALES:
         with _MEMO_LOCK:
-            old = memo.pop(key, None)
-            memo.weight += weight - (0 if old is None else old[1])
+            if sum(w for k, (_, w) in memo.items() if k != key) + weight > MEMO_SCALES:
+                memo.clear()
             memo[key] = value, weight
-            while memo.weight > MEMO_SCALES:
-                memo.weight -= memo.popitem(last=False)[1][1]
     return value
 
 

@@ -4,6 +4,13 @@ Subcommands: analyze, sample, correlate, critical, validate, diagnose.
 Outputs are deterministic: identical flags and seed give byte-identical CSV
 and JSON files.  Exit codes: 0 success, 2 validation failure, 3 undecided or
 refused computation.
+
+Each `cmd_*` computes everything and returns its exit code and its files,
+{file name: text}, writing nothing; `main` alone makes `--out` and writes
+them once the command has returned.  A command that raises (exit 2, or 3 for
+a refusal or an overflow) so leaves no output behind; one that returns its
+code, 3 for an undecided verdict or 2 for a failed verifier suite, writes
+its files.
 """
 
 from __future__ import annotations
@@ -11,12 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
 from pathlib import Path
 
-from .blocks import Block, Geometry, ancestors, format_block, parse_block
+from .blocks import Block, Geometry, ancestor_at, format_block, parse_block
 from .activities import EffectiveDesign, Homogeneous, TailRule, load_model
 from .analytics import (UncertifiedComputation, _check_system, _log_rho,
                         condensation_table, critical_mu, decay_profile,
@@ -32,39 +40,33 @@ EXIT_UNDECIDED = 3
 SAMPLE_FORMATS = ("csv", "json", "svg")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+def _csv(rows: list[dict]) -> str:
+    """The rows as CSV text, with the csv module's CRLF line ends."""
     if not rows:
-        path.write_text("")
-        return
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return ""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, dict[str, str]]:
     model = load_model(args.model)
-    out = _out_dir(args)
     report = existence_report(model)
-    _write_json(out / "existence.json", report.to_json_obj())
+    files = {"existence.json": _json(report.to_json_obj())}
     if model.is_homogeneous:
         try:
             prof = pressure_profile(model, tol=args.tol, j_max=args.jmax)
-            _write_json(out / "pressure.json", prof.to_json_obj())
+            files["pressure.json"] = _json(prof.to_json_obj())
             sp = scale_profile(model, args.jmax)
             rows = [{"j": j,
                      "log_z": sp.log_z[j],
@@ -72,15 +74,13 @@ def cmd_analyze(args) -> int:
                      "rho": math.exp(_log_rho(sp.log_zhat[j])),
                      "p_partial": sp.pressure_partial[j]}
                     for j in range(sp.j_lo, sp.j_hi + 1)]
-            _write_csv(out / "scales.csv", rows)
+            files["scales.csv"] = _csv(rows)
         except UncertifiedComputation as exc:
-            _write_json(out / "pressure.json", {"error": str(exc)})
-    if report.verdict == "undecided":
-        return EXIT_UNDECIDED
-    return EXIT_OK
+            files["pressure.json"] = _json({"error": str(exc)})
+    return EXIT_UNDECIDED if report.verdict == "undecided" else EXIT_OK, files
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[int, dict[str, str]]:
     model = load_model(args.model)
     geo = model.geometry
     window = parse_block(args.window)
@@ -89,24 +89,23 @@ def cmd_sample(args) -> int:
     if unknown:
         raise ValueError(f"--format: unknown {', '.join(map(repr, unknown))}; "
                          f"choose from {','.join(SAMPLE_FORMATS)}")
-    out = _out_dir(args)
     # one system, and one certificate and chain law, for all the command's draws
     sampler = _infinite_sampler if args.infinite else _finite_sampler
     draw = sampler(model, window, args.depth)
     configs = [draw(args.seed, i) for i in range(args.samples)]
+    files = {}
     if "json" in fmts:
-        with (out / "configs.jsonl").open("w") as fh:
-            for cfg in configs:
-                fh.write(json.dumps(cfg.to_json_obj(), sort_keys=True) + "\n")
+        files["configs.jsonl"] = "".join(
+            json.dumps(cfg.to_json_obj(), sort_keys=True) + "\n" for cfg in configs)
     if "csv" in fmts:
         rows = [{"sample": i, "blocks": " ".join(format_block(b) for b in cfg.blocks),
                  "covered_by_ancestor": cfg.covered_by_ancestor
                  if cfg.covered_by_ancestor is not None else ""}
                 for i, cfg in enumerate(configs)]
-        _write_csv(out / "configs.csv", rows)
+        files["configs.csv"] = _csv(rows)
     if "svg" in fmts and geo.d in (1, 2):
-        (out / "sample_0.svg").write_text(render_svg(configs[0], geo) + "\n")
-    return EXIT_OK
+        files["sample_0.svg"] = render_svg(configs[0], geo) + "\n"
+    return EXIT_OK, files
 
 
 def _distance_pairs(geo: Geometry, window: Block, depth: int) -> list[tuple[int, Block, Block]]:
@@ -118,23 +117,20 @@ def _distance_pairs(geo: Geometry, window: Block, depth: int) -> list[tuple[int,
     pairs = []
     for s in range(1, window.scale - bottom + 1):
         l = bottom + s
-        anc = ancestors(b1, l, geo)[-1]
-        idx = list(anc.index)
-        idx2 = [m * geo.M for m in idx]
+        idx2 = [m * geo.M for m in ancestor_at(b1, l, geo).index]
         idx2[0] += 1          # the sibling subtree at scale l
         bot = tuple(m * geo.M ** (s - 1) for m in idx2)
         pairs.append((l, b1, Block(bottom, bot)))
     return pairs
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args) -> tuple[int, dict[str, str]]:
     model = load_model(args.model)
     geo = model.geometry
     window = parse_block(args.window)
     _check_system(geo, window, args.depth)
     if args.jmax < 0:
         raise ValueError(f"--jmax must be >= 0, got {args.jmax}")
-    out = _out_dir(args)
     pairs = _distance_pairs(geo, window, args.depth)
     rows = []
     if pairs:
@@ -154,42 +150,37 @@ def cmd_correlate(args) -> int:
                          "cov_factored": cv["factored_cov"],
                          "cov_mc": mc_cov,
                          "stderr": err})
-    _write_csv(out / "correlate.csv", rows)
+    files = {"correlate.csv": _csv(rows)}
     if model.is_homogeneous:
         table = decay_profile(model, args.jmax)
-        _write_csv(out / "decay.csv", [
+        files["decay.csv"] = _csv([
             {"j": r["j"], "log_R": r["log_R"],
              "scaled_log_R": r["scaled_log_R"],
              "residual": r["residual"] if r["residual"] is not None else ""}
             for r in table])
-    return EXIT_OK
+    return EXIT_OK, files
 
 
-def cmd_critical(args) -> int:
+def cmd_critical(args) -> tuple[int, dict[str, str]]:
     geo = Geometry(args.d, args.M)
     res = critical_mu(args.J, args.alpha, args.tol, geometry=geo)
-    out = _out_dir(args)
     obj = {"J": args.J, "alpha": args.alpha, "tol": args.tol,
            "mu_c": "+inf" if res["mu_c"] == math.inf else res["mu_c"],
            "gibbs_at_mu_c": res["gibbs_at_mu_c"],
            "trace": res["trace"], "note": res["note"]}
-    _write_json(out / "critical.json", obj)
-    if res["gibbs_at_mu_c"] == "undecided":
-        return EXIT_UNDECIDED
-    return EXIT_OK
+    code = EXIT_UNDECIDED if res["gibbs_at_mu_c"] == "undecided" else EXIT_OK
+    return code, {"critical.json": _json(obj)}
 
 
-def cmd_validate(args) -> int:
-    out = _out_dir(args)
+def cmd_validate(args) -> tuple[int, dict[str, str]]:
     report = run_validation_suite(tol=args.tol)
-    _write_json(out / "validate.json", report)
-    return EXIT_OK if report["passed"] else EXIT_VALIDATION
+    code = EXIT_OK if report["passed"] else EXIT_VALIDATION
+    return code, {"validate.json": _json(report)}
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> tuple[int, dict[str, str]]:
     if args.depth < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
-    out = _out_dir(args)
     if args.model:
         models = [("model", load_model(args.model))]
     else:
@@ -200,22 +191,22 @@ def cmd_diagnose(args) -> int:
             ("condensation-design", EffectiveDesign.from_values(
                 g1, {0: 1.0}, zhat_tail_up=TailRule("geometric", 1.0))),
         ]
-    code = EXIT_OK
+    code, files = EXIT_OK, {}
     for name, model in models:
         geo = model.geometry
         report = existence_report(model)
-        _write_json(out / f"{name}.existence.json", report.to_json_obj())
+        files[f"{name}.existence.json"] = _json(report.to_json_obj())
         origin = Block(0, (0,) * geo.d)
         if report.verdict == "fragmentation":
             rows = fragmentation_table(model, origin, list(range(0, args.depth + 1)))
-            _write_csv(out / f"{name}.fragmentation.csv", rows)
+            files[f"{name}.fragmentation.csv"] = _csv(rows)
         elif report.verdict == "condensation":
             windows = [Block(j, (0,) * geo.d) for j in range(0, 13)]
             rows = condensation_table(model, origin, windows)
-            _write_csv(out / f"{name}.condensation.csv", rows)
+            files[f"{name}.condensation.csv"] = _csv(rows)
         elif report.verdict == "undecided":
             code = EXIT_UNDECIDED
-    return code
+    return code, files
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +282,13 @@ def main(argv=None) -> int:
     try:
         # looked up by name per call, not held by the cached parser, so a
         # later rebinding of a cmd_* function is the one that runs
-        return globals()[f"cmd_{args.command}"](args)
+        code, files = globals()[f"cmd_{args.command}"](args)
+        # the one write point: nothing is written unless the command returned
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, newline="")
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -184,6 +184,12 @@ def test_activity_from_effective_matches_design():
         assert m1.log_activity_at_scale(j) == pytest.approx(m2.log_activity_at_scale(j))
 
 
+@pytest.mark.parametrize("bad", [-0.5, math.nan], ids=["negative", "nan"])
+def test_activity_from_effective_rejects_a_bad_target(bad):
+    with pytest.raises(ValueError, match="effective activity must be finite and >= 0"):
+        activity_from_effective({0: 1.0, 1: bad}, GEO)
+
+
 # -- serialization -------------------------------------------------------------
 
 @pytest.mark.parametrize("model", [

@@ -1188,9 +1188,7 @@ def test_scale_profiles_are_pinned():
 # -- the per-model memo --------------------------------------------------------------
 
 def memo_weight(model):
-    memo = vars(model)[analytics._MEMO_ATTR]
-    assert memo.weight == sum(weight for _, weight in memo.values())
-    return memo.weight
+    return sum(weight for _, weight in vars(model)[analytics._MEMO_ATTR].values())
 
 
 def test_memo_serves_the_profile_of_a_fresh_build():
@@ -1213,9 +1211,19 @@ def test_memo_is_bounded():
         prof = scale_profile(m, j_hi)
         assert prof.j_hi == j_hi
         assert memo_weight(m) <= analytics.MEMO_SCALES
-    for depth in range(8, 208):         # 200 distinct bottoms: the oldest are dropped
-        scale_profile(m, 40, depth=depth)
-        assert memo_weight(m) <= analytics.MEMO_SCALES
+    memo = vars(m)[analytics._MEMO_ATTR]
+    assert {key: weight for key, (_, weight) in memo.items()} == {("profile", -8): 1019}
+    starts = 0
+    for depth in range(9, 209):         # 200 distinct bottoms: a full memo starts over
+        before, weight = memo_weight(m), 40 + depth + 1
+        prof = scale_profile(m, 40, depth=depth)
+        if before + weight > analytics.MEMO_SCALES:
+            starts += 1
+            assert list(memo) == [("profile", -depth)]
+        else:
+            assert memo_weight(m) == before + weight
+        assert repr(prof) == repr(_build_profile(unit_model(), -depth, 40))
+    assert starts > 1
     assert repr(scale_profile(m, 40, depth=8)) == repr(_build_profile(unit_model(), -8, 40))
 
 
@@ -1283,8 +1291,8 @@ def test_existence_report_runs_condition_i_once():
 
 
 def test_memo_shared_by_threads():
-    # interleaved hits, builds and evictions on one model keep the weights
-    # summed right and every answer equal to a fresh build
+    # interleaved hits, builds and clears of a full memo on one model keep
+    # the weights within the bound and every answer equal to a fresh build
     m = unit_model()
     want = {(j_hi, depth): repr(_build_profile(unit_model(), -depth, j_hi))
             for j_hi in range(0, 300, 30) for depth in (8, 40, 90, 200, 400)}

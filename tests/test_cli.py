@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hiercubes
-from hiercubes import analytics
+from hiercubes import analytics, cli
 from hiercubes.activities import load_model, model_from_json_obj
 from hiercubes.analytics import TruncatedSystem
 from hiercubes.blocks import block, parse_block
@@ -98,6 +99,21 @@ def test_analyze_j_max_below_the_first_scale(tmp_path, obj, argv, says):
     res = run_cli("analyze", "--model", m, "--out", str(tmp_path / "o"), *argv)
     assert res.returncode == EXIT_VALIDATION
     assert "Traceback" not in res.stderr and f"error: {says}" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_undecided_verdict_still_writes(tmp_path, monkeypatch):
+    # a command that returns exit 3 for an undecided verdict writes its files;
+    # only a command that raises leaves none
+    m = write_model(tmp_path, PARAMETRIC)
+    undecided = dataclasses.replace(analytics.existence_report(load_model(m)),
+                                    verdict="undecided")
+    monkeypatch.setattr(cli, "existence_report", lambda model: undecided)
+    out = tmp_path / "o"
+    assert main(["analyze", "--model", m, "--out", str(out)]) == EXIT_UNDECIDED
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["existence.json", "pressure.json", "scales.csv"]
+    assert json.loads((out / "existence.json").read_text())["verdict"] == "undecided"
 
 
 def test_analyze_missing_model(tmp_path):
@@ -190,7 +206,7 @@ def test_sample_infinite_refused_on_condensation(tmp_path, capsys):
     code = main(sample_args(m, tmp_path / "o", extra=["--infinite"]))
     assert code == EXIT_UNDECIDED
     assert capsys.readouterr().err.startswith("refused:")
-    assert not (tmp_path / "o" / "configs.jsonl").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_sample_infinite_certified(tmp_path):
@@ -364,17 +380,40 @@ def test_diagnose_builtin_tables(tmp_path):
 
 # -- inputs that must fail with a message, not a traceback -----------------------
 
-@pytest.mark.parametrize("argv,says", [
-    (["diagnose", "--depth", "-1"], "--depth must be >= 0, got -1"),
-    (["correlate", "--window", "0:(0)", "--depth", "2", "--seed", "1", "--samples", "10",
-      "--jmax", "-3"], "--jmax must be >= 0, got -3"),
-], ids=["diagnose-depth", "correlate-jmax"])
-def test_negative_depth_and_jmax_are_rejected(tmp_path, capsys, argv, says):
-    # refused before any output: no output directory is made
+NO_START_SCALE = {"kind": "homogeneous", "d": 1, "table": {"0": 1.0, "-1": 0.8},
+                  "tail_down": {"kind": "geometric", "ratio": 0.3}}
+CORRELATE = ["correlate", "--window", "0:(0)", "--depth", "2", "--seed", "1", "--samples", "10"]
+NO_DECAY = "condition (ii) is 'fails' (designed effective activities do not decay " \
+    "(tail ratio 1.0 >= 1))"
+NO_DOWNWARD = "downward activity mass does not decay; partition functions are " \
+    "infinite (condition (i) fails for this model)"
+
+
+@pytest.mark.parametrize("obj,argv,code,err", [
+    (None, ["diagnose", "--depth", "-1"], EXIT_VALIDATION,
+     "error: --depth must be >= 0, got -1"),
+    (PARAMETRIC, [*CORRELATE, "--jmax", "-3"], EXIT_VALIDATION,
+     "error: --jmax must be >= 0, got -3"),
+    (PARAMETRIC, ["sample", "--window", "0:(0)", "--depth", "-1", "--seed", "1"],
+     EXIT_VALIDATION, "error: depth must be >= 0, got -1"),
+    (CONDENSING, ["sample", "--window", "0:(0)", "--depth", "1", "--seed", "1", "--infinite"],
+     EXIT_UNDECIDED, f"refused: infinite-volume sampling refused: {NO_DECAY}"),
+    (PARAMETRIC, ["analyze", "--jmax", "-3"], EXIT_VALIDATION,
+     "error: j_max -3 lies below the profile's first scale 0"),
+    ({**PARAMETRIC, "d": 2}, ["analyze", "--jmax", "600"], EXIT_UNDECIDED,
+     "error (overflow, known defect): int too large to convert to float"),
+    (NO_START_SCALE, ["analyze"], EXIT_UNDECIDED, f"refused: {NO_DOWNWARD}"),
+    (NO_START_SCALE, ["diagnose"], EXIT_UNDECIDED, f"refused: {NO_DOWNWARD}"),
+    (CONDENSING, CORRELATE, EXIT_UNDECIDED, f"refused: decay profile refused: {NO_DECAY}"),
+], ids=["diagnose-depth", "correlate-jmax", "sample-depth", "sample-infinite-refused",
+        "analyze-jmax", "analyze-overflow", "analyze-start-scale", "diagnose-start-scale",
+        "correlate-decay-refused"])
+def test_failed_runs_write_nothing(tmp_path, capsys, obj, argv, code, err):
+    # a command that raises writes no file: no output directory is made
     out = tmp_path / "o"
-    model = ["--model", write_model(tmp_path, PARAMETRIC)] if argv[0] == "correlate" else []
-    assert main([*argv, *model, "--out", str(out)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {says}\n"
+    model = [] if obj is None else ["--model", write_model(tmp_path, obj)]
+    assert main([*argv, *model, "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{err}\n"
     assert not out.exists()
 
 
@@ -540,3 +579,4 @@ def test_library_refusals_exit_undecided(tmp_path, obj, argv, says):
     res = run_cli(argv[0], "--model", m, "--out", str(tmp_path / "o"), *argv[1:])
     assert res.returncode == EXIT_UNDECIDED
     assert "Traceback" not in res.stderr and says in res.stderr
+    assert not (tmp_path / "o").exists()

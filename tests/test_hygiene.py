@@ -296,3 +296,41 @@ def test_scalewise_refusals_are_found():
 def test_scalewise_refusal_has_two_direct_callers():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert scalewise_refusals(sources) == []
+
+
+# the CLI has one write point: each `cmd_*` returns its files and `main`
+# writes them, so a command that raises leaves no output behind
+WRITES = {"mkdir", "open", "write_text", "write_bytes"}
+
+
+def file_writes(source: str) -> list[str]:
+    """The name (its line number when it defines none) of each top-level
+    statement but `main` that calls `mkdir`, `open`, `write_text` or
+    `write_bytes`, as a plain name or as an attribute."""
+    found = set()
+    for node in ast.parse(source).body:
+        if getattr(node, "name", None) == "main":
+            continue
+        if any(isinstance(n, ast.Call)
+               and (isinstance(n.func, ast.Name) and n.func.id in WRITES
+                    or isinstance(n.func, ast.Attribute) and n.func.attr in WRITES)
+               for n in ast.walk(node)):
+            found.add(str(getattr(node, "name", node.lineno)))
+    return sorted(found)
+
+
+def test_file_writes_are_found():
+    source = ("from pathlib import Path\n"
+              "def _json(obj): return str(obj)\n"
+              "def cmd_a(args): Path(args.out).mkdir()\n"
+              "def cmd_b(args):\n"
+              "    with open(args.out, 'w') as fh: fh.write('')\n"
+              "class Writer:\n"
+              "    def put(self, p): p.write_bytes(b'')\n"
+              "Path('x').write_text('')\n"
+              "def main(argv=None): Path('o').mkdir(); Path('o/f').write_text('')\n")
+    assert file_writes(source) == ["8", "Writer", "cmd_a", "cmd_b"]
+
+
+def test_cli_writes_only_in_main():
+    assert file_writes((PACKAGE / "cli.py").read_text()) == []
