@@ -214,17 +214,11 @@ class Parametric(ActivityModel):
     def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
         """The activities read from one power table, shared by every model
         with the same M, d and alpha."""
-        d, M, alpha = self.geometry.d, self.geometry.M, self.alpha
         first = min(max(j_lo, 0), j_hi + 1)
-        powers = _parametric_powers(M, d, alpha, first, j_hi)
+        powers = _parametric_powers(self.geometry.M, self.geometry.d, self.alpha,
+                                    first, j_hi)
         mu, J = self.mu, self.J
-        out = [-math.inf] * (first - j_lo)
-        out += [vol * mu - cost * J for vol, cost in powers]
-        # the table ends where a power overflows a float: the scales past it
-        # are evaluated in full, and raise where a float overflows
-        out += [M ** (d * j) * mu - M ** (alpha * d * j) * J
-                for j in range(first + len(powers), j_hi + 1)]
-        return out
+        return [-math.inf] * (first - j_lo) + [vol * mu - cost * J for vol, cost in powers]
 
     def min_active_scale(self) -> Optional[int]:
         return 0
@@ -237,15 +231,11 @@ class Parametric(ActivityModel):
 @functools.lru_cache(maxsize=32, typed=True)
 def _parametric_powers(M: int, d: int, alpha: float, j_lo: int,
                        j_hi: int) -> tuple[tuple[float, float], ...]:
-    """(M**(d j), M**(alpha d j)) as floats for j = j_lo, ..., j_hi, ending
-    before the first scale where either overflows a float."""
-    powers = []
-    for j in range(j_lo, j_hi + 1):
-        try:
-            powers.append((float(M ** (d * j)), M ** (alpha * d * j)))
-        except OverflowError:
-            break
-    return tuple(powers)
+    """(M**(d j), M**(alpha d j)) as floats for j = j_lo, ..., j_hi; an
+    OverflowError where M**(d j) overflows a float, which (alpha < 1) comes
+    no later than M**(alpha d j) does."""
+    return tuple((float(M ** (d * j)), M ** (alpha * d * j))
+                 for j in range(j_lo, j_hi + 1))
 
 
 @dataclass(frozen=True)

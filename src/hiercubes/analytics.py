@@ -707,7 +707,12 @@ def _condition_ii(model: ActivityModel) -> ConditionVerdict:
                                 detail=f"no chain summation for {type(model).__name__}")
 
     for j_max in (64, 128, 256, 512):
-        verdict = _classify_zhat_tail(_scale_profile(model, j_max))
+        try:
+            prof = _scale_profile(model, j_max)
+        except OverflowError:
+            return ConditionVerdict("undecided",
+                                    detail=f"activities overflow a float below scale {j_max}")
+        verdict = _classify_zhat_tail(prof)
         if verdict is not None:
             return verdict
     return ConditionVerdict("undecided", detail="no decision after j_max = 512")
@@ -920,26 +925,19 @@ def _ancestor_chain(model: ActivityModel, j0: int, depth: int) -> tuple[ScalePro
 
 def pair_covariance(model: ActivityModel, b1: Block, b2: Block,
                     window: Optional[Block], depth: int) -> dict:
-    """Covariance of the occurrence events of two blocks, two ways.
-
-    Returns both the direct value (from exact marginals) and the factorised
-    value P1 * P2 * R over the common strict-ancestor chain; for overlapping
-    pairs the joint probability is zero and the covariance is -P1*P2.
+    """Covariance of the occurrence events of two blocks, two ways: the
+    `config_covariance` of the singletons [b1] and [b2], so the direct value
+    (from exact marginals) and the factorised value P1 * P2 * R over the
+    common strict-ancestor chain, which is -P1 * P2 for a nested pair.
     Identical blocks get the variance P(1-P).
     """
-    p1 = exact_marginal(model, [b1], window, depth)
     if b1 == b2:
+        p1 = exact_marginal(model, [b1], window, depth)
         return {"cov": p1 * (1 - p1), "factored_cov": p1 * (1 - p1),
                 "joint": p1, "p1": p1, "p2": p1, "mode": "variance"}
-    p2 = exact_marginal(model, [b2], window, depth)
-    joint = exact_marginal(model, [b1, b2], window, depth)
-    cov = joint - p1 * p2
-    if overlaps(b1, b2, model.geometry):
-        factored = -p1 * p2
-    else:
-        factored = p1 * p2 * _common_chain_R(model, [b1], [b2], window, depth)
-    return {"cov": cov, "factored_cov": factored, "joint": joint,
-            "p1": p1, "p2": p2, "mode": "pair"}
+    cv = config_covariance(model, [b1], [b2], window, depth)
+    return {**{k: cv[k] for k in ("cov", "factored_cov", "joint", "p1", "p2")},
+            "mode": "pair"}
 
 
 def _common_chain_R(model: ActivityModel, set1, set2,
@@ -960,19 +958,22 @@ def _common_chain_R(model: ActivityModel, set1, set2,
 
 def config_covariance(model: ActivityModel, set1, set2,
                       window: Optional[Block], depth: int) -> dict:
-    """Covariance of two finite sub-configurations, with factorisation check."""
+    """Covariance of two disjoint finite sub-configurations, two ways: the
+    direct value joint - P1 * P2 from exact marginals, and the factorised
+    values P1 * P2 * R (`factored_cov`) and P1 * P2 * (1 + R)
+    (`factored_joint`), with R over the common strict-ancestor chain when
+    the union is hard-core and R = -1 when it is not (the joint is then 0).
+    """
     set1, set2 = sorted(set(set1)), sorted(set(set2))
     if set(set1) & set(set2):
         raise ValueError("configuration sets must be disjoint as sets")
     p1 = exact_marginal(model, set1, window, depth)
     p2 = exact_marginal(model, set2, window, depth)
     joint = exact_marginal(model, set1 + set2, window, depth)
-    cov = joint - p1 * p2
-    if not _hard_core(set1 + set2, model.geometry):
-        factored_joint = 0.0
-    else:
-        factored_joint = p1 * p2 * (1 + _common_chain_R(model, set1, set2, window, depth))
-    return {"cov": cov, "joint": joint, "factored_joint": factored_joint,
+    R = _common_chain_R(model, set1, set2, window, depth) \
+        if _hard_core(set1 + set2, model.geometry) else -1.0
+    return {"cov": joint - p1 * p2, "factored_cov": p1 * p2 * R, "joint": joint,
+            "factored_joint": p1 * p2 * (1 + R),
             "p1": p1, "p2": p2, "min_size": min(len(set1), len(set2))}
 
 
@@ -1098,9 +1099,7 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
         if parametric and prof.log_zhat.get(j, -math.inf) > -math.inf:
             # delta = log R_j - log zhat_j, computed without cancellation
             log_S = lead + math.log1p(rel)
-            S = math.exp(min(log_S, 700.0))
-            corr = log_R - log_S if log_S > -30 and S < 700 else 0.0
-            delta = (lead - prof.log_zhat[j]) + math.log1p(rel) + corr
+            delta = (lead - prof.log_zhat[j]) + math.log1p(rel) + (log_R - log_S)
             log_tail_p = logsumexp_iter(tail_terms[i:])
             tail_contrib = math.exp(geo.d * j * math.log(geo.M) + log_tail_p) \
                 if log_tail_p > -math.inf else 0.0

@@ -24,7 +24,8 @@ import math
 import sys
 from pathlib import Path
 
-from .blocks import Block, Geometry, ancestor_at, format_block, parse_block
+from .blocks import (Block, Geometry, ancestor_at, format_block,
+                     hierarchical_distance, parse_block)
 from .activities import EffectiveDesign, Homogeneous, TailRule, load_model
 from .analytics import (UncertifiedComputation, _check_system, _log_rho,
                         condensation_table, critical_mu, decay_profile,
@@ -134,18 +135,21 @@ def cmd_correlate(args) -> tuple[int, dict[str, str]]:
     pairs = _distance_pairs(geo, window, args.depth)
     rows = []
     if pairs:
-        # one batch of draws serves every pair: its probes are keyed by lcs scale
-        probes = {}
-        for l, b1, b2 in pairs:
-            probes.update({f"{l}:pair": [b1, b2], f"{l}:b1": [b1], f"{l}:b2": [b2]})
+        # one batch of draws serves every pair: b1 is the same block in each,
+        # the other probes are keyed by lcs scale
+        b1 = pairs[0][1]
+        probes = {"b1": [b1]}
+        for l, _, b2 in pairs:
+            probes.update({f"{l}:pair": [b1, b2], f"{l}:b2": [b2]})
         batch = estimate(model, window, args.depth, args.samples, probes,
                          seed=args.seed)
-        for l, b1, b2 in pairs:
+        p1_mc = batch.estimate("b1")[0]
+        for l, _, b2 in pairs:
             cv = pair_covariance(model, b1, b2, window, args.depth)
             p12, err = batch.estimate(f"{l}:pair")
-            mc_cov = p12 - batch.estimate(f"{l}:b1")[0] * batch.estimate(f"{l}:b2")[0]
+            mc_cov = p12 - p1_mc * batch.estimate(f"{l}:b2")[0]
             rows.append({"lcs_scale": l,
-                         "distance": float(geo.M) ** (geo.d * l),
+                         "distance": hierarchical_distance(b1, b2, geo),
                          "cov_exact": cv["cov"],
                          "cov_factored": cv["factored_cov"],
                          "cov_mc": mc_cov,

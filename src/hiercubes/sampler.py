@@ -366,7 +366,10 @@ class SampleBatch:
     def merge(self, other: "SampleBatch") -> "SampleBatch":
         """The batch of both draw ranges: for batches drawn over disjoint
         `start_index` ranges, e.g. in separate processes, it equals the one
-        batch drawn over their union."""
+        batch drawn over their union.  Batches of other probe ids are refused."""
+        if self.probe_hits.keys() != other.probe_hits.keys():
+            raise ValueError(f"cannot merge batches of probe ids {sorted(self.probe_hits)} "
+                             f"and {sorted(other.probe_hits)}")
         hits = {k: v + other.probe_hits[k] for k, v in self.probe_hits.items()}
         return SampleBatch(self.count + other.count, hits,
                            self.empty_count + other.empty_count)

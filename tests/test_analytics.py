@@ -7,7 +7,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hiercubes.blocks import (Block, Geometry, IndexRangeError, block, children,
                               descendants, overlaps)
@@ -30,7 +30,7 @@ from hiercubes.logreal import (log1p_exp, log_expm1, logaddexp, logsumexp_iter,
                               ordered_sum)
 from hiercubes.sampler import ancestor_chain_cdf, sample_gibbs_infinite
 
-from test_activities import CountingModel
+from test_activities import CountingModel, scale_wise_models
 
 GEO = Geometry(1)
 GEO2 = Geometry(2)
@@ -328,6 +328,15 @@ def test_parametric_condition_ii_sign():
     assert check_condition_ii(Parametric(GEO, 2.0, 1.0, 0.5)).status == "fails"
 
 
+def test_condition_ii_is_undecided_where_the_activities_overflow():
+    # the profile doubles to scale 512 undecided; 3**(2 j) overflows a float
+    # at scale 324 on the way
+    m = Parametric(Geometry(2, 3), 2.66, 1.0, 0.5)
+    assert check_condition_ii(m) == analytics.ConditionVerdict(
+        "undecided", detail="activities overflow a float below scale 512")
+    assert existence_report(m).verdict == "undecided"
+
+
 # -- marginals and covariances -------------------------------------------------
 
 def test_exact_marginal_oracle_values():
@@ -385,6 +394,50 @@ def test_config_covariance_matches_pair():
     r1 = pair_covariance(m, block(-2, 0), block(-2, 2), W, 2)
     r2 = config_covariance(m, [block(-2, 0)], [block(-2, 2)], W, 2)
     assert r1["cov"] == pytest.approx(r2["cov"], abs=1e-12)
+
+
+COVARIANCE_KEYS = ("cov", "factored_cov", "joint", "p1", "p2")
+
+
+def _outcome(call):
+    # KeyError: the tail ratio of a scale below the profile's first (ROADMAP
+    # item 4b, bench defect covariance-below-profile)
+    try:
+        return call()
+    except (ValueError, UncertifiedComputation, OverflowError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale_wise_models(), st.integers(0, 2**32))
+def test_pair_covariance_is_the_config_covariance_of_singletons(model, seed):
+    # the pair mode is config_covariance on [b1] and [b2], bit for bit,
+    # refusals included, in a window and in infinite volume
+    geo, rng, depth = model.geometry, random.Random(seed), 1
+    top = Block(1, (0,) * geo.d)
+    scales = [rng.randint(-depth, top.scale) for _ in range(2)]
+    b1, b2 = [Block(s, tuple(rng.randrange(geo.M ** (top.scale - s)) for _ in range(geo.d)))
+              for s in scales]
+    assume(b1 != b2)
+    for window in (top, None):
+        pair = _outcome(lambda: pair_covariance(model, b1, b2, window, depth))
+        config = _outcome(lambda: config_covariance(model, [b1], [b2], window, depth))
+        if not isinstance(pair, dict):
+            assert pair == config
+            continue
+        assert pair["mode"] == "pair"
+        assert repr([pair[k] for k in COVARIANCE_KEYS]) == \
+            repr([config[k] for k in COVARIANCE_KEYS])
+
+
+def test_config_covariance_of_overlapping_sets_has_R_minus_one():
+    # a union that is not hard-core is never occupied: R = -1
+    m = unit_model()
+    for window in (W, None):
+        cv = config_covariance(m, [W], [block(-1, 0), block(-2, 3)], window, 2)
+        assert cv["p1"] > 0.0 and cv["p2"] > 0.0
+        assert cv["joint"] == cv["factored_joint"] == 0.0
+        assert cv["factored_cov"] == -cv["p1"] * cv["p2"] == cv["cov"]
 
 
 def test_infinite_marginal_certified():
@@ -753,9 +806,7 @@ def _per_row_decay_profile(model, j_max):
         row = {"j": j, "log_R": log_R, "scaled_log_R": log_R / vol, "residual": None}
         if parametric and prof.log_zhat.get(j, -math.inf) > -math.inf:
             log_S = lead + math.log1p(rel)
-            S = math.exp(min(log_S, 700.0))
-            corr = log_R - log_S if log_S > -30 and S < 700 else 0.0
-            delta = (lead - prof.log_zhat[j]) + math.log1p(rel) + corr
+            delta = (lead - prof.log_zhat[j]) + math.log1p(rel) + (log_R - log_S)
             log_tail_terms = [math.log(prof.log1p_zhat[k]) - geo.d * k * math.log(geo.M)
                               if prof.log1p_zhat[k] > 0 and prof.log_zhat[k] >= -30
                               else prof.log_zhat[k] - geo.d * k * math.log(geo.M)
@@ -802,6 +853,38 @@ def test_decay_table_equals_the_per_row_fold(name):
     assert any(-math.inf < v < -30 for v in lzh) and any(v >= -30 for v in lzh)
     # and every non-parametric case has a scale with no activity among its first
     assert name.startswith("parametric") != any(v == -math.inf for v in lzh[:8])
+
+
+def _direct_residual(model, p, row):
+    # log R_j + M**(d j)(p - mu) + M**(alpha d j) J, as the docstring states it
+    geo, j = model.geometry, row["j"]
+    return (row["log_R"] + geo.M ** (geo.d * j) * (p - model.mu)
+            + geo.M ** (model.alpha * geo.d * j) * model.J)
+
+
+def test_decay_residual_is_the_direct_formula_where_log_R_passes_700():
+    # where S_j = log(1 + R_j) >= 700, log R_j = S_j: the residual reads it
+    for mu in (700.0, 650.0):
+        m = Parametric(GEO, mu, 0.0, 0.5)
+        p = pressure_profile(m, j_max=200).pressure
+        row = decay_profile(m, 0)[0]
+        assert row["log_R"] > mu
+        assert row["residual"] == pytest.approx(_direct_residual(m, p, row), rel=1e-12)
+    # a seeded sweep of certified Parametric models
+    rng = random.Random(25)
+    checked = 0
+    for _ in range(200):
+        geo = Geometry(rng.randint(1, 2), rng.randint(2, 3))
+        m = Parametric(geo, rng.uniform(-2, 6), rng.uniform(0, 2), rng.uniform(0.3, 0.8))
+        if not check_condition_ii(m).holds:
+            continue
+        p = pressure_profile(m, j_max=200).pressure
+        for row in decay_profile(m, 4):
+            if row["residual"] is not None and row["log_R"] >= 700:
+                checked += 1
+                assert row["residual"] == pytest.approx(_direct_residual(m, p, row),
+                                                        rel=1e-12), (m, row)
+    assert checked > 100
 
 
 # -- series sandwich bounds ------------------------------------------------------

@@ -116,6 +116,22 @@ def test_undecided_verdict_still_writes(tmp_path, monkeypatch):
     assert json.loads((out / "existence.json").read_text())["verdict"] == "undecided"
 
 
+def test_analyze_undecided_where_condition_ii_overflows(tmp_path):
+    # 3**(2 j) overflows a float below scale 512, where condition (ii) looks:
+    # an undecided verdict, exit 3 with every file written
+    m = write_model(tmp_path, {"kind": "parametric", "d": 2, "M": 3,
+                               "mu": 2.66, "J": 1.0, "alpha": 0.5})
+    res = run_cli("analyze", "--model", m, "--out", str(tmp_path / "o"))
+    assert res.returncode == EXIT_UNDECIDED and res.stderr == ""
+    out = tmp_path / "o"
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["existence.json", "pressure.json", "scales.csv"]
+    rep = json.loads((out / "existence.json").read_text())
+    assert rep["verdict"] == "undecided"
+    assert rep["condition_ii"] == {"status": "undecided",
+                                   "detail": "activities overflow a float below scale 512"}
+
+
 def test_analyze_missing_model(tmp_path):
     code = main(["analyze", "--model", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])
@@ -286,6 +302,29 @@ def test_correlate_matches_per_pair_estimates(tmp_path):
         p12, err = batch.estimate("pair")
         assert float(r["cov_mc"]) == p12 - batch.estimate("b1")[0] * batch.estimate("b2")[0]
         assert float(r["stderr"]) == err
+
+
+def test_correlate_draws_one_probe_for_b1(tmp_path, monkeypatch):
+    # b1 is the same block in every pair: one probe for it, one pair and one
+    # b2 probe per lcs scale; the distance is the ultrametric M**(d l)
+    seen = []
+
+    def recording(model, window, depth, N, probes, seed):
+        seen.append(probes)
+        return estimate(model, window, depth, N, probes, seed=seed)
+    monkeypatch.setattr(cli, "estimate", recording)
+    m = write_model(tmp_path, {**PARAMETRIC, "d": 2, "M": 3})
+    out = tmp_path / "o"
+    assert main(["correlate", "--model", m, "--out", str(out), "--window", "2:(1,0)",
+                 "--depth", "1", "--samples", "20", "--seed", "3"]) == EXIT_OK
+    pairs = _distance_pairs(load_model(m).geometry, parse_block("2:(1,0)"), 1)
+    [probes] = seen
+    b1 = pairs[0][1]
+    assert sorted(map(tuple, probes.values())) == sorted(
+        [(b1,)] + [p for _, _, b2 in pairs for p in [(b1, b2), (b2,)]])
+    with (out / "correlate.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["distance"]) for r in rows] == [float(9 ** l) for l, _, _ in pairs]
 
 
 def test_correlate_builds_each_profile_once(tmp_path, monkeypatch):

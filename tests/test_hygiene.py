@@ -248,32 +248,32 @@ def test_truncations_are_unwrapped_in_one_place():
     assert truncation_walks(sources) == []
 
 
+def calls_outside(sources: dict[str, str], name: str, callers: set) -> list[str]:
+    """`module.name` of each top-level statement (its line number when it
+    defines no name) outside `callers`, a set of (module, name), that calls
+    the function `name`, under any import name or as a module attribute."""
+    found = set()
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        aliases = {name} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                            for a in n.names if a.name == name and a.asname}
+        for node in tree.body:
+            if (mod, getattr(node, "name", None)) in callers:
+                continue
+            if any(isinstance(n, ast.Call)
+                   and (isinstance(n.func, ast.Name) and n.func.id in aliases
+                        or isinstance(n.func, ast.Attribute) and n.func.attr == name)
+                   for n in ast.walk(node)):
+                found.add(f"{mod}.{getattr(node, 'name', node.lineno)}")
+    return sorted(found)
+
+
 # the scale-wise refusal runs once per public reader: every certifying reader
 # calls it through the gate `_require_condition_ii`, so outside the gate only
 # the two readers that do not certify call it
 SCALEWISE = "_require_scalewise"
 SCALEWISE_CALLERS = {("analytics", "_require_condition_ii"), ("analytics", "scale_profile"),
                      ("analytics", "pressure_profile")}
-
-
-def scalewise_refusals(sources: dict[str, str]) -> list[str]:
-    """`module.name` of each top-level statement (its line number when it
-    defines no name) outside SCALEWISE_CALLERS that calls the scale-wise
-    refusal, under any import name or as a module attribute."""
-    found = set()
-    for mod, src in sources.items():
-        tree = ast.parse(src)
-        aliases = {SCALEWISE} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                                 for a in n.names if a.name == SCALEWISE and a.asname}
-        for node in tree.body:
-            if (mod, getattr(node, "name", None)) in SCALEWISE_CALLERS:
-                continue
-            if any(isinstance(n, ast.Call)
-                   and (isinstance(n.func, ast.Name) and n.func.id in aliases
-                        or isinstance(n.func, ast.Attribute) and n.func.attr == SCALEWISE)
-                   for n in ast.walk(node)):
-                found.add(f"{mod}.{getattr(node, 'name', node.lineno)}")
-    return sorted(found)
 
 
 def test_scalewise_refusals_are_found():
@@ -289,13 +289,21 @@ def test_scalewise_refusals_are_found():
                "cli": "from . import analytics\n"
                       "check = analytics._require_scalewise\n"
                       "analytics._require_scalewise(None, 'p')\n"}
-    assert scalewise_refusals(sources) == ["analytics.System", "analytics.log_tail_ratio",
-                                           "cli.3", "sampler.chain", "sampler.pressure_profile"]
+    assert calls_outside(sources, SCALEWISE, SCALEWISE_CALLERS) == [
+        "analytics.System", "analytics.log_tail_ratio", "cli.3", "sampler.chain",
+        "sampler.pressure_profile"]
 
 
 def test_scalewise_refusal_has_two_direct_callers():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert scalewise_refusals(sources) == []
+    assert calls_outside(sources, SCALEWISE, SCALEWISE_CALLERS) == []
+
+
+def test_chain_ratio_of_two_sets_has_one_caller():
+    # one covariance: the pair mode reads config_covariance, which alone
+    # folds R over the common chain of two sets
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert calls_outside(sources, "_common_chain_R", {("analytics", "config_covariance")}) == []
 
 
 # the CLI has one write point: each `cmd_*` returns its files and `main`

@@ -478,6 +478,16 @@ def test_batch_merge_counts():
     assert m.count == 15 and m.probe_hits["p"] == 4 and m.empty_count == 3
 
 
+def test_batch_merge_refuses_other_probe_ids():
+    # either order: a probe id of one batch only is named, never dropped
+    a = SampleBatch(5, {"p": 1}, 1)
+    b = SampleBatch(10, {"p": 3, "q": 1}, 2)
+    for x, y in [(a, b), (b, a)]:
+        with pytest.raises(ValueError) as exc:
+            x.merge(y)
+        assert "'q'" in str(exc.value) and "'p'" in str(exc.value)
+
+
 # -- the pinned stream ----------------------------------------------------------------
 # sha256 of the sorted draws of fixed seeds and indices: any change to the
 # blake2b stream, the blocks a draw visits or the occupation ratios changes them.
