@@ -37,18 +37,26 @@ plain dict: per start scale j_lo the longest profile `_build_profile(model,
 j_lo, j_hi)` asked for (key ("profile", j_lo)), the
 start scale found by walking down (key "start"), the condition (ii) verdict
 (key "condition_ii") and the condition (i) verdict of a scan (key
-"condition_i").  A profile up to a lower scale is read as a
+"condition_i").  `sampler._draw_function` keeps a system's draw functions
+here too (keys ("finite", window, depth) and ("infinite", window, depth)).
+A profile up to a lower scale is read as a
 prefix of the kept one, bit for bit the same, since the recursion at scale j
 reads only the scales up to j; one up to a higher scale is built and
 replaces it.  The bound is MEMO_SCALES memoized scales per model, the sum of
-j_hi - j_lo + 1 over the profiles kept (any other entry counts as one),
-since profile length sets the memory.  The memo keeps no recency order: an
+the entries' weights, each at least the number of scales or blocks it
+tabulates, since that sets the memory: j_hi - j_lo + 1 for a profile, the
+system's scales (scale lane) or blocks (block lane) for a finite draw
+function, a bound on the chain's rows plus that for an infinite one, and
+one for any other entry.  The memo keeps no recency order: an
 entry that would take the sum past the bound clears the memo first, so a
-full memo starts over, and a profile longer than the bound is not kept.
+full memo starts over, and an entry heavier than the bound (a profile
+longer than it, or a block-lane system of more blocks) is not kept.
 The clearing guards memory, not speed: a model's memo in the benchmark
 workloads holds a few entries and a few hundred scales.  An exception is
-never kept, a model without `__dict__` is not memoized, and
-`TruncatedSystem`s and their block-lane tables are not memoized.  The memo's
+never kept, so neither is a refusal, and a model without `__dict__` is not
+memoized.  Threads may share a model: two that miss one key both build it
+and either value is kept, and a block-lane ratio lookup fills its dict on
+first visit, each thread writing the same ratio.  The memo's
 profiles are shared by every reader and are read only: `scale_profile`
 returns a copy, so edits to its result never reach the memo.
 """
@@ -1041,8 +1049,11 @@ def _log_R(terms: list[float]) -> Optional[tuple[float, float, float]]:
     rel = ordered_sum(map(math.exp, map(operator.sub, terms, repeat(lead)))) - 1.0
     log_S = lead + math.log1p(rel)
     if log_S > -30:
-        S = math.exp(min(log_S, 700.0))
-        return (log_expm1(S) if S < 700 else S), lead, rel
+        try:
+            S = math.exp(log_S)
+        except OverflowError:           # S_j past the largest float
+            S = math.inf
+        return log_expm1(S), lead, rel  # log(e^S - 1), S itself from 37 up
     return log_S, lead, rel             # R = expm1(S) = S (1 + O(S))
 
 

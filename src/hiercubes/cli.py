@@ -33,7 +33,7 @@ from .analytics import (UncertifiedComputation, _check_system, _log_rho,
                         pair_covariance, pressure_profile, scale_profile)
 from .oracle import run_validation_suite
 from .render import render_svg
-from .sampler import _finite_sampler, _infinite_sampler, estimate
+from .sampler import _draw_function, estimate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -90,9 +90,7 @@ def cmd_sample(args) -> tuple[int, dict[str, str]]:
     if unknown:
         raise ValueError(f"--format: unknown {', '.join(map(repr, unknown))}; "
                          f"choose from {','.join(SAMPLE_FORMATS)}")
-    # one system, and one certificate and chain law, for all the command's draws
-    sampler = _infinite_sampler if args.infinite else _finite_sampler
-    draw = sampler(model, window, args.depth)
+    draw = _draw_function(model, window, args.depth, args.infinite)
     configs = [draw(args.seed, i) for i in range(args.samples)]
     files = {}
     if "json" in fmts:

@@ -15,8 +15,13 @@ only for those pairs; `estimate` builds none, and matches each probe, a
 frozenset of pairs, against the set of a draw's pairs.  A draw costs one
 uniform (a copy of the cached keyed hash state of its seed and sample index,
 fed the block's tokens) per visited block, and its validation O(distinct
-ancestors of the occupied blocks).  An infinite-volume draw is certified
-by the one call of `ancestor_chain_cdf` that builds its chain law.
+ancestors of the occupied blocks).  The system, its occupation ratios and,
+in infinite volume, the chain law are not part of that cost: they are fixed
+by (model, window, depth), so `_draw_function` builds them on the first draw
+and keeps them in the model's analytics memo for every later one, from any
+of `sample_gibbs`, `sample_gibbs_infinite`, `estimate` or the command line.
+An infinite-volume draw is certified by the one call of `ancestor_chain_cdf`
+that builds its chain law.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from typing import Callable, Iterable, Optional
 
 from .blocks import Block, Geometry, format_block, subtree_levels
 from .activities import ActivityModel
-from .analytics import (TruncatedSystem, _ancestor_chain, _check_system,
-                        _log_one_minus_rho, _log_rho, _require_condition_ii)
+from .analytics import (CHAIN_SCALES, MEMO_SCALES, TruncatedSystem,
+                        _ancestor_chain, _check_system, _log_one_minus_rho,
+                        _log_rho, _memoized, _require_condition_ii)
 
 
 class InvalidConfiguration(ValueError):
@@ -123,8 +129,8 @@ _BLOCK_ORDER = operator.attrgetter("scale", "index")   # the order of Block.__lt
 
 def _make_config(blocks: Iterable[Block], window: Block, depth: int, seed: int,
                  geo: Geometry, covered: Optional[int] = None) -> Configuration:
-    cfg = Configuration(tuple(sorted(blocks, key=_BLOCK_ORDER)), window, depth,
-                        seed, covered)
+    """The validated configuration of `blocks`, given in `Block` order."""
+    cfg = Configuration(tuple(blocks), window, depth, seed, covered)
     cfg.validate(geo)
     return cfg
 
@@ -227,17 +233,78 @@ def _sample_topdown(ratios: _Ratios, geo: Geometry, window: Block, depth: int,
     return occupied
 
 
-def _finite_sampler(model: ActivityModel, window: Block,
-                    depth: int) -> Callable[[int, int], Configuration]:
-    """`draw(seed, index)`: draws from the law of the doubly truncated system
-    that share one `TruncatedSystem` and one ratio lookup, built here."""
-    ratios = _ratio_lookup(TruncatedSystem(model, window, depth))
-    geo = model.geometry
+class _FiniteDraws:
+    """The draws of one doubly truncated system, all read from one ratio
+    lookup: `pairs(seed, index)` is a draw's sorted occupied (scale, index)
+    pairs, and a call is the draw as a validated `Configuration`."""
 
-    def draw(seed: int, index: int) -> Configuration:
-        pairs = _sample_topdown(ratios, geo, window, depth, seed, index)
-        return _make_config(starmap(Block, pairs), window, depth, seed, geo)
-    return draw
+    def __init__(self, ratios: _Ratios, geo: Geometry, window: Block, depth: int):
+        self.ratios = ratios
+        self.geo = geo
+        self.window = window
+        self.depth = depth
+
+    def pairs(self, seed: int, index: int) -> list[tuple[int, tuple]]:
+        return _sample_topdown(self.ratios, self.geo, self.window, self.depth,
+                               seed, index)
+
+    def __call__(self, seed: int, index: int) -> Configuration:
+        return _make_config(starmap(Block, self.pairs(seed, index)), self.window,
+                            self.depth, seed, self.geo)
+
+
+def _system_weight(model: ActivityModel, window: Block, depth: int) -> int:
+    """The memo weight of a finite draw function: the system's scales in the
+    scale lane, its blocks in the block lane, counted over at most
+    MEMO_SCALES + 1 levels, which already pass the bound."""
+    levels = window.scale + depth + 1
+    if model.homogeneous_within(window):
+        return levels
+    B = model.geometry.branching
+    return (B ** min(max(levels, 0), MEMO_SCALES + 1) - 1) // (B - 1)
+
+
+def _draw_function(model: ActivityModel, window: Block, depth: int,
+                   infinite: bool = False) -> Callable[[int, int], Configuration]:
+    """`draw(seed, index)` from the law of the doubly truncated system or,
+    when `infinite`, from the infinite-volume measure seen through `window`:
+    built once per (model, window, depth) and kept in the model's memo (see
+    the `analytics` module docstring).  Key ("finite", window, depth) holds a
+    `_FiniteDraws` over one `TruncatedSystem` and its ratio lookup; key
+    ("infinite", window, depth) holds the certified chain law, and its first
+    draw that no ancestor covers reads the finite entry.  A refusal raises
+    from the build and is not kept.
+    """
+    geo = model.geometry
+    weight = _system_weight(model, window, depth)
+    if not infinite:
+        def build_finite() -> _FiniteDraws:
+            ratios = _ratio_lookup(TruncatedSystem(model, window, depth))
+            return _FiniteDraws(ratios, geo, window, depth)
+        return _memoized(model, ("finite", window, depth), weight, build_finite)
+
+    def build_infinite() -> Callable[[int, int], Configuration]:
+        rows, p_none = ancestor_chain_cdf(model, window, depth)
+        finite: Optional[_FiniteDraws] = None
+
+        def draw(seed: int, index: int) -> Configuration:
+            nonlocal finite
+            u = _uniform(seed, index, "chain", window.scale, window.index)
+            acc = p_none
+            if u < acc:
+                if finite is None:
+                    finite = _draw_function(model, window, depth)
+                return finite(seed, index)
+            for k, pk in rows:
+                acc += pk
+                if u < acc:
+                    return _make_config([], window, depth, seed, geo, covered=k)
+            return _make_config([], window, depth, seed, geo, covered=rows[-1][0])
+        return draw
+    # the chain's rows lie above the window, up to CHAIN_SCALES above scale
+    # max(window.scale, 0), and p_none; the finite entry it may hold on top
+    chain = max(window.scale, 0) + CHAIN_SCALES - window.scale + 1
+    return _memoized(model, ("infinite", window, depth), chain + weight, build_infinite)
 
 
 def sample_gibbs(model: ActivityModel, window: Block, depth: int, seed: int,
@@ -246,10 +313,12 @@ def sample_gibbs(model: ActivityModel, window: Block, depth: int, seed: int,
 
     Top-down: occupy each visited block with its occupation ratio (computed
     from the truncated activity, so the sampled law is exactly the truncated
-    one); recurse into the children otherwise.
+    one); recurse into the children otherwise.  The system and its ratios
+    are built on the first draw from (model, window, depth) and kept on the
+    model, so repeated draws pay only the walk.
     """
     _check_index("index", index)
-    return _finite_sampler(model, window, depth)(seed, index)
+    return _draw_function(model, window, depth)(seed, index)
 
 
 def sample_mandelbrot(p: float, geo: Geometry, window: Block, depth: int,
@@ -277,7 +346,7 @@ def sample_bernoulli_max(ratios: dict[Block, float], geo: Geometry,
     cleared: dict = {}
     maximal = [b for b in occupied
                if _walk_up(b.scale, b.index, window.scale, geo.M, occ, cleared)[0] is None]
-    return _make_config(maximal, window, depth, seed, geo)
+    return _make_config(sorted(maximal, key=_BLOCK_ORDER), window, depth, seed, geo)
 
 
 def ancestor_chain_cdf(model: ActivityModel, window: Block,
@@ -304,45 +373,18 @@ def ancestor_chain_cdf(model: ActivityModel, window: Block,
     return rows, p_none
 
 
-def _infinite_sampler(model: ActivityModel, window: Block,
-                      depth: int) -> Callable[[int, int], Configuration]:
-    """`draw(seed, index)`: draws from the infinite-volume measure, seen
-    through a window, that share one certificate and one ancestor-chain law.
-
-    The chain law, which certifies condition (ii) and checks the system, is
-    built here, once; the finite sampler inside the window is built on the
-    first draw that no ancestor covers.
-    """
-    rows, p_none = ancestor_chain_cdf(model, window, depth)
-    geo = model.geometry
-    finite: Optional[Callable[[int, int], Configuration]] = None
-
-    def draw(seed: int, index: int) -> Configuration:
-        nonlocal finite
-        u = _uniform(seed, index, "chain", window.scale, window.index)
-        acc = p_none
-        if u < acc:
-            if finite is None:
-                finite = _finite_sampler(model, window, depth)
-            return finite(seed, index)
-        for k, pk in rows:
-            acc += pk
-            if u < acc:
-                return _make_config([], window, depth, seed, geo, covered=k)
-        return _make_config([], window, depth, seed, geo, covered=rows[-1][0])
-    return draw
-
-
 def sample_gibbs_infinite(model: ActivityModel, window: Block, depth: int,
                           seed: int, index: int = 0) -> Configuration:
     """One draw from the infinite-volume measure, seen through a window.
 
     First inverts the CDF of the lowest occupied strict ancestor of the
     window; when an ancestor is occupied the draw reports only the covering
-    scale, otherwise the finite sampler runs inside the window.
+    scale, otherwise the finite sampler runs inside the window.  The chain
+    law and the finite system are built on the first draw from (model,
+    window, depth) and kept on the model.
     """
     _check_index("index", index)
-    return _infinite_sampler(model, window, depth)(seed, index)
+    return _draw_function(model, window, depth, infinite=True)(seed, index)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +424,11 @@ def estimate(model: ActivityModel, window: Block, depth: int, N: int,
 
     Each draw is keyed by its absolute sample index, so splitting [0, N) into
     ranges (via `start_index`) and combining their batches with
-    `SampleBatch.merge` reproduces the serial result exactly.  A draw is kept
-    as the set of its occupied (scale, index) pairs and a probe hits when its
-    pairs, as a frozenset, are a subset of it: an empty probe hits every
-    draw, and a block outside the system none.
+    `SampleBatch.merge` reproduces the serial result exactly; every range
+    walks the one system that the draws of (model, window, depth) share.  A
+    draw is kept as the set of its occupied (scale, index) pairs and a probe
+    hits when its pairs, as a frozenset, are a subset of it: an empty probe
+    hits every draw, and a block outside the system none.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -393,12 +436,11 @@ def estimate(model: ActivityModel, window: Block, depth: int, N: int,
     _check_index("start_index + N - 1", start_index + N - 1)
     wanted = [(pid, frozenset((b.scale, b.index) for b in bs))
               for pid, bs in probes.items()]
-    ratios = _ratio_lookup(TruncatedSystem(model, window, depth))
-    geo = model.geometry
+    walk = _draw_function(model, window, depth).pairs
     hits = {pid: 0 for pid, _ in wanted}
     empty = 0
     for i in range(start_index, start_index + N):
-        got = set(_sample_topdown(ratios, geo, window, depth, seed, i))
+        got = set(walk(seed, i))
         if not got:
             empty += 1
         for pid, want in wanted:

@@ -737,6 +737,13 @@ def test_tail_ratio_monotone_to_zero():
     assert logs[-1] < -100
 
 
+def test_tail_ratio_is_not_capped():
+    # S_0 = log(1 + zhat_0) = 1e305 is log R_0 itself; no exp(700) cap clips it
+    m = Homogeneous(GEO, {0: 1e305}, TailRule("zero", 0.0), TailRule("zero", 0.0))
+    assert log_tail_ratio(m, 0) == pytest.approx(1e305, rel=1e-12)
+    assert decay_profile(m, 0)[0]["log_R"] == pytest.approx(1e305, rel=1e-12)
+
+
 def test_decay_profile_rejects_a_negative_j_max():
     with pytest.raises(ValueError, match="j_max must be >= 0, got -1"):
         decay_profile(Parametric(GEO, mu=-0.5, J=1.0, alpha=0.5), -1)
@@ -784,8 +791,7 @@ def _per_row_log_R(prof, j):
     rel = ordered_sum(math.exp(t - lead) for t in terms) - 1.0
     log_S = lead + math.log1p(rel)
     if log_S > -30:
-        S = math.exp(min(log_S, 700.0))
-        return (log_expm1(S) if S < 700 else S), lead, rel
+        return log_expm1(math.exp(log_S)), lead, rel
     return log_S, lead, rel
 
 

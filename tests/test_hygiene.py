@@ -188,9 +188,11 @@ def test_computations_are_layered(module):
 
 # the oracle reads from the analytics only the ratios its verifiers compare
 # against and the system check; the command line reads from the oracle only
-# the validation suite
+# the validation suite, and from the sampler only the memoized draw functions
+# and the batch estimator
 PINNED_IMPORTS = {("oracle", "analytics"): {"TruncatedSystem", "_check_system"},
-                  ("cli", "oracle"): {"run_validation_suite"}}
+                  ("cli", "oracle"): {"run_validation_suite"},
+                  ("cli", "sampler"): {"_draw_function", "estimate"}}
 
 
 @pytest.mark.parametrize("module,source_module", sorted(PINNED_IMPORTS))
@@ -304,6 +306,40 @@ def test_chain_ratio_of_two_sets_has_one_caller():
     # folds R over the common chain of two sets
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert calls_outside(sources, "_common_chain_R", {("analytics", "config_covariance")}) == []
+
+
+# a system's sampler is built once per model: in `sampler` and `cli`, only the
+# memoized getter builds a system, its ratio lookup or its chain law
+SAMPLER_BUILDS = ("TruncatedSystem", "_ratio_lookup", "ancestor_chain_cdf")
+DRAW_GETTER = {("sampler", "_draw_function")}
+
+
+def sampler_builds_outside_the_getter(sources: dict[str, str]) -> list[str]:
+    return sorted({found for name in SAMPLER_BUILDS
+                   for found in calls_outside(sources, name, DRAW_GETTER)})
+
+
+def test_sampler_builds_outside_the_getter_are_found():
+    sources = {"sampler": "from .analytics import TruncatedSystem as TS\n"
+                          "def _ratio_lookup(sys): return sys\n"
+                          "def ancestor_chain_cdf(m, w, d): return [], 1.0\n"
+                          "def _draw_function(m, w, d):\n"
+                          "    def build():\n"
+                          "        return _ratio_lookup(TS(m, w, d)), ancestor_chain_cdf(m, w, d)\n"
+                          "    return build\n"
+                          "def sample_gibbs(m, w, d): return _ratio_lookup(TS(m, w, d))\n"
+                          "def estimate(m, w, d): return ancestor_chain_cdf(m, w, d)\n",
+               "cli": "from . import sampler\n"
+                      "from .analytics import TruncatedSystem\n"
+                      "def cmd_sample(args): return sampler._ratio_lookup(None)\n"
+                      "def cmd_analyze(args): return TruncatedSystem(None, None, 0)\n"}
+    assert sampler_builds_outside_the_getter(sources) == [
+        "cli.cmd_analyze", "cli.cmd_sample", "sampler.estimate", "sampler.sample_gibbs"]
+
+
+def test_sampler_builds_only_in_the_getter():
+    sources = {m: (PACKAGE / f"{m}.py").read_text() for m in ("sampler", "cli")}
+    assert sampler_builds_outside_the_getter(sources) == []
 
 
 # the CLI has one write point: each `cmd_*` returns its files and `main`

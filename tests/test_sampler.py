@@ -1,6 +1,9 @@
+import dataclasses
 import functools
 import hashlib
 import math
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -11,6 +14,7 @@ from hiercubes.blocks import (Block, Geometry, IndexRangeError, ancestors, block
                               children, descendants, format_block, overlaps)
 from hiercubes.activities import (EffectiveDesign, Explicit, Homogeneous,
                                   Parametric, TailRule)
+from hiercubes import analytics, sampler
 from hiercubes.oracle import enumerate_system, gibbs_ratio_function
 from hiercubes.sampler import (Configuration, InvalidConfiguration,
                                SampleBatch, ancestor_chain_cdf, estimate,
@@ -569,3 +573,147 @@ def test_bottom_scale_index_overflow_raises_before_drawing():
     assert sample_mandelbrot(1.0, GEO, W, 128, seed=1).blocks == (W,)
     assert sample_mandelbrot(1.0, GEO, block(0, 2**127 - 1), 1, seed=1).blocks \
         == (block(0, 2**127 - 1),)
+
+
+# -- one draw function per system ---------------------------------------------------
+# `sample_gibbs`, `sample_gibbs_infinite` and `estimate` build the system, its
+# ratios and the chain law once per (model, window, depth) and keep them in
+# the model's analytics memo.
+
+def sampler_entries(model):
+    """The memo's draw-function entries, key -> weight."""
+    memo = vars(model).get(analytics._MEMO_ATTR, {})
+    return {key: weight for key, (_, weight) in memo.items()
+            if key[0] in ("finite", "infinite")}
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of `sampler.<name>`, looked up when a system is built."""
+    calls = []
+    original = getattr(sampler, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(sampler, name, counting)
+    return calls
+
+
+MEMO_SYSTEMS = {
+    # (model, window, depth, infinite)
+    "homogeneous-d1": (Homogeneous.constant(GEO, 0.7, range(-6, 2)), block(1, 1), 7, False),
+    "homogeneous-d2": (Homogeneous.constant(Geometry(2), 0.4, range(-3, 1)),
+                       block(0, 0, 0), 3, False),
+    "explicit-d2": (explicit_d2(), block(0, 0, 0), 3, False),
+    "parametric-infinite": (Parametric(GEO, mu=0.0, J=0.2, alpha=0.5), W, 2, True),
+}
+
+
+def draw_of(infinite):
+    return sample_gibbs_infinite if infinite else sample_gibbs
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SYSTEMS))
+def test_memoized_draws_equal_draws_on_a_fresh_model(name):
+    model, window, depth, infinite = MEMO_SYSTEMS[name]
+    model = dataclasses.replace(model)
+    sample = draw_of(infinite)
+    for i in range(51):
+        fresh = dataclasses.replace(model)          # equal, with no memo
+        assert sample(model, window, depth, seed=5, index=i) == \
+            sample(fresh, window, depth, seed=5, index=i)
+    if not infinite:
+        probes = {"window": [window], "pair": descendants(window, -depth, model.geometry)[1:3]}
+        want = estimate(dataclasses.replace(model), window, depth, 40, probes, seed=5)
+        assert estimate(model, window, depth, 40, probes, seed=5) == want
+
+
+def test_draws_build_one_system(monkeypatch):
+    systems = count_calls(monkeypatch, "TruncatedSystem")
+    chains = count_calls(monkeypatch, "ancestor_chain_cdf")
+    for name, (model, window, depth, infinite) in sorted(MEMO_SYSTEMS.items()):
+        model = dataclasses.replace(model)
+        systems.clear()
+        chains.clear()
+        for i in range(20):
+            draw_of(infinite)(model, window, depth, seed=3, index=i)
+        if not infinite:
+            estimate(model, window, depth, 20, {"w": [window]}, seed=3)
+        assert (len(systems), len(chains)) == ((1, 1) if infinite else (1, 0)), name
+
+
+def test_finite_and_infinite_draws_share_the_system(monkeypatch):
+    systems = count_calls(monkeypatch, "TruncatedSystem")
+    model = Parametric(GEO, mu=0.0, J=0.2, alpha=0.5)
+    window, depth = W, 2
+    drawn = [sample_gibbs_infinite(model, window, depth, seed=10, index=i) for i in range(20)]
+    assert any(cfg.covered_by_ancestor is None for cfg in drawn)
+    assert any(cfg.covered_by_ancestor is not None for cfg in drawn)
+    sample_gibbs(model, window, depth, seed=10, index=0)
+    estimate(model, window, depth, 5, {}, seed=10)
+    assert len(systems) == 1
+    # scales 0..-2 of the system; at most the chain's rows 1..80 and p_none on top
+    assert sampler_entries(model) == {("finite", window, depth): 3,
+                                      ("infinite", window, depth): 3 + 81}
+
+
+def test_refusals_leave_no_draw_function():
+    uncertified = EffectiveDesign.from_values(GEO, {0: 1.0},
+                                              zhat_tail_up=TailRule("geometric", 1.0))
+    for _ in range(3):
+        with pytest.raises(UncertifiedComputation):
+            sample_gibbs_infinite(uncertified, W, 2, seed=1)
+    assert sampler_entries(uncertified) == {}
+    m = unit_model()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="depth"):
+            sample_gibbs(m, W, -1, seed=1)
+        with pytest.raises(ValueError, match="depth"):
+            sample_gibbs_infinite(Parametric(GEO, mu=0.0, J=0.2, alpha=0.5), W, -1, seed=1)
+        with pytest.raises(ValueError, match="dimension"):
+            estimate(m, block(0, 0, 0), 1, 1, {}, seed=1)
+    assert sampler_entries(m) == {}
+
+
+def test_block_lane_systems_past_the_memo_bound_are_not_kept(monkeypatch):
+    systems = count_calls(monkeypatch, "TruncatedSystem")
+    for depth, kept in [(9, True), (10, False)]:    # 1023 and 2047 blocks
+        model = Explicit.from_values(GEO, {b: 0.3 + 0.1 * (b.index[0] % 5)
+                                           for b in descendants(W, -depth, GEO)})
+        systems.clear()
+        draws = [sample_gibbs(model, W, depth, seed=2, index=i) for i in range(3)]
+        assert len(systems) == (1 if kept else 3)
+        assert sampler_entries(model) == ({("finite", W, depth): 2**(depth + 1) - 1}
+                                          if kept else {})
+        fresh = dataclasses.replace(model)
+        assert draws == [sample_gibbs(fresh, W, depth, seed=2, index=i) for i in range(3)]
+
+
+def test_threads_drawing_from_one_fresh_model_reproduce_the_serial_draws():
+    serial = {name: [draw_of(inf)(dataclasses.replace(m), w, d, seed=4, index=i)
+                     for i in range(40)]
+              for name, (m, w, d, inf) in MEMO_SYSTEMS.items()}
+    shared = {name: dataclasses.replace(m) for name, (m, _, _, _) in MEMO_SYSTEMS.items()}
+    results, errors = {}, []
+
+    def work(k):
+        try:
+            for name, (_, w, d, inf) in sorted(MEMO_SYSTEMS.items()):
+                results[name, k] = [draw_of(inf)(shared[name], w, d, seed=4, index=i)
+                                    for i in range(40)]
+        except Exception as exc:     # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(results[name, k] == serial[name] for name in serial for k in range(4))
