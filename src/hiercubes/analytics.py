@@ -749,21 +749,40 @@ def _require_condition_ii(model: ActivityModel, what: str) -> None:
 
 
 def _condition_ii_design(model: EffectiveDesign) -> ConditionVerdict:
-    vals = [math.exp(lv) for lv in model.log_zhat_table.values() if lv > -math.inf]
+    """Condition (ii) of a design, decided on its log zhat table: a zero up
+    tail, or a geometric one of ratio below 1, leaves a finite sum; a ratio
+    of 1 or more above a positive top value does not."""
+    table = model.log_zhat_table
     rule = model.zhat_tail_up
-    if rule.kind == "zero" or not model.log_zhat_table:
-        return ConditionVerdict("holds",
-                                detail=f"finite designed sum {ordered_sum(vals):.6g}")
-    hi = max(model.log_zhat_table)
-    top = math.exp(model.log_zhat_table[hi]) if model.log_zhat_table[hi] > -math.inf else 0.0
-    if top == 0.0 or rule.ratio < 1.0:
-        tail = top * rule.ratio / (1 - rule.ratio) if top > 0 else 0.0
+    logs = [lv for lv in table.values() if lv > -math.inf]
+    if rule.kind == "zero" or not table:
+        return ConditionVerdict("holds", detail=f"finite designed sum {_designed_sum(logs)}")
+    log_top = table[max(table)]
+    if log_top == -math.inf or rule.ratio < 1.0:
         return ConditionVerdict("holds",
                                 detail=f"geometric designed tail converges "
-                                       f"(sum {ordered_sum(vals) + tail:.6g})")
+                                       f"(sum {_designed_sum(logs, log_top, rule.ratio)})")
     return ConditionVerdict("fails",
                             detail="designed effective activities do not decay "
                                    f"(tail ratio {rule.ratio} >= 1)")
+
+
+def _designed_sum(logs: list[float], log_top: float = -math.inf,
+                  ratio: float = 0.0) -> str:
+    """The .6g text of the sum of exp(logs) and of the geometric tail
+    exp(log_top) * ratio / (1 - ratio) above the top value: summed in floats
+    where that is finite, else "exp(L)" with L the log of the sum."""
+    try:
+        top = math.exp(log_top)
+        vals = [math.exp(lv) for lv in logs]
+    except OverflowError:
+        total = math.inf
+    else:
+        total = ordered_sum(vals) + (top * ratio / (1 - ratio) if top > 0 else 0.0)
+    if total < math.inf:
+        return f"{total:.6g}"
+    log_tail = log_top + math.log(ratio) - math.log1p(-ratio) if ratio > 0 else -math.inf
+    return f"exp({logsumexp_iter(logs + [log_tail]):.6g})"
 
 
 def _classify_zhat_tail(prof: ScaleProfile) -> Optional[ConditionVerdict]:

@@ -10,14 +10,20 @@ index tuples of `blocks.subtree_levels`: each call of its level filter draws
 the uniforms of one level, reads that level's occupation ratios in one
 lookup, and returns the vacant tuples, whose children form the next level.
 A draw is the sorted list of its occupied (scale, index) pairs, with index a
-plain int tuple.  The samplers that return a `Configuration` build a `Block`
-only for those pairs; `estimate` builds none, and matches each probe, a
-frozenset of pairs, against the set of a draw's pairs.  A draw costs one
-uniform (a copy of the cached keyed hash state of its seed and sample index,
-fed the block's tokens) per visited block, and its validation O(distinct
-ancestors of the occupied blocks).  The system, its occupation ratios and,
-in infinite volume, the chain law are not part of that cost: they are fixed
-by (model, window, depth), so `_draw_function` builds them on the first draw
+plain int tuple: the uniforms hash repr, so the walk starts from the window
+with a plain int scale and index (see `_plain`).  The samplers that return a
+`Configuration` build a `Block` only for those pairs; `estimate` builds none,
+and matches each probe, a frozenset of pairs, against the set of a draw's
+pairs.
+
+A draw costs one uniform per visited block, which copies the cached hash
+state of its level's seed, sample index, tag and scale and hashes the repr
+of the block's index tuple (see `_uniform`).  A `Configuration` adds one
+`Block` per occupied block and one validation sweep over the scales, of
+O(distinct ancestors of the occupied blocks) set operations (see
+`Configuration.validate`).  The system, its occupation ratios and, in
+infinite volume, the chain law are not part of that cost: they are fixed by
+(model, window, depth), so `_draw_function` builds them on the first draw
 and keeps them in the model's analytics memo for every later one, from any
 of `sample_gibbs`, `sample_gibbs_infinite`, `estimate` or the command line.
 An infinite-volume draw is certified by the one call of `ancestor_chain_cdf`
@@ -31,7 +37,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import groupby, starmap
 from typing import Callable, Iterable, Optional
 
 from .blocks import Block, Geometry, format_block, subtree_levels
@@ -64,20 +70,25 @@ class Configuration:
         """Raise InvalidConfiguration unless the blocks are distinct, lie in
         the truncated system and are hard-core.
 
-        Hard-core means no block has a strict ancestor among the blocks, so
-        each block's parent chain is walked on (scale, index) tuples up to
-        the window's scale, where it must end at the window, and looked up in
-        the set of members.  A walk stops at the first ancestor an earlier
-        walk cleared (found member-free up to the window), so the cost is
-        O(distinct ancestors), not O(blocks x depth).  The blocks are checked
-        in order and the first failure raises.
+        Hard-core means no block has a strict ancestor among the blocks.  One
+        bottom-up sweep over the scales checks it for the whole configuration
+        (see `_sweep_accepts`), at the cost of O(distinct ancestors of the
+        blocks) set operations.  Only a configuration the sweep rejects has
+        its blocks walked in order up their parent chains, so that the first
+        block that fails is named, with its lowest strict ancestor among the
+        blocks when they overlap.
         """
         if self.covered_by_ancestor is not None and self.blocks:
             raise InvalidConfiguration("covered configurations carry no blocks")
-        members = {(b.scale, b.index) for b in self.blocks}
-        if len(members) != len(self.blocks):
+        levels: dict = {}
+        for scale, group in groupby(self.blocks, _SCALE):
+            levels.setdefault(scale, set()).update(map(_INDEX, group))
+        if sum(map(len, levels.values())) != len(self.blocks):
             raise InvalidConfiguration("a block occurs twice")
+        if _sweep_accepts(levels, self.window, self.depth, geo.M):
+            return
         top = self.window.scale
+        members = {(b.scale, b.index) for b in self.blocks}
         cleared: dict = {}
         for b in self.blocks:
             hit, end = _walk_up(b.scale, b.index, top, geo.M, members, cleared)
@@ -93,6 +104,47 @@ class Configuration:
         if self.covered_by_ancestor is not None:
             obj["covered_by_ancestor"] = self.covered_by_ancestor
         return obj
+
+
+_SCALE = operator.attrgetter("scale")
+_INDEX = operator.attrgetter("index")
+
+
+def _sweep_accepts(levels: dict, window: Block, depth: int, M: int) -> bool:
+    """Whether the blocks, given as scale -> set of index tuples, all lie in
+    the system of `window` truncated at scale -depth and are hard-core.
+
+    Bottom-up from the lowest scale, `carried` is the set of indices, at the
+    current scale, of the strict ancestors of the blocks below it: a block
+    there that meets it overlaps a lower one.  The scale's blocks join it and
+    it moves one scale up, as the set of its parents, formed a coordinate
+    column at a time as in `blocks.subtree_levels`.  At the window's scale it
+    may hold the window's index alone.  Index tuples of unequal length or of
+    length 0 reject; the caller's ordered walk then names the failure, so
+    the sweep need only never accept what that walk rejects.
+    """
+    if not levels:
+        return True
+    top = window.scale
+    lo = min(levels)
+    if lo < -depth or max(levels) > top:
+        return False
+    carried: set = set()
+    for scale in range(lo, top):
+        here = levels.get(scale)
+        if here:
+            if not carried.isdisjoint(here):
+                return False
+            carried |= here
+        try:
+            columns = [[m // M for m in column] for column in zip(*carried, strict=True)]
+        except ValueError:
+            return False
+        if carried and not columns:
+            return False
+        carried = set(zip(*columns))
+    here = levels.get(top, set())
+    return carried.isdisjoint(here) and carried | here <= {window.index}
 
 
 def _walk_up(scale: int, index: tuple, top: int, M: int, members: set,
@@ -149,6 +201,20 @@ def _keyed_state(seed: int, index: int):
     return h
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _prefix_state(seed: int, index: int, *head):
+    """A copy of the keyed state of (seed, index) that has also hashed the
+    tokens `head`; callers hash copies of it, never the state itself.
+
+    The cache compares tokens by value and type, so it tells apart 1, True
+    and 1.0, whose repr differ.  It cannot tell apart (1,) and (True,), or
+    0.0 and -0.0, so the tokens of `head` are strings and ints, and a tuple
+    is only ever the last token, which `_uniform` formats on every call."""
+    h = _keyed_state(seed, index).copy()
+    h.update((("%r\x1f" * len(head)) % head).encode())
+    return h
+
+
 # the sample indices the uniforms can hash: 8 bytes, signed
 _INDEX_RANGE = range(-2**63, 2**63)
 
@@ -159,16 +225,37 @@ def _check_index(name: str, value: int) -> None:
 
 
 def _uniform(seed: int, index: int, *tokens) -> float:
-    """Deterministic uniform in [0,1) keyed by (seed, sample index, tokens).
+    """Deterministic uniform in [0,1) keyed by (seed, sample index, tokens),
+    one token or more.
 
     The 53 high bits of the 8-byte keyed blake2b digest of the sample index
     (8 bytes, little-endian, signed) followed by repr(t) + "\\x1f" for each
-    token.  The keyed state of (seed, sample index) is built once and copied,
-    and the tokens are hashed in one update of the same bytes.
+    token.  The state that has hashed all tokens but the last is read from
+    `_prefix_state`, which hashes it once for all the calls that share it (a
+    level of a walk shares its seed, sample index, tag and scale), so a call
+    copies it and formats only the last token, the block's index tuple.
     """
-    h = _keyed_state(seed, index).copy()
-    h.update((("%r\x1f" * len(tokens)) % tokens).encode())
+    if len(tokens) == 3:
+        # (tag, scale, index), the call of every sampler: unpacked, the cache
+        # is called without building a slice of the tokens
+        tag, scale, last = tokens
+        h = _prefix_state(seed, index, tag, scale).copy()
+    else:
+        h = _prefix_state(seed, index, *tokens[:-1]).copy()
+        last = tokens[-1]
+    h.update(("%r\x1f" % (last,)).encode())
     return (int.from_bytes(h.digest(), "little") >> 11) * 2.0**-53
+
+
+def _plain(b: Block) -> Block:
+    """`b` with a plain int scale and index components.  The uniforms hash
+    repr, so equal blocks such as Block(1, (True,)) and Block(1, (1,)) must
+    reach them alike: the walk and the chain uniform hash only plain ints.
+    A component that is not an integer, such as 0.5 or 1.0, is refused."""
+    try:
+        return Block(operator.index(b.scale), tuple(map(operator.index, b.index)))
+    except TypeError:
+        raise ValueError(f"block {b} needs an integer scale and index") from None
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +300,9 @@ def _sample_topdown(ratios: _Ratios, geo: Geometry, window: Block, depth: int,
     scale -depth, a whole level per call of its filter.  Each visited block
     draws one uniform and is occupied when it falls below its entry of
     `ratios(scale, level)`, which prunes its subtree; otherwise its children
-    are visited on the next level.  Raises IndexRangeError before drawing
-    when a bottom-scale index would reach INDEX_LIMIT.
+    are visited on the next level.  `window` has a plain int scale and
+    index (see `_plain`).  Raises IndexRangeError before drawing when a
+    bottom-scale index would reach INDEX_LIMIT.
     """
     occupied: list[tuple[int, tuple]] = []
 
@@ -236,7 +324,8 @@ def _sample_topdown(ratios: _Ratios, geo: Geometry, window: Block, depth: int,
 class _FiniteDraws:
     """The draws of one doubly truncated system, all read from one ratio
     lookup: `pairs(seed, index)` is a draw's sorted occupied (scale, index)
-    pairs, and a call is the draw as a validated `Configuration`."""
+    pairs, and a call is the draw as a validated `Configuration`.  `window`
+    has a plain int scale and index (see `_plain`)."""
 
     def __init__(self, ratios: _Ratios, geo: Geometry, window: Block, depth: int):
         self.ratios = ratios
@@ -279,17 +368,19 @@ def _draw_function(model: ActivityModel, window: Block, depth: int,
     weight = _system_weight(model, window, depth)
     if not infinite:
         def build_finite() -> _FiniteDraws:
-            ratios = _ratio_lookup(TruncatedSystem(model, window, depth))
-            return _FiniteDraws(ratios, geo, window, depth)
+            plain = _plain(window)
+            ratios = _ratio_lookup(TruncatedSystem(model, plain, depth))
+            return _FiniteDraws(ratios, geo, plain, depth)
         return _memoized(model, ("finite", window, depth), weight, build_finite)
 
     def build_infinite() -> Callable[[int, int], Configuration]:
+        plain = _plain(window)
         rows, p_none = ancestor_chain_cdf(model, window, depth)
         finite: Optional[_FiniteDraws] = None
 
         def draw(seed: int, index: int) -> Configuration:
             nonlocal finite
-            u = _uniform(seed, index, "chain", window.scale, window.index)
+            u = _uniform(seed, index, "chain", plain.scale, plain.index)
             acc = p_none
             if u < acc:
                 if finite is None:
@@ -298,8 +389,8 @@ def _draw_function(model: ActivityModel, window: Block, depth: int,
             for k, pk in rows:
                 acc += pk
                 if u < acc:
-                    return _make_config([], window, depth, seed, geo, covered=k)
-            return _make_config([], window, depth, seed, geo, covered=rows[-1][0])
+                    return _make_config([], plain, depth, seed, geo, covered=k)
+            return _make_config([], plain, depth, seed, geo, covered=rows[-1][0])
         return draw
     # the chain's rows lie above the window, up to CHAIN_SCALES above scale
     # max(window.scale, 0), and p_none; the finite entry it may hold on top
@@ -328,6 +419,7 @@ def sample_mandelbrot(p: float, geo: Geometry, window: Block, depth: int,
         raise ValueError(f"p must be a probability, got {p}")
     _check_system(geo, window, depth)
     _check_index("index", index)
+    window = _plain(window)
     pairs = _sample_topdown(lambda scale, level: [p] * len(level), geo, window,
                             depth, seed, index)
     return _make_config(starmap(Block, pairs), window, depth, seed, geo)

@@ -279,6 +279,44 @@ def test_condition_ii_design_split():
     assert check_condition_ii(fails).status == "fails"
 
 
+@pytest.mark.parametrize("rule,status,detail", [
+    (TailRule("zero", 0.0), "holds", "finite designed sum exp(710)"),
+    (TailRule("geometric", 0.5), "holds",
+     "geometric designed tail converges (sum exp(710.693))"),
+    (TailRule("geometric", 1.0), "fails",
+     "designed effective activities do not decay (tail ratio 1.0 >= 1)"),
+    (TailRule("geometric", 3.0), "fails",
+     "designed effective activities do not decay (tail ratio 3.0 >= 1)"),
+], ids=["zero-tail", "ratio-below-1", "ratio-1", "ratio-above-1"])
+def test_design_condition_ii_is_decided_in_log_domain(rule, status, detail):
+    # log zhat 710 is past the largest float's log, 709.78
+    model = EffectiveDesign(GEO, {0: 710.0}, rule)
+    report = existence_report(model)
+    assert (report.condition_ii.status, report.condition_ii.detail) == (status, detail)
+    # a positive top value below the smallest float does not decay either
+    tiny = check_condition_ii(EffectiveDesign(GEO, {0: -800.0}, rule))
+    assert tiny.status == status
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=st.dictionaries(st.integers(-4, 4),
+                             st.one_of(st.floats(-60, 60), st.just(-math.inf)),
+                             min_size=1, max_size=6),
+       ratio=st.one_of(st.none(), st.floats(0.001, 0.999)))
+def test_design_condition_ii_states_finite_sums_as_floats(table, ratio):
+    # the float sum of the table and of its geometric tail, as the detail
+    # has always stated it
+    rule = TailRule("zero") if ratio is None else TailRule("geometric", ratio)
+    total = ordered_sum(math.exp(lv) for lv in table.values() if lv > -math.inf)
+    if ratio is None:
+        want = f"finite designed sum {total:.6g}"
+    else:
+        top = math.exp(table[max(table)])
+        tail = top * ratio / (1 - ratio) if top > 0 else 0.0
+        want = f"geometric designed tail converges (sum {total + tail:.6g})"
+    assert analytics._condition_ii_design(EffectiveDesign(GEO, table, rule)).detail == want
+
+
 def test_existence_verdicts():
     frag = Homogeneous.from_values(GEO, {0: 1.0},
                                    tail_down=TailRule("geometric", 0.5))

@@ -74,6 +74,97 @@ def test_uniform_matches_a_from_scratch_blake2b(seed, index, tag, scale, m):
     assert _uniform(seed, index, tag) == _blake2b_uniform(seed, index, tag)
 
 
+def test_uniform_tells_apart_equal_tokens_of_other_types():
+    # 1, True and 1.0 are equal but their repr differ: the cached prefix
+    # state of one is never read for another
+    seed, index = 17, 4
+    first = _uniform(seed, index, "occ", 1, (1,))
+    for scale in (True, 1.0, 1):
+        assert _uniform(seed, index, "occ", scale, (1,)) == \
+            _blake2b_uniform(seed, index, "occ", scale, (1,))
+    assert _uniform(seed, index, "occ", True, (1,)) != first
+    assert _uniform(seed, index, "occ", 1, (True,)) == \
+        _blake2b_uniform(seed, index, "occ", 1, (True,)) != first
+
+
+# the draws of every sampler, over d = 1, d = 2 and M = 3, by (seed, index)
+STREAM_MODELS = {
+    "d1": Homogeneous.constant(GEO, 0.7, range(-6, 2)),
+    "d2": Homogeneous.constant(Geometry(2), 0.4, range(-3, 1)),
+    "d2-M3": Homogeneous.constant(Geometry(2, 3), 0.3, range(-2, 1)),
+    "infinite": Parametric(GEO, mu=0.0, J=0.2, alpha=0.5),
+}
+STREAM_DRAWS = {
+    "gibbs-d1": lambda s, i: sample_gibbs(STREAM_MODELS["d1"], block(1, 1), 7, s, i),
+    "gibbs-d2": lambda s, i: sample_gibbs(STREAM_MODELS["d2"], block(0, 0, 0), 3, s, i),
+    "gibbs-d2-M3": lambda s, i: sample_gibbs(STREAM_MODELS["d2-M3"], block(0, 1, 2), 2, s, i),
+    "infinite-d1": lambda s, i: sample_gibbs_infinite(STREAM_MODELS["infinite"],
+                                                      (W, block(3, 1))[i % 2], 1, s, i),
+    "mandelbrot-d2-M3": lambda s, i: sample_mandelbrot(0.35, Geometry(2, 3), block(0, 1, 2),
+                                                       2, s, i),
+    "estimate-d2": lambda s, i: estimate(STREAM_MODELS["d2"], block(0, 0, 0), 3, 1,
+                                         {"w": [block(-1, 1, 0)]}, s, start_index=i),
+}
+
+
+def test_every_drawn_uniform_is_the_from_scratch_blake2b(monkeypatch):
+    drawn = []
+    uniform = sampler._uniform
+
+    def recording(seed, index, *tokens):
+        u = uniform(seed, index, *tokens)
+        drawn.append((seed, index, tokens, u))
+        return u
+    monkeypatch.setattr(sampler, "_uniform", recording)
+    # more (seed, index) pairs than the prefix cache holds, each drawn by
+    # every sampler in turn, then all again in reverse order
+    pairs = [(seed, i) for i in range(sampler._prefix_state.cache_info().maxsize // 2 + 1)
+             for seed in (3, 2**64 + 3)]
+    passes = []
+    for order in (pairs, pairs[::-1]):
+        passes.append({(name, s, i): draw(s, i)
+                       for s, i in order for name, draw in sorted(STREAM_DRAWS.items())})
+    assert passes[0] == passes[1]
+    assert {tokens[0] for _, _, tokens, _ in drawn} == {"occ", "chain"}
+    assert all(u == _blake2b_uniform(seed, index, *tokens) for seed, index, tokens, u in drawn)
+
+
+def test_equal_windows_draw_alike_whatever_was_drawn_before():
+    # Block(1, (True,)) == Block(1, (1,)), and both windows key one draw function
+    def model():
+        return Homogeneous.from_values(GEO, {1: 1.0, 0: 0.01, -1: 0.01})
+
+    window, twin = block(1, 1), Block(1, (True,))
+    fresh = [sample_gibbs(model(), window, 2, seed=5, index=i).to_json_obj()
+             for i in range(200)]
+    m = model()
+    sample_gibbs(m, twin, 2, seed=5)
+    assert [sample_gibbs(m, window, 2, seed=5, index=i).to_json_obj()
+            for i in range(200)] == fresh
+    # the chain uniform of infinite volume and fractal percolation alike
+    inf = STREAM_MODELS["infinite"]
+    twin = Block(False, (False,))
+    assert [sample_gibbs_infinite(dataclasses.replace(inf), twin, 2, 7, i).to_json_obj()
+            for i in range(40)] == \
+        [sample_gibbs_infinite(dataclasses.replace(inf), W, 2, 7, i).to_json_obj()
+         for i in range(40)]
+    assert [sample_mandelbrot(0.4, GEO, twin, 4, 7, i).to_json_obj() for i in range(40)] == \
+        [sample_mandelbrot(0.4, GEO, W, 4, 7, i).to_json_obj() for i in range(40)]
+
+
+@pytest.mark.parametrize("window", [Block(0, (0.5,)), Block(0, (1.0,)), Block(0.0, (0,))],
+                         ids=["half-index", "float-index", "float-scale"])
+def test_windows_with_non_integer_components_are_refused(window):
+    model = unit_model()
+    with pytest.raises(ValueError, match="integer scale and index"):
+        sample_gibbs(model, window, 2, seed=1)
+    with pytest.raises(ValueError, match="integer scale and index"):
+        sample_gibbs_infinite(STREAM_MODELS["infinite"], window, 2, seed=1)
+    with pytest.raises(ValueError, match="integer scale and index"):
+        sample_mandelbrot(0.5, GEO, window, 2, seed=1)
+    assert sampler_entries(model) == {}
+
+
 # -- configurations ---------------------------------------------------------------
 
 def test_configuration_validation_rejects_overlap():
@@ -171,6 +262,18 @@ def test_configuration_validation_matches_whole_walks(gc):
     geo, cfg = gc
     assert _rejection(Configuration.validate, cfg, geo) == \
         _rejection(_validate_by_whole_walks, cfg, geo)
+
+
+@pytest.mark.parametrize("blocks", [
+    (Block(-1, ()),),
+    (block(-1, 1), Block(-1, (0, 5))),
+    (Block(-2, (0, 1)), block(-1, 1)),
+], ids=["empty-index", "unequal-lengths", "longer-index"])
+def test_configuration_validation_rejects_indices_of_another_length(blocks):
+    cfg = Configuration(blocks, W, 2, seed=0)
+    want = _rejection(_validate_by_whole_walks, cfg, GEO)
+    assert want is not None
+    assert _rejection(Configuration.validate, cfg, GEO) == want
 
 
 def test_configuration_json_roundtrip_fields():
