@@ -72,8 +72,8 @@ from functools import cached_property
 from itertools import repeat
 from typing import Callable, Optional
 
-from .blocks import (Block, Geometry, ancestors, children, contains,
-                     covering_block, descendants, lcs, overlaps,
+from .blocks import (Block, Geometry, ancestor_levels, ancestors, children,
+                     contains, covering_block, descendants, lcs, overlaps,
                      subtree_levels)
 from .activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                          Homogeneous, Parametric, ScaleTruncated,
@@ -874,10 +874,12 @@ def condensation_table(model: ActivityModel, b: Block,
 # ---------------------------------------------------------------------------
 
 def _hard_core(blocks, geo: Geometry) -> bool:
-    """Whether no block of the distinct `blocks` is a strict ancestor of another."""
-    members = set(blocks)
-    top = max(b.scale for b in members)
-    return not any(a in members for b in members for a in ancestors(b, top, geo))
+    """Whether no block of `blocks` is a strict ancestor of another."""
+    levels: dict = {}
+    for b in blocks:
+        levels.setdefault(b.scale, set()).add(b.index)
+    return all(above.isdisjoint(levels.get(scale, ()))
+               for scale, above in ancestor_levels(levels, max(levels), geo))
 
 
 def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],

@@ -3,8 +3,10 @@
 A block of scale j is the cube m * M**j + [0, M**j)**d with m a d-tuple of
 non-negative integers.  Drawing edges from each block to the M**d blocks one
 scale below turns the block set into a regular M**d-ary tree on the
-non-negative orthant.  `subtree_levels` is its one walker: the child order
-and the index bound of a step down live there alone.
+non-negative orthant.  It has two walkers, on index tuples grouped by
+scale: `subtree_levels` steps down, and the child order and the index bound
+of a step down live there alone; `ancestor_levels` steps up, and outside
+`parent` and `ancestor_at` a parent index is formed there alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 # Index components are kept exact but bounded; anything larger is almost
 # certainly a bug in the caller (135+ scales of refinement).
@@ -132,6 +134,28 @@ def subtree_levels(b: Block, bottom: int, geo: Geometry,
                    for column, offs in zip(columns, offsets)]
         levels.append(list(zip(*columns)))
     return levels
+
+
+def ancestor_levels(levels: dict, top: int, geo: Geometry) -> Iterator[tuple[int, set]]:
+    """The strict ancestors of the blocks of `levels`, given as scale -> set
+    of index tuples, bottom-up: (scale, above) for each scale from the
+    lowest of `levels` up to `top`, with `above` the set of the indices, at
+    that scale, of the strict ancestors of the blocks below it.  The set of
+    a scale is formed from the one below and that scale's blocks a
+    coordinate column at a time, m // M for each m of the column, and zipped
+    into tuples.  Blocks above `top` are not read.  Raises ValueError on
+    index tuples of unequal length or of length 0.
+    """
+    M = geo.M
+    above: set = set()
+    for scale in range(min(levels, default=top), top):
+        yield scale, above
+        here = levels.get(scale, ())
+        columns = [[m // M for m in column] for column in zip(*above, *here, strict=True)]
+        if not columns and (above or here):
+            raise ValueError("index tuples of length 0")
+        above = set(zip(*columns))
+    yield top, above
 
 
 def children(b: Block, geo: Geometry) -> list[Block]:

@@ -19,9 +19,10 @@ pairs.
 A draw costs one uniform per visited block, which copies the cached hash
 state of its level's seed, sample index, tag and scale and hashes the repr
 of the block's index tuple (see `_uniform`).  A `Configuration` adds one
-`Block` per occupied block and one validation sweep over the scales, of
-O(distinct ancestors of the occupied blocks) set operations (see
-`Configuration.validate`).  The system, its occupation ratios and, in
+`Block` per occupied block and one validation walk up the scales, the
+upward walker `blocks.ancestor_levels`, of O(distinct ancestors of the
+occupied blocks) set operations (see `Configuration.validate`); the sampler
+forms no parent index of its own.  The system, its occupation ratios and, in
 infinite volume, the chain law are not part of that cost: they are fixed by
 (model, window, depth), so `_draw_function` builds them on the first draw
 and keeps them in the model's analytics memo for every later one, from any
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 from itertools import groupby, starmap
 from typing import Callable, Iterable, Optional
 
-from .blocks import Block, Geometry, format_block, subtree_levels
+from .blocks import (Block, Geometry, ancestor_levels, ancestors, format_block,
+                     subtree_levels)
 from .activities import ActivityModel
 from .analytics import (CHAIN_SCALES, MEMO_SCALES, TruncatedSystem,
                         _ancestor_chain, _check_system, _log_one_minus_rho,
@@ -71,12 +73,14 @@ class Configuration:
         the truncated system and are hard-core.
 
         Hard-core means no block has a strict ancestor among the blocks.  One
-        bottom-up sweep over the scales checks it for the whole configuration
-        (see `_sweep_accepts`), at the cost of O(distinct ancestors of the
-        blocks) set operations.  Only a configuration the sweep rejects has
-        its blocks walked in order up their parent chains, so that the first
-        block that fails is named, with its lowest strict ancestor among the
-        blocks when they overlap.
+        bottom-up walk over the scales, `blocks.ancestor_levels`, checks it
+        for the whole configuration: a block that meets the strict ancestors
+        of the blocks below it overlaps one of them, and at the window's
+        scale those ancestors may be the window alone.  It costs O(distinct
+        ancestors of the blocks) set operations.  Only a configuration it
+        rejects has its blocks walked in order up their `blocks.ancestors`,
+        so that the first block that fails is named, with its lowest strict
+        ancestor among the blocks when they overlap.
         """
         if self.covered_by_ancestor is not None and self.blocks:
             raise InvalidConfiguration("covered configurations carry no blocks")
@@ -85,17 +89,26 @@ class Configuration:
             levels.setdefault(scale, set()).update(map(_INDEX, group))
         if sum(map(len, levels.values())) != len(self.blocks):
             raise InvalidConfiguration("a block occurs twice")
-        if _sweep_accepts(levels, self.window, self.depth, geo.M):
-            return
         top = self.window.scale
-        members = {(b.scale, b.index) for b in self.blocks}
-        cleared: dict = {}
+        if all(-self.depth <= scale <= top for scale in levels):
+            try:
+                for scale, above in ancestor_levels(levels, top, geo):
+                    if not above.isdisjoint(levels.get(scale, ())):
+                        break
+                else:
+                    if above | levels.get(top, set()) <= {self.window.index}:
+                        return
+            except ValueError:      # index tuples of unequal length or of length 0
+                pass
+        members = set(self.blocks)
         for b in self.blocks:
-            hit, end = _walk_up(b.scale, b.index, top, geo.M, members, cleared)
-            if b.scale < -self.depth or b.scale > top or end != self.window.index:
+            chain = ancestors(b, top, geo)
+            end = chain[-1] if chain else b
+            if b.scale < -self.depth or b.scale > top or end.index != self.window.index:
                 raise InvalidConfiguration(f"block {b} outside the truncated system")
+            hit = next((a for a in chain if a in members), None)
             if hit is not None:
-                raise InvalidConfiguration(f"blocks {Block(*hit)} and {b} overlap")
+                raise InvalidConfiguration(f"blocks {hit} and {b} overlap")
 
     def to_json_obj(self) -> dict:
         obj = {"window": format_block(self.window), "depth": self.depth,
@@ -108,75 +121,6 @@ class Configuration:
 
 _SCALE = operator.attrgetter("scale")
 _INDEX = operator.attrgetter("index")
-
-
-def _sweep_accepts(levels: dict, window: Block, depth: int, M: int) -> bool:
-    """Whether the blocks, given as scale -> set of index tuples, all lie in
-    the system of `window` truncated at scale -depth and are hard-core.
-
-    Bottom-up from the lowest scale, `carried` is the set of indices, at the
-    current scale, of the strict ancestors of the blocks below it: a block
-    there that meets it overlaps a lower one.  The scale's blocks join it and
-    it moves one scale up, as the set of its parents, formed a coordinate
-    column at a time as in `blocks.subtree_levels`.  At the window's scale it
-    may hold the window's index alone.  Index tuples of unequal length or of
-    length 0 reject; the caller's ordered walk then names the failure, so
-    the sweep need only never accept what that walk rejects.
-    """
-    if not levels:
-        return True
-    top = window.scale
-    lo = min(levels)
-    if lo < -depth or max(levels) > top:
-        return False
-    carried: set = set()
-    for scale in range(lo, top):
-        here = levels.get(scale)
-        if here:
-            if not carried.isdisjoint(here):
-                return False
-            carried |= here
-        try:
-            columns = [[m // M for m in column] for column in zip(*carried, strict=True)]
-        except ValueError:
-            return False
-        if carried and not columns:
-            return False
-        carried = set(zip(*columns))
-    here = levels.get(top, set())
-    return carried.isdisjoint(here) and carried | here <= {window.index}
-
-
-def _walk_up(scale: int, index: tuple, top: int, M: int, members: set,
-             cleared: dict) -> tuple[Optional[tuple], tuple]:
-    """Walk the parent chain of (scale, index) up to scale `top`.
-
-    Returns the lowest strict ancestor that is in `members`, as a
-    (scale, index) pair or None, and the index reached at `top` (`index`
-    itself when scale >= top).  `cleared` maps each pair already found
-    member-free, with its ancestors, up to `top` to the index it reaches
-    there; the walk stops at the first such pair and, when it finds no
-    member, adds the pairs it passed.
-    """
-    hit = None
-    passed = []
-    while scale < top:
-        scale += 1
-        index = tuple([m // M for m in index])
-        key = (scale, index)
-        end = cleared.get(key)
-        if end is not None:
-            index = end
-            break
-        if hit is None and key in members:
-            hit = key
-        passed.append(key)
-    if hit is None:
-        cleared.update(dict.fromkeys(passed, index))
-    return hit, index
-
-
-_BLOCK_ORDER = operator.attrgetter("scale", "index")   # the order of Block.__lt__
 
 
 def _make_config(blocks: Iterable[Block], window: Block, depth: int, seed: int,
@@ -202,16 +146,17 @@ def _keyed_state(seed: int, index: int):
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _prefix_state(seed: int, index: int, *head):
+def _prefix_state(seed: int, index: int, tag: str, scale: int):
     """A copy of the keyed state of (seed, index) that has also hashed the
-    tokens `head`; callers hash copies of it, never the state itself.
+    tokens `tag` and `scale`; callers hash copies of it, never the state
+    itself.
 
     The cache compares tokens by value and type, so it tells apart 1, True
     and 1.0, whose repr differ.  It cannot tell apart (1,) and (True,), or
-    0.0 and -0.0, so the tokens of `head` are strings and ints, and a tuple
-    is only ever the last token, which `_uniform` formats on every call."""
+    0.0 and -0.0, so the index tuple is never a cache key (`_uniform`
+    formats it on every call) and the samplers' scales are plain ints."""
     h = _keyed_state(seed, index).copy()
-    h.update((("%r\x1f" * len(head)) % head).encode())
+    h.update(("%r\x1f%r\x1f" % (tag, scale)).encode())
     return h
 
 
@@ -224,26 +169,19 @@ def _check_index(name: str, value: int) -> None:
         raise ValueError(f"{name} must lie in [-2**63, 2**63), got {value}")
 
 
-def _uniform(seed: int, index: int, *tokens) -> float:
-    """Deterministic uniform in [0,1) keyed by (seed, sample index, tokens),
-    one token or more.
+def _uniform(seed: int, index: int, tag: str, scale: int, m: tuple) -> float:
+    """Deterministic uniform in [0,1) keyed by (seed, sample index, tag,
+    scale, index tuple m).
 
     The 53 high bits of the 8-byte keyed blake2b digest of the sample index
     (8 bytes, little-endian, signed) followed by repr(t) + "\\x1f" for each
-    token.  The state that has hashed all tokens but the last is read from
-    `_prefix_state`, which hashes it once for all the calls that share it (a
-    level of a walk shares its seed, sample index, tag and scale), so a call
-    copies it and formats only the last token, the block's index tuple.
+    token t of (tag, scale, m).  The state that has hashed the tag and scale
+    is read from `_prefix_state`, which hashes it once for all the calls
+    that share it (a level of a walk shares its seed, sample index, tag and
+    scale), so a call copies it and formats only the block's index tuple.
     """
-    if len(tokens) == 3:
-        # (tag, scale, index), the call of every sampler: unpacked, the cache
-        # is called without building a slice of the tokens
-        tag, scale, last = tokens
-        h = _prefix_state(seed, index, tag, scale).copy()
-    else:
-        h = _prefix_state(seed, index, *tokens[:-1]).copy()
-        last = tokens[-1]
-    h.update(("%r\x1f" % (last,)).encode())
+    h = _prefix_state(seed, index, tag, scale).copy()
+    h.update(("%r\x1f" % (m,)).encode())
     return (int.from_bytes(h.digest(), "little") >> 11) * 2.0**-53
 
 
@@ -432,13 +370,11 @@ def sample_bernoulli_max(ratios: dict[Block, float], geo: Geometry,
     keeping only the maximal occupied ones.  Distributionally identical to
     the pruned top-down sampler for the same ratios."""
     _check_index("index", index)
-    occupied = [b for b, r in ratios.items()
+    occupied = [b for b, r in zip(map(_plain, ratios), ratios.values())
                 if _uniform(seed, index, "occ", b.scale, b.index) < r]
-    occ = {(b.scale, b.index) for b in occupied}
-    cleared: dict = {}
-    maximal = [b for b in occupied
-               if _walk_up(b.scale, b.index, window.scale, geo.M, occ, cleared)[0] is None]
-    return _make_config(sorted(maximal, key=_BLOCK_ORDER), window, depth, seed, geo)
+    members = set(occupied)
+    maximal = [b for b in occupied if members.isdisjoint(ancestors(b, window.scale, geo))]
+    return _make_config(sorted(maximal), window, depth, seed, geo)
 
 
 def ancestor_chain_cdf(model: ActivityModel, window: Block,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiercubes.blocks import (INDEX_LIMIT, Block, Geometry, IndexRangeError, ancestor_at,
-                              ancestors, block, children, contains,
+                              ancestor_levels, ancestors, block, children, contains,
                               covering_block, descendants, format_block,
                               hierarchical_distance, lcs, overlaps, parent,
                               parse_block, subtree_levels)
@@ -245,6 +245,32 @@ def test_subtree_levels_index_limit(geo, levels, scale):
     with pytest.raises(IndexRangeError, match=f"index at scale {scale - levels} below"):
         subtree_levels(over, scale - levels, geo, lambda j, m: pytest.fail("walked"))
     assert subtree_levels(over, scale, geo) == [[over.index]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(geo=WALKER_GEOS, data=st.data())
+def test_ancestor_levels_match_the_ancestor_chains(geo, data):
+    # the walker up, against `ancestors` of each block: at each scale, the
+    # indices of the strict ancestors of the blocks below it
+    pool = descendants(Block(1, (1,) * geo.d), -2, geo)
+    blocks = data.draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+    top = data.draw(st.integers(1, 3))
+    levels = {}
+    for b in blocks:
+        levels.setdefault(b.scale, set()).add(b.index)
+    got = list(ancestor_levels(levels, top, geo))
+    lo = min(levels, default=top)
+    assert [scale for scale, _ in got] == list(range(lo, top + 1))
+    for scale, above in got:
+        assert above == {a.index for b in blocks for a in ancestors(b, top, geo)
+                         if a.scale == scale}
+
+
+@pytest.mark.parametrize("levels", [{-1: {()}}, {-2: {(0,)}, -1: {(0, 1)}}, {-1: {(0,), (0, 1)}}],
+                         ids=["empty-index", "unequal-scales", "unequal-one-scale"])
+def test_ancestor_levels_refuse_indices_of_another_length(levels):
+    with pytest.raises(ValueError):
+        list(ancestor_levels(levels, 1, Geometry(1)))
 
 
 def test_subtree_levels_index_limit_at_m2():

@@ -378,3 +378,36 @@ def test_file_writes_are_found():
 
 def test_cli_writes_only_in_main():
     assert file_writes((PACKAGE / "cli.py").read_text()) == []
+
+
+# a parent index is formed in `blocks` alone: no other module floor-divides
+# by the subdivision parameter M, as a name or an attribute
+def floor_divisions_by_M(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each top-level statement (its line number when it
+    defines no name) outside `blocks` with a floor division, `//` or `//=`,
+    whose divisor names `M`."""
+    found = set()
+    for mod, src in sources.items():
+        if mod == "blocks":
+            continue
+        for node in ast.parse(src).body:
+            if any(isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.FloorDiv)
+                   and names_in(n.right if isinstance(n, ast.BinOp) else n.value)["M"]
+                   for n in ast.walk(node)):
+                found.add(f"{mod}.{getattr(node, 'name', node.lineno)}")
+    return sorted(found)
+
+
+def test_floor_divisions_by_M_are_found():
+    sources = {"blocks": "def parent(m, geo): return m // geo.M\n",
+               "sampler": "def up(m, M): return [x // M for x in m]\n"
+                          "def halve(n): return n // 2\n"
+                          "class Walk:\n"
+                          "    def step(self, m, geo): m //= geo.M ** 2; return m\n",
+               "cli": "M = 2\nTOP = 9 // M\n"}
+    assert floor_divisions_by_M(sources) == ["cli.2", "sampler.Walk", "sampler.up"]
+
+
+def test_parent_indices_are_formed_in_blocks_alone():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert floor_divisions_by_M(sources) == []

@@ -36,17 +36,20 @@ def unit_model(depth=8):
 # -- the counter-based generator -------------------------------------------------
 
 def test_uniform_deterministic_and_in_range():
-    vals = [_uniform(7, i, "x") for i in range(1000)]
-    assert vals == [_uniform(7, i, "x") for i in range(1000)]
+    vals = [_uniform(7, i, "x", 0, (0,)) for i in range(1000)]
+    assert vals == [_uniform(7, i, "x", 0, (0,)) for i in range(1000)]
+    assert vals == [_blake2b_uniform(7, i, "x", 0, (0,)) for i in range(1000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert abs(sum(vals) / len(vals) - 0.5) < 0.05
 
 
 def test_uniform_decorrelated_across_keys():
-    a = [_uniform(1, i, "x") for i in range(500)]
-    b = [_uniform(2, i, "x") for i in range(500)]
-    c = [_uniform(1, i, "y") for i in range(500)]
-    assert a != b and a != c
+    a = [_uniform(1, i, "x", 0, (0,)) for i in range(500)]
+    b = [_uniform(2, i, "x", 0, (0,)) for i in range(500)]
+    c = [_uniform(1, i, "y", 0, (0,)) for i in range(500)]
+    e = [_uniform(1, i, "x", 1, (0,)) for i in range(500)]
+    f = [_uniform(1, i, "x", 0, (1,)) for i in range(500)]
+    assert len({tuple(v) for v in (a, b, c, e, f)}) == 5
 
 
 def _blake2b_uniform(seed, index, *tokens):
@@ -71,7 +74,6 @@ def test_uniform_matches_a_from_scratch_blake2b(seed, index, tag, scale, m):
     assert _uniform(seed, index, tag, scale, m) == want
     # again, from the keyed state of (seed, index) built by the first call
     assert _uniform(seed, index, tag, scale, m) == want
-    assert _uniform(seed, index, tag) == _blake2b_uniform(seed, index, tag)
 
 
 def test_uniform_tells_apart_equal_tokens_of_other_types():
@@ -313,6 +315,19 @@ def test_bernoulli_max_sampler_chi_square():
     stat = sum((hist.get(cfg, 0) - n * p) ** 2 / (n * p)
                for cfg, p in zip(dist.support, dist.probs))
     assert stat < chi2.ppf(1 - 1e-3, len(dist.support) - 1)
+
+
+def test_bernoulli_max_draws_equal_keys_alike():
+    # Block(1, (True,)) == Block(1, (1,)): each key's uniform hashes its
+    # plain form, so a dict keyed by either draws alike
+    window = block(1, 1)
+    ratios = {b: 0.3 for b in descendants(window, -2, GEO)}
+    twin = {Block(1, (True,)) if b == window else b: r for b, r in ratios.items()}
+    assert any(b.index[0] is True for b in twin)
+    assert [sample_bernoulli_max(twin, GEO, window, 2, seed=5, index=i).to_json_obj()
+            for i in range(200)] == \
+        [sample_bernoulli_max(ratios, GEO, window, 2, seed=5, index=i).to_json_obj()
+         for i in range(200)]
 
 
 def test_mandelbrot_sampler_degenerate():
