@@ -231,11 +231,22 @@ class Parametric(ActivityModel):
 @functools.lru_cache(maxsize=32, typed=True)
 def _parametric_powers(M: int, d: int, alpha: float, j_lo: int,
                        j_hi: int) -> tuple[tuple[float, float], ...]:
-    """(M**(d j), M**(alpha d j)) as floats for j = j_lo, ..., j_hi; an
-    OverflowError where M**(d j) overflows a float, which (alpha < 1) comes
-    no later than M**(alpha d j) does."""
-    return tuple((float(M ** (d * j)), M ** (alpha * d * j))
-                 for j in range(j_lo, j_hi + 1))
+    """(M**(d j), M**(alpha d j)) as floats for j = j_lo, ..., j_hi: the
+    volume read from `Geometry.volumes` (blocks), the real-exponent power
+    formed here; an OverflowError where M**(d j) overflows a float, which
+    (alpha < 1) comes no later than M**(alpha d j) does."""
+    vols = Geometry(d, M).volumes(j_lo, j_hi)
+    if vols:
+        _finite(vols[-1])   # the volume grows with j
+    return tuple(zip(vols, (M ** (alpha * d * j) for j in range(j_lo, j_hi + 1))))
+
+
+def _finite(volume: float) -> float:
+    """A volume that an activity model multiplies by a parameter, where inf
+    would give NaN: an OverflowError past the float range."""
+    if volume == math.inf:
+        raise OverflowError("int too large to convert to float")
+    return volume
 
 
 @dataclass(frozen=True)
@@ -332,10 +343,14 @@ class EffectiveDesign(ActivityModel):
     def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
         """One upward pass: p_{j-1} is summed from the lowest designed scale
         upwards, each scale's term added once."""
-        d, M = self.geometry.d, self.geometry.M
+        k = k_lo = self.min_active_scale()    # p sums the scales below k
+        # M**(d j) for j = j_lo, ..., j_hi and M**(-d k) for k = j_hi - 1
+        # down to k_lo, each read once; a volume raises only where it is used
+        up = self.geometry.volumes(j_lo, j_hi)
+        down = self.geometry.volumes(1 - j_hi, -k_lo)
         out = []
-        p, k = 0.0, self.min_active_scale()    # p sums the scales below k
-        for j in range(j_lo, j_hi + 1):
+        p = 0.0
+        for j, vol in zip(range(j_lo, j_hi + 1), up):
             lz_hat = self.log_zhat_at_scale(j)
             if lz_hat == -math.inf:
                 out.append(-math.inf)
@@ -343,9 +358,9 @@ class EffectiveDesign(ActivityModel):
             while k < j:
                 lz_k = self.log_zhat_at_scale(k)
                 if lz_k > -math.inf:
-                    p += M ** (-d * k) * log1p_exp(lz_k)
+                    p += _finite(down[j_hi - 1 - k]) * log1p_exp(lz_k)
                 k += 1
-            out.append(lz_hat + M ** (d * j) * p)
+            out.append(lz_hat + _finite(vol) * p)
         return out
 
     def to_json_obj(self) -> dict:

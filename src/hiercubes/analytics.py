@@ -15,8 +15,11 @@ j_hi)`.  Its float order, from log Xi = p = 0 below the first scale:
     log zhat_j = log z_j - below
     p_j        = p_{j-1} + log(1 + zhat_j) / M**(d j)
 
-so rho_j = zhat_j / (1 + zhat_j) = z_j / Xi_j, built from log zhat only by
-`_log_rho` and `_log_one_minus_rho`.  p_j equals M**(-d j) log Xi_j
+with M**(d j) read from `Geometry.volumes` (blocks), the one source of the
+volume and its log; where it underflows to 0.0 the term is exp(log log(1 +
+zhat_j) - `Geometry.log_volume(j)`), saturating.  So rho_j = zhat_j / (1 +
+zhat_j) = z_j / Xi_j, built from log zhat only by `_log_rho` and
+`_log_one_minus_rho`.  p_j equals M**(-d j) log Xi_j
 but is accumulated, not divided out, so it saturates where log Xi_j overflows.
 `_log_R` folds the `_R_terms` of a profile into R_j = prod_{k >= j} (1 +
 zhat_k) - 1; `decay_profile` computes the terms once per call and folds a
@@ -412,11 +415,10 @@ def _build_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
     scale-wise constant on those scales.  Its only read of the activity is
     one `log_activities(j_lo, j_hi)` list."""
     geo, branching = model.geometry, model.geometry.branching
-    vol = float(geo.M) ** (geo.d * j_lo)  # M**(d j), updated multiplicatively
     log_z = dict(zip(range(j_lo, j_hi + 1), model.log_activities(j_lo, j_hi)))
     log_xi, log_zhat, log1p_zhat, p_partial = {}, {}, {}, {}
     xi = p = 0.0
-    for j, lz in log_z.items():
+    for (j, lz), vol in zip(log_z.items(), geo.volumes(j_lo, j_hi)):
         below = branching * xi
         if lz == -math.inf:
             xi, lzh, l1p = below, -math.inf, 0.0
@@ -428,13 +430,12 @@ def _build_profile(model: ActivityModel, j_lo: int, j_hi: int) -> ScaleProfile:
             if vol:
                 p += l1p / vol
             elif l1p:   # M**(d j) underflows: the term from its log, saturating
-                log_term = math.log(l1p) - geo.d * j * math.log(geo.M)
+                log_term = math.log(l1p) - geo.log_volume(j)
                 p += math.exp(log_term) if log_term < 709 else math.inf
         log_xi[j] = xi
         log_zhat[j] = lzh
         log1p_zhat[j] = l1p
         p_partial[j] = p
-        vol = vol * branching if vol else float(geo.M) ** (geo.d * (j + 1))
     return ScaleProfile(geo, j_lo, j_hi, log_z, log_xi, log_zhat, log1p_zhat,
                         p_partial)
 
@@ -489,11 +490,11 @@ def _walk_to_start_scale(model: ActivityModel) -> int:
             j = min(0, max((k for k, lv in inner.log_table.items() if lv > -math.inf), default=0))
     for _ in range(2000):
         lz = model.log_activity_at_scale(j)
-        contrib = lz - geo.d * j * math.log(geo.M)
+        contrib = lz - geo.log_volume(j)
         if lz > -math.inf:
             if contrib < math.log(1e-18) and j <= floor:
                 return j
-            nxt = model.log_activity_at_scale(j - 1) - geo.d * (j - 1) * math.log(geo.M)
+            nxt = model.log_activity_at_scale(j - 1) - geo.log_volume(j - 1)
             if nxt >= contrib - 1e-15 and contrib > math.log(1e-18):
                 raise UncertifiedComputation(
                     "downward activity mass does not decay; partition functions "
@@ -1040,12 +1041,15 @@ def pressure_profile(model: ActivityModel, tol: float = DEFAULT_TOL,
     if isinstance(inner, Parametric):
         theta, exact = inner.mu, True
     else:
-        vols = [(j, prof.log_z[j]) for j in range(max(prof.j_lo, 0), prof.j_hi + 1)
-                if prof.log_z[j] > -math.inf]
-        if not vols:
+        active = [(j, prof.log_z[j]) for j in range(max(prof.j_lo, 0), prof.j_hi + 1)
+                  if prof.log_z[j] > -math.inf]
+        if not active:
             theta, exact = -math.inf, True
         else:
-            theta = max(lv / float(geo.M) ** (geo.d * j) for j, lv in vols[-20:])
+            top = active[-20:]
+            j0 = top[0][0]
+            volumes = geo.volumes(j0, top[-1][0])
+            theta = max(lv / volumes[j - j0] for j, lv in top)
             exact = False
     return PressureProfile(partial, p, theta, exact, (prof.j_lo, prof.j_hi))
 
@@ -1113,12 +1117,11 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
     prof = _scale_profile(model, max(j_max, _profile_start_scale(model)) + 90)
     parametric = isinstance(_unwrap(model)[0], Parametric)
     scales, terms = _R_terms(prof, max(0, prof.j_lo))
-    # log(M**(-d k) log(1 + zhat_k)), the same -30 branch as the R terms
-    log_M = math.log(geo.M)
-    tail_terms = [t - geo.d * k * log_M for k, t in zip(scales, terms)]
+    # log(M**(-d k) log(1 + zhat_k)), the same -30 branch as the R terms;
+    # only the parametric residual reads them
+    tail_terms = [t - geo.log_volume(k) for k, t in zip(scales, terms)] if parametric else []
     rows = []
-    for j in range(0, j_max + 1):
-        vol = float(geo.M) ** (geo.d * j)
+    for j, vol in enumerate(geo.volumes(0, j_max)):
         # zhat vanishes below the profile: R_j there is R of its first scale
         i = bisect_left(scales, j)
         r = _log_R(terms[i:])
@@ -1133,7 +1136,7 @@ def decay_profile(model: ActivityModel, j_max: int) -> list[dict]:
             log_S = lead + math.log1p(rel)
             delta = (lead - prof.log_zhat[j]) + math.log1p(rel) + (log_R - log_S)
             log_tail_p = logsumexp_iter(tail_terms[i:])
-            tail_contrib = math.exp(geo.d * j * math.log(geo.M) + log_tail_p) \
+            tail_contrib = math.exp(geo.log_volume(j) + log_tail_p) \
                 if log_tail_p > -math.inf else 0.0
             row["residual"] = delta + tail_contrib
         rows.append(row)

@@ -7,10 +7,15 @@ non-negative orthant.  It has two walkers, on index tuples grouped by
 scale: `subtree_levels` steps down, and the child order and the index bound
 of a step down live there alone; `ancestor_levels` steps up, and outside
 `parent` and `ancestor_at` a parent index is formed there alone.
+
+The volume M**(d j) of a scale-j block, and its log d j log M, are formed
+by `Geometry.volume`, `Geometry.volumes` and `Geometry.log_volume` alone:
+the nearest float, inf past the float range and 0.0 below it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,8 +27,31 @@ from typing import Callable, Iterator, Optional
 INDEX_LIMIT = 1 << 128
 
 
+# for n past this exponent and M >= 2, M**n is above the largest float and
+# M**-n below half the least subnormal 2**-1074, so it rounds to 0.0
+FLOAT_EXPONENT_LIMIT = 1100
+
+
 class IndexRangeError(ValueError):
     """An index component left the representable [0, 2**128) range."""
+
+
+def _nearest_power(M: int, n: int) -> float:
+    """M**n as the nearest float, from the exact integer: inf past the
+    float range, 0.0 below it."""
+    if n > FLOAT_EXPONENT_LIMIT:
+        return math.inf
+    if n < -FLOAT_EXPONENT_LIMIT:
+        return 0.0
+    try:
+        return float(M**n) if n >= 0 else 1 / M**-n
+    except OverflowError:
+        return math.inf
+
+
+@functools.lru_cache(maxsize=32)
+def _volumes(M: int, d: int, j_lo: int, j_hi: int) -> tuple[float, ...]:
+    return tuple(_nearest_power(M, d * j) for j in range(j_lo, j_hi + 1))
 
 
 @dataclass(frozen=True)
@@ -43,6 +71,24 @@ class Geometry:
     def branching(self) -> int:
         """Number of children per block, M**d."""
         return self.M**self.d
+
+    def side(self, j: int) -> float:
+        """The sidelength M**j of a scale-j block, as the nearest float."""
+        return _nearest_power(self.M, j)
+
+    def volume(self, j: int) -> float:
+        """The volume M**(d j) of a scale-j block, as the nearest float: inf
+        past the float range, 0.0 below it."""
+        return _nearest_power(self.M, self.d * j)
+
+    def volumes(self, j_lo: int, j_hi: int) -> tuple[float, ...]:
+        """`volume(j)` for j = j_lo, ..., j_hi, in order: one cached tuple
+        per range."""
+        return _volumes(self.M, self.d, j_lo, j_hi)
+
+    def log_volume(self, j: int) -> float:
+        """log M**(d j) = d j log M, finite at every scale."""
+        return self.d * j * math.log(self.M)
 
 
 @total_ordering
@@ -194,10 +240,7 @@ def hierarchical_distance(b1: Block, b2: Block, geo: Geometry) -> float:
     """Ultrametric D(b1,b2) = M**(d*lcs), zero on the diagonal."""
     if b1 == b2:
         return 0.0
-    try:
-        return float(geo.M ** (geo.d * lcs(b1, b2, geo)))
-    except OverflowError:
-        return math.inf
+    return geo.volume(lcs(b1, b2, geo))
 
 
 def ancestors(b: Block, up_to_scale: int, geo: Geometry) -> list[Block]:

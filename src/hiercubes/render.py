@@ -8,7 +8,7 @@ palette keyed on scale mod 8.
 
 from __future__ import annotations
 
-from .blocks import Geometry, format_block
+from .blocks import Block, Geometry, format_block
 from .sampler import Configuration
 
 PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2",
@@ -32,14 +32,16 @@ def render_svg(cfg: Configuration, geo: Geometry) -> str:
     raise ValueError(f"SVG rendering supports d in {{1, 2}}, not d={geo.d}")
 
 
-def _window_geometry(cfg: Configuration, geo: Geometry):
-    side = float(geo.M) ** cfg.window.scale
-    origin = [m * float(geo.M) ** cfg.window.scale for m in cfg.window.index]
-    return side, origin
+def _placement(b: Block, window: Block, geo: Geometry) -> tuple[list[float], float]:
+    """b's corner, per coordinate, and side in units of the window's side,
+    so the window's own scale cancels; the corner is an exact integer count
+    of b's sides before it is scaled."""
+    shift = geo.M ** (window.scale - b.scale)
+    side = geo.side(b.scale - window.scale)
+    return [(m - w * shift) * side for m, w in zip(b.index, window.index)], side
 
 
 def _render_1d(cfg: Configuration, geo: Geometry, width: float) -> str:
-    side, origin = _window_geometry(cfg, geo)
     row_h = 24.0
     scales = list(range(cfg.window.scale, -cfg.depth - 1, -1))
     height = row_h * len(scales) + 8
@@ -54,9 +56,9 @@ def _render_1d(cfg: Configuration, geo: Geometry, width: float) -> str:
         parts.append(f'<text x="2" y="{y + 14:g}" font-size="10" '
                      f'fill="#888">j={j}</text>')
     for b in cfg.blocks:
-        b_side = float(geo.M) ** b.scale
-        x = (b.index[0] * b_side - origin[0]) / side * width
-        w = b_side / side * width
+        corner, side = _placement(b, cfg.window, geo)
+        x = corner[0] * width
+        w = side * width
         y = 4 + rows[b.scale] * row_h
         parts.append(f'<rect x="{x:g}" y="{y:g}" width="{w:g}" '
                      f'height="{row_h - 4:g}" fill="{scale_color(b.scale)}" '
@@ -66,18 +68,17 @@ def _render_1d(cfg: Configuration, geo: Geometry, width: float) -> str:
 
 
 def _render_2d(cfg: Configuration, geo: Geometry, width: float) -> str:
-    side, origin = _window_geometry(cfg, geo)
     parts = [_VERSION_COMMENT,
              f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
              f'height="{width:g}" viewBox="0 0 {width:g} {width:g}">',
              f'<rect x="0" y="0" width="{width:g}" height="{width:g}" '
              f'fill="none" stroke="#999"/>']
     for b in sorted(cfg.blocks, key=lambda b: -b.scale):
-        b_side = float(geo.M) ** b.scale
-        x = (b.index[0] * b_side - origin[0]) / side * width
+        corner, side = _placement(b, cfg.window, geo)
+        x = corner[0] * width
         # svg y grows downward; flip the second coordinate
-        y = width - (b.index[1] * b_side - origin[1] + b_side) / side * width
-        w = b_side / side * width
+        y = width - (corner[1] + side) * width
+        w = side * width
         parts.append(f'<rect x="{x:g}" y="{y:g}" width="{w:g}" height="{w:g}" '
                      f'fill="{scale_color(b.scale)}" stroke="#333" '
                      f'fill-opacity="0.85"><title>{format_block(b)}</title></rect>')

@@ -370,6 +370,7 @@ def sample_bernoulli_max(ratios: dict[Block, float], geo: Geometry,
     keeping only the maximal occupied ones.  Distributionally identical to
     the pruned top-down sampler for the same ratios."""
     _check_index("index", index)
+    window = _plain(window)
     occupied = [b for b, r in zip(map(_plain, ratios), ratios.values())
                 if _uniform(seed, index, "occ", b.scale, b.index) < r]
     members = set(occupied)

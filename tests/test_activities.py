@@ -272,6 +272,12 @@ def scale_wise_models(draw):
     return model
 
 
+def nearest_power(M, n):
+    """M**n as the models read the volume: the nearest float of the exact
+    power, an OverflowError past the float range."""
+    return float(M ** n) if n >= 0 else 1 / M ** -n
+
+
 def reference_scale_value(model, j):
     """The activity of scale j, each model's closed form written out per
     scale, with the float expressions and summation order of the models."""
@@ -281,7 +287,8 @@ def reference_scale_value(model, j):
         return -math.inf if j > model.window.scale else reference_scale_value(model.inner, j)
     d, M = model.geometry.d, model.geometry.M
     if isinstance(model, Parametric):
-        return -math.inf if j < 0 else M ** (d * j) * model.mu - M ** (model.alpha * d * j) * model.J
+        return -math.inf if j < 0 else \
+            nearest_power(M, d * j) * model.mu - M ** (model.alpha * d * j) * model.J
     if isinstance(model, Homogeneous):
         table = model.log_table
         if not table:
@@ -300,8 +307,8 @@ def reference_scale_value(model, j):
     for k in range(model.min_active_scale(), j):
         lz_k = model.log_zhat_at_scale(k)
         if lz_k > -math.inf:
-            p += M ** (-d * k) * log1p_exp(lz_k)
-    return lz_hat + M ** (d * j) * p
+            p += nearest_power(M, -d * k) * log1p_exp(lz_k)
+    return lz_hat + nearest_power(M, d * j) * p
 
 
 def scale_values(call):

@@ -1309,7 +1309,7 @@ def test_scale_profiles_are_pinned():
                 res = critical_mu(J, alpha, 1e-9, geometry=Geometry(d))
                 h.update(repr((res["mu_c"], res["gibbs_at_mu_c"], res["trace"])).encode())
     assert h.hexdigest() == \
-        "b7027b831b9116a8316caef8b98dac2a1d11eb8eddbd17d0eeeeb1408b687eca"
+        "ff2a67d49d91fd1e3011139395850df3cdfa97348b81628b2265f63bf3327eeb"
 
 
 # -- the per-model memo --------------------------------------------------------------

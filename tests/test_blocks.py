@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,3 +289,28 @@ def test_subtree_levels_index_limit_at_m2():
 def test_ordering_sorts_by_scale_then_index():
     bs = sorted([block(0, 0), block(-1, 1), block(-1, 0)])
     assert bs == [block(-1, 0), block(-1, 1), block(0, 0)]
+
+
+# -- the volume of a scale ---------------------------------------------------------
+
+def correctly_rounded(M, n):
+    """M**n rounded to the nearest float by `Fraction`, inf past the float range."""
+    try:
+        return float(Fraction(M) ** n)
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_volume_is_the_correctly_rounded_power(M, d):
+    geo = Geometry(d, M)
+    scales = range(-1100, 1101)
+    want = [correctly_rounded(M, d * j) for j in scales]
+    assert list(geo.volumes(scales[0], scales[-1])) == want
+    assert [geo.volume(j) for j in scales] == want
+    assert [geo.log_volume(j) for j in scales] == [d * j * math.log(M) for j in scales]
+    assert [geo.side(j) for j in scales] == [correctly_rounded(M, j) for j in scales]
+    # far past the float range, without forming the power
+    assert (geo.volume(10**9), geo.volume(-10**9)) == (math.inf, 0.0)
+    assert geo.volumes(1, 0) == ()

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -454,6 +455,25 @@ def test_failed_runs_write_nothing(tmp_path, capsys, obj, argv, code, err):
     assert main([*argv, *model, "--out", str(out)]) == code
     assert capsys.readouterr().err == f"{err}\n"
     assert not out.exists()
+
+
+TWO_SCALES = {"kind": "homogeneous", "d": 1, "M": 2, "table": {"0": 0.5, "-1": 0.4}}
+
+
+@pytest.mark.parametrize("obj,argv", [
+    # theta* divides by M**(d j) past the float range: the volume saturates
+    ({**TWO_SCALES, "tail_up": {"kind": "geometric", "ratio": 0.5}},
+     ["analyze", "--jmax", "1100"]),
+    # so does the decay table's M**(-d j) log R_j, for even and odd M
+    (TWO_SCALES, [*CORRELATE, "--jmax", "1100"]),
+    ({**TWO_SCALES, "M": 3}, [*CORRELATE, "--jmax", "700"]),
+], ids=["analyze-theta-star", "correlate-M2", "correlate-M3"])
+def test_runs_past_the_float_range_of_the_volume(tmp_path, capsys, obj, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--model", write_model(tmp_path, obj), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    texts = [p.read_text() for p in sorted(out.iterdir())]
+    assert texts and not any(re.search(r"\bnan\b", t, re.IGNORECASE) for t in texts)
 
 
 def run_cli(*argv):

@@ -382,20 +382,26 @@ def test_cli_writes_only_in_main():
 
 # a parent index is formed in `blocks` alone: no other module floor-divides
 # by the subdivision parameter M, as a name or an attribute
-def floor_divisions_by_M(sources: dict[str, str]) -> list[str]:
+def outside_blocks(sources: dict[str, str], forms) -> list[str]:
     """`module.name` of each top-level statement (its line number when it
-    defines no name) outside `blocks` with a floor division, `//` or `//=`,
-    whose divisor names `M`."""
+    defines no name) outside `blocks` with a node for which `forms(node)`
+    holds."""
     found = set()
     for mod, src in sources.items():
         if mod == "blocks":
             continue
         for node in ast.parse(src).body:
-            if any(isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.FloorDiv)
-                   and names_in(n.right if isinstance(n, ast.BinOp) else n.value)["M"]
-                   for n in ast.walk(node)):
+            if any(forms(n) for n in ast.walk(node)):
                 found.add(f"{mod}.{getattr(node, 'name', node.lineno)}")
     return sorted(found)
+
+
+def floor_divisions_by_M(sources: dict[str, str]) -> list[str]:
+    """The statements outside `blocks` with a floor division, `//` or
+    `//=`, whose divisor names `M`."""
+    return outside_blocks(sources, lambda n: (
+        isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.FloorDiv)
+        and names_in(n.right if isinstance(n, ast.BinOp) else n.value)["M"]))
 
 
 def test_floor_divisions_by_M_are_found():
@@ -411,3 +417,37 @@ def test_floor_divisions_by_M_are_found():
 def test_parent_indices_are_formed_in_blocks_alone():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert floor_divisions_by_M(sources) == []
+
+
+def volumes_formed(sources: dict[str, str]) -> list[str]:
+    """The statements outside `blocks` with a power `**` whose base names
+    `M` and whose exponent names `d`, or a call of `log` on an expression
+    naming `M`: a volume M**(d j) or a log of M formed outside `Geometry`."""
+    def forms(n):
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow):
+            return names_in(n.left)["M"] and names_in(n.right)["d"]
+        if isinstance(n, ast.Call):
+            func = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", "")
+            return func == "log" and any(names_in(arg)["M"] for arg in n.args)
+        return False
+
+    return outside_blocks(sources, forms)
+
+
+def test_volumes_formed_are_found():
+    sources = {"blocks": "def volume(geo, j): return float(geo.M ** (geo.d * j))\n",
+               "analytics": "import math\n"
+                            "def vol(geo, j): return float(geo.M) ** (geo.d * j)\n"
+                            "def side(geo, j): return geo.M ** j\n"
+                            "class P:\n"
+                            "    def log_vol(self, j, M, d): return d * j * math.log(M)\n"
+                            "def ok(geo, j): return geo.log_volume(j) + math.log(2)\n",
+               "cli": "from math import log\nM, d = 3, 2\nV = M ** d\nL = log(M)\n"}
+    assert volumes_formed(sources) == ["analytics.P", "analytics.vol", "cli.3", "cli.4"]
+
+
+def test_volumes_are_formed_in_blocks_alone():
+    # M**(alpha d j), a real-exponent power, is formed by the parametric
+    # activity alone; its volume M**(d j) it reads from `Geometry`
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert volumes_formed(sources) == ["activities._parametric_powers"]

@@ -52,3 +52,14 @@ def test_scale_colors_cycle():
     assert scale_color(0) == PALETTE[0]
     assert scale_color(8) == PALETTE[0]
     assert scale_color(-1) == scale_color(7)
+
+
+@pytest.mark.parametrize("window", [block(1, 2, 1), block(1100, 2, 1)], ids=["scale-1", "scale-1100"])
+def test_render_places_blocks_relative_to_the_window(window):
+    # the corner block of the window's top row sits at the top edge, whatever
+    # the window's scale, and its side is a 27th of the window's; the depth
+    # puts the bottom scale at the block's
+    geo = Geometry(2, 3)
+    corner = block(window.scale - 3, 2 * 27 + 1, 27 + 26)
+    cfg = Configuration(blocks=(corner,), window=window, depth=3 - window.scale, seed=0)
+    assert f'<rect x="23.7037" y="0" width="23.7037" height="23.7037"' in render_svg(cfg, geo)

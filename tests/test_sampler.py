@@ -164,7 +164,17 @@ def test_windows_with_non_integer_components_are_refused(window):
         sample_gibbs_infinite(STREAM_MODELS["infinite"], window, 2, seed=1)
     with pytest.raises(ValueError, match="integer scale and index"):
         sample_mandelbrot(0.5, GEO, window, 2, seed=1)
+    with pytest.raises(ValueError, match="integer scale and index"):
+        sample_bernoulli_max({block(1, 1): 0.0}, GEO, window, 2, seed=1)
     assert sampler_entries(model) == {}
+
+
+def test_bernoulli_max_reports_the_plain_window():
+    # Block(1, (True,)) == Block(1, (1,)): reported as 1:(1), as by sample_gibbs
+    twin = Block(1, (True,))
+    got = sample_bernoulli_max({block(1, 1): 0.0}, GEO, twin, 2, seed=5).to_json_obj()
+    assert got["window"] == "1:(1)" == \
+        sample_gibbs(Homogeneous.constant(GEO, 0.0, [1]), twin, 2, seed=5).to_json_obj()["window"]
 
 
 # -- configurations ---------------------------------------------------------------
