@@ -2,15 +2,15 @@
 
 from .blocks import Block, Geometry, block, parse_block, format_block
 from .activities import (ActivityModel, Homogeneous, Parametric, Explicit,
-                         EffectiveDesign, Formula, truncate_volume,
-                         truncate_scale, activity_from_effective, load_model)
+                         EffectiveDesign, Formula, VolumeTruncated,
+                         ScaleTruncated, load_model)
 from .logreal import LogReal
 
 __all__ = [
     "Block", "Geometry", "block", "parse_block", "format_block",
     "ActivityModel", "Homogeneous", "Parametric", "Explicit",
-    "EffectiveDesign", "Formula", "truncate_volume", "truncate_scale",
-    "activity_from_effective", "load_model", "LogReal",
+    "EffectiveDesign", "Formula", "VolumeTruncated", "ScaleTruncated",
+    "load_model", "LogReal",
 ]
 
 __version__ = "0.1.0"

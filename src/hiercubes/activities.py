@@ -1,8 +1,10 @@
 """Activity models z: blocks -> R+ and their truncations.
 
 All evaluation happens in log domain (see logreal); a block with zero weight
-has log activity -inf.  Models are immutable after construction and safe for
-concurrent reads.
+has log activity -inf, which `math.exp` turns back into 0.0.  Models are
+immutable after construction and safe for concurrent reads.  A truncation is
+built by its class: `VolumeTruncated(model, window)` for z_window and
+`ScaleTruncated(model, depth)` for z^(depth).
 
 A model defines one read: a scale-wise constant model (z_j) the activities
 of a range of scales, `log_activities(j_lo, j_hi)`; any other model the
@@ -117,6 +119,12 @@ class ActivityModel:
         raise NotImplementedError
 
 
+def _log(value: float) -> float:
+    """The log of a non-negative activity, -inf for zero; `math.exp` is the
+    inverse, exp(-inf) being 0.0."""
+    return math.log(value) if value > 0 else -math.inf
+
+
 def _check_nonneg(values, what: str):
     for v in values:
         if v < 0 or math.isnan(v) or math.isinf(v):
@@ -143,7 +151,7 @@ class Homogeneous(ActivityModel):
                     tail_down: TailRule = TailRule(),
                     tail_up: TailRule = TailRule()) -> "Homogeneous":
         _check_nonneg(table.values(), "activity")
-        log_table = {j: (math.log(v) if v > 0 else -math.inf) for j, v in table.items()}
+        log_table = {j: _log(v) for j, v in table.items()}
         return Homogeneous(geometry, log_table, tail_down, tail_up)
 
     @staticmethod
@@ -185,8 +193,7 @@ class Homogeneous(ActivityModel):
             "kind": "homogeneous",
             "d": self.geometry.d,
             "M": self.geometry.M,
-            "table": {str(j): math.exp(lv) if lv > -math.inf else 0.0
-                      for j, lv in self.log_table.items()},
+            "table": {str(j): math.exp(lv) for j, lv in self.log_table.items()},
             "tail_down": self.tail_down.to_json_obj(),
             "tail_up": self.tail_up.to_json_obj(),
         }
@@ -266,9 +273,7 @@ class Explicit(ActivityModel):
                     default: float = 0.0) -> "Explicit":
         _check_nonneg(entries.values(), "activity")
         _check_nonneg([default], "default activity")
-        log_entries = {b: (math.log(v) if v > 0 else -math.inf) for b, v in entries.items()}
-        log_default = math.log(default) if default > 0 else -math.inf
-        return Explicit(geometry, log_entries, log_default)
+        return Explicit(geometry, {b: _log(v) for b, v in entries.items()}, _log(default))
 
     def log_activity(self, b: Block) -> float:
         return self.log_entries.get(b, self.log_default)
@@ -297,9 +302,8 @@ class Explicit(ActivityModel):
             "kind": "explicit",
             "d": self.geometry.d,
             "M": self.geometry.M,
-            "entries": {format_block(b): math.exp(lv) if lv > -math.inf else 0.0
-                        for b, lv in self.log_entries.items()},
-            "default": math.exp(self.log_default) if self.log_default > -math.inf else 0.0,
+            "entries": {format_block(b): math.exp(lv) for b, lv in self.log_entries.items()},
+            "default": math.exp(self.log_default),
         }
 
 
@@ -321,20 +325,12 @@ class EffectiveDesign(ActivityModel):
     def from_values(geometry: Geometry, zhat_table: dict[int, float],
                     zhat_tail_up: TailRule = TailRule()) -> "EffectiveDesign":
         _check_nonneg(zhat_table.values(), "effective activity")
-        log_table = {j: (math.log(v) if v > 0 else -math.inf) for j, v in zhat_table.items()}
+        log_table = {j: _log(v) for j, v in zhat_table.items()}
         return EffectiveDesign(geometry, log_table, zhat_tail_up)
 
     @property
     def is_homogeneous(self) -> bool:
         return True
-
-    def log_zhat_at_scale(self, j: int) -> float:
-        if not self.log_zhat_table:
-            return -math.inf
-        hi = max(self.log_zhat_table)
-        if j > hi:
-            return self.log_zhat_table[hi] + (j - hi) * self.zhat_tail_up.log_ratio
-        return self.log_zhat_table.get(j, -math.inf)
 
     def min_active_scale(self) -> Optional[int]:
         active = [j for j, lv in self.log_zhat_table.items() if lv > -math.inf]
@@ -342,8 +338,14 @@ class EffectiveDesign(ActivityModel):
 
     def log_activities(self, j_lo: int, j_hi: int) -> list[float]:
         """One upward pass: p_{j-1} is summed from the lowest designed scale
-        upwards, each scale's term added once."""
-        k = k_lo = self.min_active_scale()    # p sums the scales below k
+        upwards, each scale's term added once.  log zhat is read once, up
+        from the lower of j_lo and the table's lowest scale, as a
+        `Homogeneous` table continues: zero below, `zhat_tail_up` above."""
+        lo = min(j_lo, min(self.log_zhat_table, default=j_lo))
+        lz = Homogeneous(self.geometry, self.log_zhat_table,
+                         tail_up=self.zhat_tail_up).log_activities(lo, j_hi)
+        # p sums the scales below k, from the lowest active one
+        k = k_lo = next((lo + i for i, v in enumerate(lz) if v > -math.inf), j_hi)
         # M**(d j) for j = j_lo, ..., j_hi and M**(-d k) for k = j_hi - 1
         # down to k_lo, each read once; a volume raises only where it is used
         up = self.geometry.volumes(j_lo, j_hi)
@@ -351,12 +353,12 @@ class EffectiveDesign(ActivityModel):
         out = []
         p = 0.0
         for j, vol in zip(range(j_lo, j_hi + 1), up):
-            lz_hat = self.log_zhat_at_scale(j)
+            lz_hat = lz[j - lo]
             if lz_hat == -math.inf:
                 out.append(-math.inf)
                 continue
             while k < j:
-                lz_k = self.log_zhat_at_scale(k)
+                lz_k = lz[k - lo]
                 if lz_k > -math.inf:
                     p += _finite(down[j_hi - 1 - k]) * log1p_exp(lz_k)
                 k += 1
@@ -368,8 +370,7 @@ class EffectiveDesign(ActivityModel):
             "kind": "effective",
             "d": self.geometry.d,
             "M": self.geometry.M,
-            "zhat_table": {str(j): math.exp(lv) if lv > -math.inf else 0.0
-                           for j, lv in self.log_zhat_table.items()},
+            "zhat_table": {str(j): math.exp(lv) for j, lv in self.log_zhat_table.items()},
             "zhat_tail_up": self.zhat_tail_up.to_json_obj(),
         }
 
@@ -390,7 +391,7 @@ class Formula(ActivityModel):
         v = self.fn(b)
         if v < 0:
             raise ValueError(f"activity formula returned {v} < 0 for {b}")
-        return math.log(v) if v > 0 else -math.inf
+        return _log(v)
 
     def min_active_scale(self) -> Optional[int]:
         return self.lowest_scale
@@ -471,24 +472,6 @@ class ScaleTruncated(ActivityModel):
     def to_json_obj(self) -> dict:
         return {"kind": "scale_truncated", "depth": self.depth,
                 "inner": self.inner.to_json_obj()}
-
-
-def truncate_volume(model: ActivityModel, window: Block) -> ActivityModel:
-    return VolumeTruncated(model, window)
-
-
-def truncate_scale(model: ActivityModel, depth: int) -> ActivityModel:
-    return ScaleTruncated(model, depth)
-
-
-def activity_from_effective(target: dict[int, float], geometry: Geometry,
-                            tail_up: TailRule = TailRule()) -> EffectiveDesign:
-    """Homogeneous activity whose effective activities equal `target`.
-
-    `target` gives zhat_j for finitely many scales; scales below the table are
-    zero, scales above follow `tail_up` applied to the topmost value.
-    """
-    return EffectiveDesign.from_values(geometry, target, tail_up)
 
 
 def model_from_json_obj(obj: dict) -> ActivityModel:

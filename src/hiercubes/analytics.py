@@ -268,12 +268,12 @@ class TruncatedSystem:
 
 def partition_function(model: ActivityModel, window: Block, depth: int) -> LogReal:
     """Xi of `window` for the doubly truncated activity, as a LogReal."""
-    return LogReal.from_log(TruncatedSystem(model, window, depth).log_xi(window))
+    return LogReal(TruncatedSystem(model, window, depth).log_xi(window))
 
 
 def effective_activity(model: ActivityModel, b: Block, depth: int) -> LogReal:
     """zhat(b) = z(b) / prod of the children's partition functions."""
-    return LogReal.from_log(TruncatedSystem(model, b, depth).log_zhat(b))
+    return LogReal(TruncatedSystem(model, b, depth).log_zhat(b))
 
 
 def occupation_ratio(model: ActivityModel, b: Block, depth: int) -> float:
@@ -314,7 +314,7 @@ def partition_function_limit(model: ActivityModel, window: Block) -> LimitResult
     does, and is undecided: divergence is not judged from its size.
     """
     if _downward_mass_diverges(model, window):
-        return LimitResult(LogReal.infinite(), True, 0,
+        return LimitResult(LogReal(math.inf), True, 0,
                            "closed-form tail: sum of activities below window diverges")
     max_depth = LIMIT_MAX_DEPTH
     if not model.homogeneous_within(window):
@@ -328,10 +328,10 @@ def partition_function_limit(model: ActivityModel, window: Block) -> LimitResult
     if lo is not None:
         depth = max(1, start, -lo)
         if depth > max_depth:
-            return LimitResult(LogReal.from_log(0.0), False, 0,
+            return LimitResult(LogReal(0.0), False, 0,
                                f"undecided: lowest active scale {lo} lies below "
                                f"depth {max_depth}")
-        return LimitResult(LogReal.from_log(TruncatedSystem(model, window, depth).log_xi(window)),
+        return LimitResult(LogReal(TruncatedSystem(model, window, depth).log_xi(window)),
                            True, depth,
                            f"exact: depth {depth} reaches the lowest active scale {lo}")
     prev = None
@@ -339,11 +339,11 @@ def partition_function_limit(model: ActivityModel, window: Block) -> LimitResult
     while depth <= max_depth:
         cur = TruncatedSystem(model, window, depth).log_xi(window)
         if prev is not None and abs(cur - prev) < DEFAULT_TOL:
-            return LimitResult(LogReal.from_log(cur), True, depth,
+            return LimitResult(LogReal(cur), True, depth,
                                "depth-doubling increments below tolerance")
         prev = cur
         depth *= 2
-    return LimitResult(LogReal.from_log(prev if prev is not None else 0.0),
+    return LimitResult(LogReal(prev if prev is not None else 0.0),
                        False, depth // 2, "undecided: max depth exhausted")
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Callable, Iterator, Optional
 
-# Index components are kept exact but bounded; anything larger is almost
-# certainly a bug in the caller (135+ scales of refinement).
+# Index components and the branching M**d are kept exact but bounded; anything
+# larger is almost certainly a bug in the caller (135+ scales of refinement).
 INDEX_LIMIT = 1 << 128
 
 
@@ -66,6 +66,8 @@ class Geometry:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.M < 2:
             raise ValueError(f"subdivision parameter must be >= 2, got {self.M}")
+        if self.d > 128 or self.M > INDEX_LIMIT or self.M**self.d > INDEX_LIMIT:
+            raise ValueError("branching M**d must be at most 2**128")
 
     @property
     def branching(self) -> int:

@@ -1,11 +1,11 @@
 """Extended non-negative reals in log domain.
 
 Partition functions grow doubly exponentially (26, 677, 458330, ...), so every
-extensive quantity is carried as a log value.  A LogReal is one of three
-things: exact zero (log = -inf), a finite positive number (finite log), or
-infinity (log = +inf), the result type of partition functions and effective
-activities.  A fraction with an infinite denominator is zero: log zhat = -inf
-when a child's log Xi is +inf (see `analytics.TruncatedSystem`).
+extensive quantity is carried as a log value.  A LogReal, the result type of
+partition functions and effective activities, holds one field, `log`: -inf
+for exact zero, a finite log for a positive number, +inf for infinity.  A
+fraction with an infinite denominator is zero: log zhat = -inf when a child's
+log Xi is +inf (see `analytics.TruncatedSystem`).
 """
 
 from __future__ import annotations
@@ -20,26 +20,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True, slots=True)
 class LogReal:
     log: float
-
-    @staticmethod
-    def infinite() -> "LogReal":
-        return LogReal(math.inf)
-
-    @staticmethod
-    def from_log(log_value: float) -> "LogReal":
-        return LogReal(log_value)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log == -math.inf
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.log == math.inf
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.log)
 
 
 def logaddexp(a: float, b: float) -> float:

@@ -10,10 +10,8 @@ from hiercubes.blocks import (Block, Geometry, block, contains, descendants,
                               subtree_levels)
 from hiercubes.activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                                   Homogeneous, Parametric, ScaleTruncated,
-                                  TailRule, VolumeTruncated,
-                                  activity_from_effective, load_model,
-                                  model_from_json_obj, truncate_scale,
-                                  truncate_volume)
+                                  TailRule, VolumeTruncated, load_model,
+                                  model_from_json_obj)
 from hiercubes.analytics import critical_mu, scale_profile
 from hiercubes.logreal import log1p_exp
 
@@ -127,7 +125,7 @@ def test_activity_data_of_another_dimension_rejected():
         Explicit(Geometry(2), {block(0, 0): 0.0})
     inner = Explicit.from_values(Geometry(1), {}, 0.5)
     with pytest.raises(ValueError, match="window 1:\\(0,0\\) has dimension 2, not the model's 1"):
-        truncate_volume(inner, block(1, 0, 0))
+        VolumeTruncated(inner, block(1, 0, 0))
     with pytest.raises(ValueError, match="window"):
         model_from_json_obj({"kind": "volume_truncated", "window": "1:(0,0)",
                              "inner": inner.to_json_obj()})
@@ -139,7 +137,7 @@ def test_truncation_composition_oracle():
     base = Homogeneous.from_values(GEO, {0: 1.0},
                                    tail_down=TailRule("geometric", 0.5),
                                    tail_up=TailRule("geometric", 0.5))
-    t = truncate_scale(truncate_volume(base, W), 3)
+    t = ScaleTruncated(VolumeTruncated(base, W), 3)
     for b in rand_blocks(seed=7):
         lz = t.log_activity(b)
         inside = (b.scale >= -3 and b.scale <= 0
@@ -152,8 +150,8 @@ def test_truncation_composition_oracle():
 
 def test_truncation_homogeneity_flags():
     base = Homogeneous.constant(GEO, 1.0, range(-3, 1))
-    assert truncate_scale(base, 2).is_homogeneous
-    vt = truncate_volume(base, W)
+    assert ScaleTruncated(base, 2).is_homogeneous
+    vt = VolumeTruncated(base, W)
     assert vt.homogeneous_within(W)
     assert vt.homogeneous_within(block(-1, 0))
     assert not vt.homogeneous_within(block(1, 0))   # window boundary cuts scales
@@ -177,17 +175,10 @@ def test_effective_design_inversion():
         assert math.exp(got.log) == pytest.approx(want, abs=1e-12)
 
 
-def test_activity_from_effective_matches_design():
-    m1 = activity_from_effective({0: 1.0, 1: 0.5}, GEO)
-    m2 = EffectiveDesign.from_values(GEO, {0: 1.0, 1: 0.5})
-    for j in (0, 1):
-        assert m1.log_activity_at_scale(j) == pytest.approx(m2.log_activity_at_scale(j))
-
-
 @pytest.mark.parametrize("bad", [-0.5, math.nan], ids=["negative", "nan"])
-def test_activity_from_effective_rejects_a_bad_target(bad):
+def test_effective_design_rejects_a_bad_target(bad):
     with pytest.raises(ValueError, match="effective activity must be finite and >= 0"):
-        activity_from_effective({0: 1.0, 1: bad}, GEO)
+        EffectiveDesign.from_values(GEO, {0: 1.0, 1: bad})
 
 
 # -- serialization -------------------------------------------------------------
@@ -266,9 +257,9 @@ def scale_wise_models(draw):
         model = EffectiveDesign.from_values(geo, table, draw(tail_rules(st.floats(0.1, 1.5))))
     wrap = draw(st.sampled_from(["none", "scale", "volume", "both"]))
     if wrap in ("scale", "both"):
-        model = truncate_scale(model, draw(st.integers(0, 6)))
+        model = ScaleTruncated(model, draw(st.integers(0, 6)))
     if wrap in ("volume", "both"):
-        model = truncate_volume(model, Block(draw(st.integers(-3, 5)), (0,) * geo.d))
+        model = VolumeTruncated(model, Block(draw(st.integers(-3, 5)), (0,) * geo.d))
     return model
 
 
@@ -299,13 +290,23 @@ def reference_scale_value(model, j):
         if j > hi:
             return table[hi] + (j - hi) * model.tail_up.log_ratio
         return table.get(j, -math.inf)
-    # EffectiveDesign: p_{j-1} summed afresh from the lowest designed scale up
-    lz_hat = model.log_zhat_at_scale(j)
+    # EffectiveDesign: p_{j-1} summed afresh from the lowest active scale up,
+    # log zhat read from the table: zero below it, zhat_tail_up above
+    table = model.log_zhat_table
+    hi = max(table, default=None)
+
+    def log_zhat(k):
+        if table and k > hi:
+            return table[hi] + (k - hi) * model.zhat_tail_up.log_ratio
+        return table.get(k, -math.inf)
+
+    lz_hat = log_zhat(j)
     if lz_hat == -math.inf:
         return -math.inf
+    lowest = min((s for s, lv in table.items() if lv > -math.inf), default=0)
     p = 0.0
-    for k in range(model.min_active_scale(), j):
-        lz_k = model.log_zhat_at_scale(k)
+    for k in range(lowest, j):
+        lz_k = log_zhat(k)
         if lz_k > -math.inf:
             p += nearest_power(M, -d * k) * log1p_exp(lz_k)
     return lz_hat + nearest_power(M, d * j) * p
@@ -366,7 +367,7 @@ def test_scale_wise_reads_come_from_the_range_read(model):
 @pytest.mark.parametrize("model", [
     Parametric(Geometry(2), 0.0, 1.0, 0.5),
     Parametric(Geometry(3, 3), -0.5, 1.0, 0.9),
-    truncate_scale(EffectiveDesign.from_values(Geometry(2), {0: 1.0},
+    ScaleTruncated(EffectiveDesign.from_values(Geometry(2), {0: 1.0},
                                                TailRule("geometric", 0.5)), 2),
 ], ids=["parametric-d2", "parametric-d3M3", "design-d2"])
 def test_activity_list_overflows_where_the_per_scale_values_do(model):
@@ -377,7 +378,7 @@ def test_activity_list_overflows_where_the_per_scale_values_do(model):
 
 
 def test_profile_overflow_is_still_a_known_defect():
-    # M**(d j) does not fit a float at scale 512 in d=2 (ROADMAP item 2c)
+    # M**(d j) does not fit a float at scale 512 in d=2 (ROADMAP item 5c)
     with pytest.raises(OverflowError):
         scale_profile(Parametric(Geometry(2), 0.0, 1.0, 0.5), 600)
 
@@ -425,9 +426,9 @@ def level_reads(draw):
                            rng.uniform(0.1, 0.9))
     for wrap in draw(st.lists(st.sampled_from(["volume", "scale"]), max_size=3)):
         if wrap == "volume":
-            model = truncate_volume(model, rng.choice(blocks))
+            model = VolumeTruncated(model, rng.choice(blocks))
         else:
-            model = truncate_scale(model, rng.randint(-2, levels))
+            model = ScaleTruncated(model, rng.randint(-2, levels))
     scale = draw(st.integers(1 - levels, 2))
     level = subtree_levels(Block(top.scale + (scale > 1), top.index), scale, geo)[-1]
     outside = [tuple(rng.randrange(40) for _ in range(geo.d)) for _ in range(3)]

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hiercubes.blocks import (Block, Geometry, IndexRangeError, block, children,
                               descendants, overlaps)
 from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
-                                  Homogeneous, Parametric, TailRule,
-                                  truncate_scale, truncate_volume)
+                                  Homogeneous, Parametric, ScaleTruncated,
+                                  TailRule, VolumeTruncated)
 from hiercubes import analytics
 from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  _build_profile, check_condition_i,
@@ -89,7 +89,7 @@ def test_partition_limit_convergent():
     m = Homogeneous.from_values(GEO, {0: 1.0},
                                 tail_down=TailRule("geometric", 0.25))
     res = partition_function_limit(m, W)
-    assert res.converged and res.value.is_finite
+    assert res.converged and math.isfinite(res.value.log)
 
 
 def test_partition_limit_divergent():
@@ -97,21 +97,21 @@ def test_partition_limit_divergent():
     m = Homogeneous.from_values(GEO, {0: 1.0},
                                 tail_down=TailRule("geometric", 0.5))
     res = partition_function_limit(m, W)
-    assert res.converged and res.value.is_infinite
+    assert res.converged and res.value.log == math.inf
     # a window below the table's lowest scale still sits on the divergent tail
     m = Homogeneous.from_values(GEO, {5: 1.0}, tail_down=TailRule("geometric", 1.0))
     res = partition_function_limit(m, W)
-    assert res.value.is_infinite and res.depth_used == 0
+    assert res.value.log == math.inf and res.depth_used == 0
 
 
 def test_partition_limit_of_a_volume_truncation():
     # the divergent tail lives only inside the truncation window
     h = Homogeneous.from_values(GEO, {0: 1.0}, tail_down=TailRule("geometric", 1.0))
-    vt = truncate_volume(h, W)
+    vt = VolumeTruncated(h, W)
     outside = partition_function_limit(vt, block(0, 1))
     assert outside.converged and outside.value.log == 0.0
-    assert partition_function_limit(vt, block(-1, 1)).value.is_infinite
-    assert partition_function_limit(vt, block(1, 0)).value.is_infinite
+    assert partition_function_limit(vt, block(-1, 1)).value.log == math.inf
+    assert partition_function_limit(vt, block(1, 0)).value.log == math.inf
 
 
 def test_partition_limit_is_not_judged_by_size():
@@ -125,7 +125,7 @@ def test_partition_limit_is_not_judged_by_size():
     m3 = Homogeneous.from_values(Geometry(3), {0: 1.0}, tail_down=TailRule("geometric", 0.01))
     assert check_condition_i(m3).holds
     res = partition_function_limit(m3, block(8, 0, 0, 0))
-    assert res.converged and res.depth_used == 32 and res.value.is_finite
+    assert res.converged and res.depth_used == 32 and math.isfinite(res.value.log)
     # a log that saturates to +inf in floats is undecided, not divergent
     m2 = Homogeneous.from_values(GEO2, {0: 1.0}, tail_down=TailRule("geometric", 0.01))
     res = partition_function_limit(m2, block(600, 0, 0))
@@ -138,13 +138,13 @@ def test_partition_limit_of_a_positive_default_is_infinite(default):
     m = Explicit.from_values(GEO, {}, default=default)
     assert check_condition_i(m).status == "fails"
     res = partition_function_limit(m, W)
-    assert res.converged and res.value.is_infinite and res.depth_used == 0
+    assert res.converged and res.value.log == math.inf and res.depth_used == 0
     # volume-truncated to W, the activity acts only on W's subtree
-    vt = truncate_volume(m, W)
+    vt = VolumeTruncated(m, W)
     outside = partition_function_limit(vt, block(0, 1))
     assert outside.converged and outside.value.log == 0.0
     for window in (block(-1, 1), block(0, 0), block(1, 0)):
-        assert partition_function_limit(vt, window).value.is_infinite
+        assert partition_function_limit(vt, window).value.log == math.inf
 
 
 def test_partition_limit_does_not_read_a_gap_as_convergence():
@@ -259,7 +259,7 @@ def test_divergent_formula_has_infinite_partition_functions():
 
 
 @pytest.mark.xfail(strict=True, reason="the condition (i) scan of a Formula certifies a "
-                                       "divergent activity (ROADMAP item 3)")
+                                       "divergent activity (ROADMAP item 6)")
 def test_condition_i_scan_does_not_certify_a_divergent_formula():
     assert check_condition_i(divergent_formula()).status != "holds"
 
@@ -341,12 +341,12 @@ def test_a_scale_truncation_that_cuts_nothing_keeps_the_design_verdict():
     design = EffectiveDesign.from_values(GEO, {0: 1.0, 1: 0.5},
                                          zhat_tail_up=TailRule("geometric", 0.5))
     # nothing is active below scale 0, so depth 3 cuts nothing
-    truncated = truncate_scale(design, 3)
+    truncated = ScaleTruncated(design, 3)
     assert truncated.log_activities(-5, 8) == design.log_activities(-5, 8)
     assert check_condition_ii(truncated) == check_condition_ii(design)
     assert existence_report(truncated).verdict == "unique Gibbs measure"
     # a truncation that cuts an active scale is read from its profile
-    cut = truncate_scale(EffectiveDesign.from_values(GEO, {-2: 1.0, 0: 1.0}), 1)
+    cut = ScaleTruncated(EffectiveDesign.from_values(GEO, {-2: 1.0, 0: 1.0}), 1)
     assert check_condition_ii(cut).detail.startswith("zhat tail under a geometric envelope")
 
 
@@ -354,8 +354,8 @@ def test_existence_does_not_depend_on_truncation_order():
     h = Homogeneous.from_values(GEO, {0: 1.0, -1: 1.0},
                                 tail_down=TailRule("geometric", 0.25))
     window = block(2, 0)
-    scale_outer = truncate_scale(truncate_volume(h, window), 3)
-    volume_outer = truncate_volume(truncate_scale(h, 3), window)
+    scale_outer = ScaleTruncated(VolumeTruncated(h, window), 3)
+    volume_outer = VolumeTruncated(ScaleTruncated(h, 3), window)
     assert existence_report(scale_outer) == existence_report(volume_outer)
     assert existence_report(scale_outer).verdict == "unique Gibbs measure"
 
@@ -439,7 +439,7 @@ COVARIANCE_KEYS = ("cov", "factored_cov", "joint", "p1", "p2")
 
 def _outcome(call):
     # KeyError: the tail ratio of a scale below the profile's first (ROADMAP
-    # item 4b, bench defect covariance-below-profile)
+    # item 5b, bench defect covariance-below-profile)
     try:
         return call()
     except (ValueError, UncertifiedComputation, OverflowError, KeyError) as exc:
@@ -1028,7 +1028,7 @@ def test_scale_profile_pressure_partials_increase():
 def test_volume_truncated_marginal_matches_shifted_window():
     base = Homogeneous.constant(GEO, 1.0, range(-4, 1))
     w = block(0, 3)
-    m = truncate_volume(base, w)
+    m = VolumeTruncated(base, w)
     p = exact_marginal(m, [block(-2, 13)], w, 2)       # 13 * 2^-2 in [3, 4)
     assert p == pytest.approx(5 / 13, abs=1e-12)
 
@@ -1110,7 +1110,7 @@ def block_lane_systems():
         for b in descendants(w8, -7, GEO)}), w8, 7))
     inner = Explicit.from_values(GEO2, {block(0, 0, 0): 0.5, block(-1, 1, 0): 2.0,
                                         block(-2, 2, 1): 0.3}, default=0.8)
-    systems.append((truncate_volume(inner, block(0, 0, 0)), block(1, 0, 0), 2))
+    systems.append((VolumeTruncated(inner, block(0, 0, 0)), block(1, 0, 0), 2))
     return systems
 
 
@@ -1183,9 +1183,9 @@ def explicit_lane_systems(draw):
         default=rng.choice([0.0, 0.5]))
     wrap = draw(st.sampled_from(["none", "volume", "scale"]))
     if wrap == "volume":
-        model = truncate_volume(model, rng.choice(blocks))
+        model = VolumeTruncated(model, rng.choice(blocks))
     elif wrap == "scale":
-        model = truncate_scale(model, rng.randint(0, levels) - scale)
+        model = ScaleTruncated(model, rng.randint(0, levels) - scale)
     return model, window, levels - scale
 
 
@@ -1222,7 +1222,7 @@ def test_block_lane_reads_one_level_per_call(monkeypatch):
         return original(self, b)
     monkeypatch.setattr(Explicit, "log_activity", counted)
     systems = block_lane_systems() + seeded_block_lane_systems()
-    systems.append((truncate_scale(systems[-1][0], 1), *systems[-1][1:]))
+    systems.append((ScaleTruncated(systems[-1][0], 1), *systems[-1][1:]))
     for model, window, depth in systems:
         table = TruncatedSystem(model, window, depth)._table
         if isinstance(model, Explicit):
@@ -1283,7 +1283,7 @@ def pinned_scale_models():
         models.append(EffectiveDesign.from_values(
             geo, {j: rng.uniform(0.05, 3.0) for j in range(-2, 2)},
             TailRule("geometric", rng.uniform(0.2, 0.9))))
-    return models + [truncate_scale(m, 2) for m in models[::3]]
+    return models + [ScaleTruncated(m, 2) for m in models[::3]]
 
 
 def test_scale_profiles_are_pinned():
@@ -1298,7 +1298,7 @@ def test_scale_profiles_are_pinned():
                                prof.pressure_partial)).encode())
     # volume truncations have no scale_profile; the scale lane reads them
     for m in models[::2]:
-        vol = truncate_volume(m, Block(3, (1,) * m.geometry.d))
+        vol = VolumeTruncated(m, Block(3, (1,) * m.geometry.d))
         for j_lo, j_hi in ((-4, 64), (0, 128)):
             prof = _build_profile(vol, j_lo, j_hi)
             h.update(repr((prof.log_z, prof.log_xi, prof.log_zhat, prof.log1p_zhat,

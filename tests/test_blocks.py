@@ -39,6 +39,15 @@ def test_geometry_validation():
     assert Geometry(2, 3).branching == 9
 
 
+def test_geometry_refuses_a_branching_past_the_index_limit():
+    # refused before M**d is formed: these took unbounded time in `branching`
+    # and in the volumes of `analyze`
+    assert Geometry(128, 2).branching == Geometry(1, 2**128).branching == 2**128
+    for d, M in [(129, 2), (1, 2**128 + 1), (10**400, 2), (2, 10**400), (81, 3)]:
+        with pytest.raises(ValueError, match="at most 2"):
+            Geometry(d, M)
+
+
 def test_block_validation():
     with pytest.raises(ValueError):
         Block(0, (-1,))

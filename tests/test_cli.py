@@ -5,11 +5,13 @@ import json
 import math
 import os
 import re
+import select
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import hiercubes
 from hiercubes import analytics, cli
@@ -476,12 +478,16 @@ def test_runs_past_the_float_range_of_the_volume(tmp_path, capsys, obj, argv):
     assert texts and not any(re.search(r"\bnan\b", t, re.IGNORECASE) for t in texts)
 
 
-def run_cli(*argv):
+def cli_env():
+    """The environment of a child Python that imports this `hiercubes`."""
     src = str(Path(hiercubes.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "hiercubes.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=cli_env(), timeout=120)
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):
@@ -639,3 +645,160 @@ def test_library_refusals_exit_undecided(tmp_path, obj, argv, says):
     assert res.returncode == EXIT_UNDECIDED
     assert "Traceback" not in res.stderr and says in res.stderr
     assert not (tmp_path / "o").exists()
+
+
+# -- fuzz ----------------------------------------------------------------------
+
+# what a model JSON may hold in place of a value: every value outside the
+# schema that json carries, and a missing key
+BAD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, "x", "1.0", [1.0], {}, True,
+                              -1, -0.5, 10**400, None, KeyError])
+
+
+def json_slots(obj):
+    """(dict, key) of every value of a JSON object, nested ones included."""
+    for key, value in obj.items():
+        yield obj, key
+        if isinstance(value, dict):
+            yield from json_slots(value)
+
+
+def block_strings(d):
+    return st.builds(lambda j, i: f"{j}:({','.join(map(str, i))})", st.integers(-1, 2),
+                     st.lists(st.integers(0, 3), min_size=d, max_size=d))
+
+
+def fuzz_windows(d):
+    """Window strings: of dimension d, of the other one, or malformed."""
+    return st.sampled_from([d, d, d, d, d, d, 3 - d, 0]).flatmap(
+        lambda n: block_strings(n) if n else st.sampled_from(["x", "0:(-1)", "0:()", "1:(0"]))
+
+
+def fuzz_models(d, M):
+    """Model JSON of all six kinds with geometry (d, M), truncations nested
+    up to three deep."""
+    values = st.floats(0.0, 3.0)
+    tails = st.one_of(st.none(), st.just({"kind": "zero"}),
+                      st.builds(lambda r: {"kind": "geometric", "ratio": r}, st.floats(0.05, 2.0)))
+    tables = st.dictionaries(st.integers(-3, 2).map(str), values, max_size=4)
+    geometry = {"d": st.just(d), "M": st.just(M)}
+    plain = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("homogeneous"), **geometry, "table": tables,
+                               "tail_down": tails, "tail_up": tails}),
+        st.fixed_dictionaries({"kind": st.just("parametric"), **geometry,
+                               "mu": st.floats(-2.0, 1.0), "J": st.floats(0.0, 2.0),
+                               "alpha": st.floats(0.05, 0.95)}),
+        st.fixed_dictionaries({"kind": st.just("explicit"), **geometry,
+                               "entries": st.dictionaries(block_strings(d), values, max_size=3),
+                               "default": st.sampled_from([0.0, 0.5])}),
+        st.fixed_dictionaries({"kind": st.just("effective"), **geometry,
+                               "zhat_table": tables, "zhat_tail_up": tails}))
+    return st.recursive(plain, lambda inner: st.one_of(
+        st.fixed_dictionaries({"kind": st.just("volume_truncated"),
+                               "window": block_strings(d), "inner": inner}),
+        st.fixed_dictionaries({"kind": st.just("scale_truncated"),
+                               "depth": st.integers(-2, 4), "inner": inner})),
+        max_leaves=3)
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A model JSON, one in three with a value replaced from BAD_VALUES or
+    missing, and the flags of analyze, sample (finite and infinite volume),
+    correlate or diagnose.  Systems have at most 9**4 blocks; a flag may be
+    no integer, which argparse refuses with exit 2."""
+    d, M = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    obj = draw(fuzz_models(d, M))
+    if draw(st.sampled_from([False, False, True])):
+        parent, key = draw(st.sampled_from(list(json_slots(obj))))
+        bad = draw(BAD_VALUES)
+        if bad is KeyError:
+            del parent[key]
+        else:
+            parent[key] = bad
+    depth = draw(st.sampled_from(["-1", "0", "1", "1", "2", "2", "2", "x"]))
+    jmax = draw(st.one_of(st.integers(-3, 70), st.sampled_from([600, 1100])).map(str))
+    system = ["--window", draw(fuzz_windows(d)), "--depth", depth,
+              "--seed", str(draw(st.integers(0, 9)))]
+    command = draw(st.sampled_from(["analyze", "sample", "correlate", "diagnose"]))
+    if command == "analyze":
+        argv = ["--jmax", jmax]
+    elif command == "sample":
+        argv = system + ["--samples", str(draw(st.integers(1, 3))),
+                         "--format", draw(st.sampled_from(["csv,json,svg", "json"]))]
+        argv += draw(st.sampled_from([[], ["--infinite"]]))
+    elif command == "correlate":
+        argv = system + ["--samples", str(draw(st.integers(1, 20))), "--jmax", jmax]
+    else:
+        argv = ["--depth", depth]
+    return obj, [command, *argv]
+
+
+# every run of the fuzz below took under 1.1 s in 30,000 examples
+RUN_SECONDS = 10
+
+# reads one JSON argv a line, runs cli.main on it, and answers one JSON line,
+# [the exit code] (argparse's SystemExit included) or [the traceback of any
+# other exception]; what main prints goes to stderr
+CLI_WORKER = """
+import json, os, sys, traceback
+from hiercubes.cli import main
+answers = os.fdopen(os.dup(1), "w")
+os.dup2(2, 1)
+for line in sys.stdin:
+    try:
+        code = main(json.loads(line))
+    except SystemExit as exc:
+        code = exc.code
+    except BaseException:
+        code = traceback.format_exc()
+    answers.write(json.dumps([code]) + "\\n")
+    answers.flush()
+"""
+
+
+@pytest.fixture
+def cli_worker():
+    """`run(argv)`: the answer of CLI_WORKER to `argv`, from a process kept
+    for the next call, or None if it gave no answer in RUN_SECONDS;
+    that process is then killed, so no input can hang the suite, even one
+    stuck inside a single C call, where no signal handler runs."""
+    procs = []
+
+    def run(argv):
+        if not procs:
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", CLI_WORKER], env=cli_env(), text=True,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL))
+        proc = procs[0]
+        proc.stdin.write(json.dumps(argv) + "\n")
+        proc.stdin.flush()
+        if select.select([proc.stdout], [], [], RUN_SECONDS)[0]:
+            return json.loads(proc.stdout.readline())
+        procs.pop().kill()
+        with proc:   # closes its pipes and waits for it
+            pass
+        return None
+
+    yield run
+    for proc in procs:
+        with proc:
+            proc.stdin.close()   # the end of its input ends its loop
+
+
+# no shrink phase: each run costs up to a second, so shrinking a failure
+# could take minutes; the failing input is reported as drawn
+@settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate],
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_runs())
+def test_no_input_reaches_a_traceback(tmp_path, cli_worker, run):
+    # every run ends in an exit code, argparse's SystemExit(2) included,
+    # within RUN_SECONDS; an exception's traceback, or no answer, fails
+    obj, argv = run
+    here = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    here.mkdir()
+    m = write_model(here, obj)
+    answer = cli_worker([argv[0], "--model", m, "--out", str(here / "out"), *argv[1:]])
+    assert answer is not None, f"cli.main gave no answer in {RUN_SECONDS} s"
+    code, = answer
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_UNDECIDED), code
