@@ -58,8 +58,8 @@ class TailRule:
     def __post_init__(self):
         if self.kind not in ("zero", "geometric"):
             raise ValueError(f"unknown tail rule {self.kind!r}")
-        if self.kind == "geometric" and self.ratio <= 0:
-            raise ValueError("geometric tail needs ratio > 0")
+        if self.kind == "geometric" and not 0 < self.ratio < math.inf:
+            raise ValueError(f"geometric tail needs a finite ratio > 0, got ratio={self.ratio}")
 
     @property
     def log_ratio(self) -> float:

@@ -41,7 +41,8 @@ j_lo, j_hi)` asked for (key ("profile", j_lo)), the
 start scale found by walking down (key "start"), the condition (ii) verdict
 (key "condition_ii") and the condition (i) verdict of a scan (key
 "condition_i").  `sampler._draw_function` keeps a system's draw functions
-here too (keys ("finite", window, depth) and ("infinite", window, depth)).
+here too (keys ("finite", window, depth) and ("infinite", window, depth)),
+the infinite one reading the finite one here on each draw that needs it.
 A profile up to a lower scale is read as a
 prefix of the kept one, bit for bit the same, since the recursion at scale j
 reads only the scales up to j; one up to a higher scale is built and
@@ -49,8 +50,8 @@ replaces it.  The bound is MEMO_SCALES memoized scales per model, the sum of
 the entries' weights, each at least the number of scales or blocks it
 tabulates, since that sets the memory: j_hi - j_lo + 1 for a profile, the
 system's scales (scale lane) or blocks (block lane) for a finite draw
-function, a bound on the chain's rows plus that for an infinite one, and
-one for any other entry.  The memo keeps no recency order: an
+function, a bound on the chain's rows alone for an infinite one, and one
+for any other entry.  The memo keeps no recency order: an
 entry that would take the sum past the bound clears the memo first, so a
 full memo starts over, and an entry heavier than the bound (a profile
 longer than it, or a block-lane system of more blocks) is not kept.
@@ -300,6 +301,15 @@ class LimitResult:
     certificate: str = ""
 
 
+def _block_lane_levels(geo: Geometry) -> int:
+    """The most levels below a block that the block lane tabulates: it holds
+    every block, branching**levels at the bottom, at most BLOCK_LANE_MAX_BLOCKS."""
+    levels = 0
+    while geo.branching ** (levels + 1) <= BLOCK_LANE_MAX_BLOCKS:
+        levels += 1
+    return levels
+
+
 def partition_function_limit(model: ActivityModel, window: Block) -> LimitResult:
     """Xi of `window` without downward truncation.
 
@@ -318,10 +328,7 @@ def partition_function_limit(model: ActivityModel, window: Block) -> LimitResult
                            "closed-form tail: sum of activities below window diverges")
     max_depth = LIMIT_MAX_DEPTH
     if not model.homogeneous_within(window):
-        # the block lane tabulates every block: branching**depth at the bottom
-        branching, max_depth = model.geometry.branching, 0
-        while branching ** (max_depth + 1) <= BLOCK_LANE_MAX_BLOCKS:
-            max_depth += 1
+        max_depth = _block_lane_levels(model.geometry)
 
     start = max(window.scale, 0) - window.scale  # reach at least the window scale
     lo = model.min_active_scale()
@@ -830,7 +837,14 @@ def fragmentation_table(model: ActivityModel, window: Block,
                         depths: list[int]) -> list[dict]:
     """Scale-truncation limits: per depth n, the exact probability that the
     window is occupied, that its subtree is hit, and that it is empty
-    (= 1/Xi)."""
+    (= 1/Xi).  Refused before any work when the block lane would tabulate
+    more than BLOCK_LANE_MAX_BLOCKS bottom blocks at some depth."""
+    levels = window.scale + max(depths, default=-window.scale)    # of the deepest system
+    if levels > _block_lane_levels(model.geometry) and not model.homogeneous_within(window):
+        raise UncertifiedComputation(
+            f"fragmentation table refused: depth {levels - window.scale} below {window} needs "
+            f"{model.geometry.branching}**{levels} bottom blocks, more than "
+            f"{BLOCK_LANE_MAX_BLOCKS} (BLOCK_LANE_MAX_BLOCKS)")
     rows = []
     for n in depths:
         sys = TruncatedSystem(model, window, n)

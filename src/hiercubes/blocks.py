@@ -5,8 +5,9 @@ non-negative integers.  Drawing edges from each block to the M**d blocks one
 scale below turns the block set into a regular M**d-ary tree on the
 non-negative orthant.  It has two walkers, on index tuples grouped by
 scale: `subtree_levels` steps down, and the child order and the index bound
-of a step down live there alone; `ancestor_levels` steps up, and outside
-`parent` and `ancestor_at` a parent index is formed there alone.
+of a step down live there alone, so every descendant index is formed there
+(the least per scale by `least_indices`); `ancestor_levels` steps up, and
+outside `parent` and `ancestor_at` a parent index is formed there alone.
 
 The volume M**(d j) of a scale-j block, and its log d j log M, are formed
 by `Geometry.volume`, `Geometry.volumes` and `Geometry.log_volume` alone:
@@ -182,6 +183,13 @@ def subtree_levels(b: Block, bottom: int, geo: Geometry,
                    for column, offs in zip(columns, offsets)]
         levels.append(list(zip(*columns)))
     return levels
+
+
+def least_indices(b: Block, bottom: int, geo: Geometry) -> list[tuple]:
+    """The least index tuple of b's subtree at each scale from b.scale down
+    to `bottom`: the first tuple of each list of `subtree_levels`, which
+    expands only the first tuple of each."""
+    return [level[0] for level in subtree_levels(b, bottom, geo, lambda _, level: level[:1])]
 
 
 def ancestor_levels(levels: dict, top: int, geo: Geometry) -> Iterator[tuple[int, set]]:

@@ -24,8 +24,8 @@ import math
 import sys
 from pathlib import Path
 
-from .blocks import (Block, Geometry, ancestor_at, format_block,
-                     hierarchical_distance, parse_block)
+from .blocks import (Block, Geometry, children, format_block, hierarchical_distance,
+                     least_indices, parse_block)
 from .activities import EffectiveDesign, Homogeneous, TailRule, load_model
 from .analytics import (UncertifiedComputation, _check_system, _log_rho,
                         condensation_table, critical_mu, decay_profile,
@@ -109,17 +109,16 @@ def cmd_sample(args) -> tuple[int, dict[str, str]]:
 
 def _distance_pairs(geo: Geometry, window: Block, depth: int) -> list[tuple[int, Block, Block]]:
     """Pairs of bottom-scale blocks at every hierarchical distance inside
-    the window: (lcs scale, b1, b2)."""
+    the window: (lcs scale, b1, b2), b1 the window's first bottom block and
+    b2 that of the sibling, in the first coordinate, below b1's ancestor."""
     bottom = -depth
-    b1 = Block(bottom, tuple(m * geo.M ** (window.scale - bottom)
-                             for m in window.index))
+    firsts = least_indices(window, bottom, geo)     # from the window's scale down
+    b1 = Block(bottom, firsts[-1])
     pairs = []
-    for s in range(1, window.scale - bottom + 1):
-        l = bottom + s
-        idx2 = [m * geo.M for m in ancestor_at(b1, l, geo).index]
-        idx2[0] += 1          # the sibling subtree at scale l
-        bot = tuple(m * geo.M ** (s - 1) for m in idx2)
-        pairs.append((l, b1, Block(bottom, bot)))
+    for l, m in zip(range(bottom + 1, window.scale + 1), reversed(firsts[:-1])):
+        kids = children(Block(l, m), geo)
+        sibling = next(c for c in kids if c.index[0] != kids[0].index[0])
+        pairs.append((l, b1, Block(bottom, least_indices(sibling, bottom, geo)[-1])))
     return pairs
 
 

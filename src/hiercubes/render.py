@@ -8,7 +8,7 @@ palette keyed on scale mod 8.
 
 from __future__ import annotations
 
-from .blocks import Block, Geometry, format_block
+from .blocks import Block, Geometry, format_block, least_indices
 from .sampler import Configuration
 
 PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2",
@@ -32,13 +32,16 @@ def render_svg(cfg: Configuration, geo: Geometry) -> str:
     raise ValueError(f"SVG rendering supports d in {{1, 2}}, not d={geo.d}")
 
 
-def _placement(b: Block, window: Block, geo: Geometry) -> tuple[list[float], float]:
-    """b's corner, per coordinate, and side in units of the window's side,
-    so the window's own scale cancels; the corner is an exact integer count
-    of b's sides before it is scaled."""
-    shift = geo.M ** (window.scale - b.scale)
-    side = geo.side(b.scale - window.scale)
-    return [(m - w * shift) * side for m, w in zip(b.index, window.index)], side
+def _placements(cfg: Configuration, geo: Geometry) -> list[tuple[Block, list[float], float]]:
+    """(b, corner per coordinate, side) of each block b, in units of the
+    window's side, so the window's own scale cancels; the corner is an exact
+    integer count of b's sides past the window's least index at b's scale
+    before it is scaled."""
+    top = cfg.window.scale
+    firsts = least_indices(cfg.window, min((b.scale for b in cfg.blocks), default=top), geo)
+    sides = [geo.side(b.scale - top) for b in cfg.blocks]
+    return [(b, [(m - w) * side for m, w in zip(b.index, firsts[top - b.scale])], side)
+            for b, side in zip(cfg.blocks, sides)]
 
 
 def _render_1d(cfg: Configuration, geo: Geometry, width: float) -> str:
@@ -55,8 +58,7 @@ def _render_1d(cfg: Configuration, geo: Geometry, width: float) -> str:
                      f'height="{row_h - 4:g}" fill="none" stroke="#ccc"/>')
         parts.append(f'<text x="2" y="{y + 14:g}" font-size="10" '
                      f'fill="#888">j={j}</text>')
-    for b in cfg.blocks:
-        corner, side = _placement(b, cfg.window, geo)
+    for b, corner, side in _placements(cfg, geo):
         x = corner[0] * width
         w = side * width
         y = 4 + rows[b.scale] * row_h
@@ -73,8 +75,7 @@ def _render_2d(cfg: Configuration, geo: Geometry, width: float) -> str:
              f'height="{width:g}" viewBox="0 0 {width:g} {width:g}">',
              f'<rect x="0" y="0" width="{width:g}" height="{width:g}" '
              f'fill="none" stroke="#999"/>']
-    for b in sorted(cfg.blocks, key=lambda b: -b.scale):
-        corner, side = _placement(b, cfg.window, geo)
+    for b, corner, side in sorted(_placements(cfg, geo), key=lambda p: -p[0].scale):
         x = corner[0] * width
         # svg y grows downward; flip the second coordinate
         y = width - (corner[1] + side) * width

@@ -11,10 +11,12 @@ the uniforms of one level, reads that level's occupation ratios in one
 lookup, and returns the vacant tuples, whose children form the next level.
 A draw is the sorted list of its occupied (scale, index) pairs, with index a
 plain int tuple: the uniforms hash repr, so the walk starts from the window
-with a plain int scale and index (see `_plain`).  The samplers that return a
-`Configuration` build a `Block` only for those pairs; `estimate` builds none,
-and matches each probe, a frozenset of pairs, against the set of a draw's
-pairs.
+with a plain int scale and index (see `_plain`).  Every sampler but the
+reference `sample_bernoulli_max` draws through `_FiniteDraws`, from a ratio
+lookup to a validated `Configuration`, which holds a `Block` only for the
+occupied pairs; an infinite-volume draw that no ancestor covers reads the
+finite entry of the memo.  `estimate` builds no `Block`, and matches each
+probe, a frozenset of pairs, against the set of a draw's pairs.
 
 A draw costs one uniform per visited block, which copies the cached hash
 state of its level's seed, sample index, tag and scale and hashes the repr
@@ -22,13 +24,13 @@ of the block's index tuple (see `_uniform`).  A `Configuration` adds one
 `Block` per occupied block and one validation walk up the scales, the
 upward walker `blocks.ancestor_levels`, of O(distinct ancestors of the
 occupied blocks) set operations (see `Configuration.validate`); the sampler
-forms no parent index of its own.  The system, its occupation ratios and, in
-infinite volume, the chain law are not part of that cost: they are fixed by
-(model, window, depth), so `_draw_function` builds them on the first draw
-and keeps them in the model's analytics memo for every later one, from any
-of `sample_gibbs`, `sample_gibbs_infinite`, `estimate` or the command line.
-An infinite-volume draw is certified by the one call of `ancestor_chain_cdf`
-that builds its chain law.
+forms no parent or descendant index of its own.  The system, its occupation
+ratios and, in infinite volume, the chain law are not part of that cost:
+they are fixed by (model, window, depth), so `_draw_function` builds them
+on the first draw and keeps them in the model's analytics memo for every
+later one, from any of `sample_gibbs`, `sample_gibbs_infinite`, `estimate`
+or the command line.  An infinite-volume draw is certified by the one call
+of `ancestor_chain_cdf` that builds its chain law.
 """
 
 from __future__ import annotations
@@ -37,12 +39,13 @@ import functools
 import hashlib
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby, starmap
+from itertools import accumulate, groupby, starmap
 from typing import Callable, Iterable, Optional
 
 from .blocks import (Block, Geometry, ancestor_levels, ancestors, format_block,
-                     subtree_levels)
+                     least_indices, subtree_levels)
 from .activities import ActivityModel
 from .analytics import (CHAIN_SCALES, MEMO_SCALES, TruncatedSystem,
                         _ancestor_chain, _check_system, _log_one_minus_rho,
@@ -209,15 +212,14 @@ def _ratio_lookup(sys: TruncatedSystem) -> _Ratios:
     one ratio per index tuple of the level, in its order.
 
     Scale lane (the model is scale-wise constant in the window): one
-    `sys.rho` per scale, taken on the scale's first block in the window.
+    `sys.rho` per scale, on the scale's first block in the window (`least_indices`).
     Block lane: `sys.rho` of each block, computed on its first visit and kept.
     """
     window = sys.window
     if sys.model.homogeneous_within(window):
-        by_scale = {}
-        for j in range(window.scale, -sys.depth - 1, -1):
-            shift = sys.geo.M ** (window.scale - j)
-            by_scale[j] = sys.rho(Block(j, tuple(m * shift for m in window.index)))
+        scales = range(window.scale, -sys.depth - 1, -1)
+        by_scale = {j: sys.rho(Block(j, m))
+                    for j, m in zip(scales, least_indices(window, -sys.depth, sys.geo))}
         return lambda scale, level: [by_scale[scale]] * len(level)
     memo: dict = {}
 
@@ -266,14 +268,8 @@ class _FiniteDraws:
     has a plain int scale and index (see `_plain`)."""
 
     def __init__(self, ratios: _Ratios, geo: Geometry, window: Block, depth: int):
-        self.ratios = ratios
-        self.geo = geo
-        self.window = window
-        self.depth = depth
-
-    def pairs(self, seed: int, index: int) -> list[tuple[int, tuple]]:
-        return _sample_topdown(self.ratios, self.geo, self.window, self.depth,
-                               seed, index)
+        self.geo, self.window, self.depth = geo, window, depth
+        self.pairs = functools.partial(_sample_topdown, ratios, geo, window, depth)
 
     def __call__(self, seed: int, index: int) -> Configuration:
         return _make_config(starmap(Block, self.pairs(seed, index)), self.window,
@@ -298,42 +294,35 @@ def _draw_function(model: ActivityModel, window: Block, depth: int,
     built once per (model, window, depth) and kept in the model's memo (see
     the `analytics` module docstring).  Key ("finite", window, depth) holds a
     `_FiniteDraws` over one `TruncatedSystem` and its ratio lookup; key
-    ("infinite", window, depth) holds the certified chain law, and its first
-    draw that no ancestor covers reads the finite entry.  A refusal raises
-    from the build and is not kept.
+    ("infinite", window, depth) holds the certified chain law, and each of
+    its draws that no ancestor covers reads the finite entry from here.  A
+    refusal raises from the build and is not kept.
     """
     geo = model.geometry
-    weight = _system_weight(model, window, depth)
     if not infinite:
         def build_finite() -> _FiniteDraws:
             plain = _plain(window)
             ratios = _ratio_lookup(TruncatedSystem(model, plain, depth))
             return _FiniteDraws(ratios, geo, plain, depth)
-        return _memoized(model, ("finite", window, depth), weight, build_finite)
+        return _memoized(model, ("finite", window, depth),
+                         _system_weight(model, window, depth), build_finite)
 
     def build_infinite() -> Callable[[int, int], Configuration]:
         plain = _plain(window)
         rows, p_none = ancestor_chain_cdf(model, window, depth)
-        finite: Optional[_FiniteDraws] = None
+        cdf = list(accumulate((pk for _, pk in rows), initial=p_none))
 
         def draw(seed: int, index: int) -> Configuration:
-            nonlocal finite
-            u = _uniform(seed, index, "chain", plain.scale, plain.index)
-            acc = p_none
-            if u < acc:
-                if finite is None:
-                    finite = _draw_function(model, window, depth)
-                return finite(seed, index)
-            for k, pk in rows:
-                acc += pk
-                if u < acc:
-                    return _make_config([], plain, depth, seed, geo, covered=k)
-            return _make_config([], plain, depth, seed, geo, covered=rows[-1][0])
+            # the first i with u < cdf[i]: no ancestor occupied at 0, else row i - 1
+            i = bisect_right(cdf, _uniform(seed, index, "chain", plain.scale, plain.index))
+            if i == 0:
+                return _draw_function(model, window, depth)(seed, index)
+            return _make_config([], plain, depth, seed, geo, covered=rows[min(i, len(rows)) - 1][0])
         return draw
     # the chain's rows lie above the window, up to CHAIN_SCALES above scale
-    # max(window.scale, 0), and p_none; the finite entry it may hold on top
+    # max(window.scale, 0), and p_none
     chain = max(window.scale, 0) + CHAIN_SCALES - window.scale + 1
-    return _memoized(model, ("infinite", window, depth), chain + weight, build_infinite)
+    return _memoized(model, ("infinite", window, depth), chain, build_infinite)
 
 
 def sample_gibbs(model: ActivityModel, window: Block, depth: int, seed: int,
@@ -357,18 +346,17 @@ def sample_mandelbrot(p: float, geo: Geometry, window: Block, depth: int,
         raise ValueError(f"p must be a probability, got {p}")
     _check_system(geo, window, depth)
     _check_index("index", index)
-    window = _plain(window)
-    pairs = _sample_topdown(lambda scale, level: [p] * len(level), geo, window,
-                            depth, seed, index)
-    return _make_config(starmap(Block, pairs), window, depth, seed, geo)
+    return _FiniteDraws(lambda scale, level: [p] * len(level), geo, _plain(window),
+                        depth)(seed, index)
 
 
 def sample_bernoulli_max(ratios: dict[Block, float], geo: Geometry,
                          window: Block, depth: int, seed: int,
                          index: int = 0) -> Configuration:
     """Cross-validation sampler: independent Bernoulli draws on every block,
-    keeping only the maximal occupied ones.  Distributionally identical to
-    the pruned top-down sampler for the same ratios."""
+    keeping only the maximal occupied ones.  Identical draw for draw to the
+    pruned top-down sampler for the same ratios, seed and index: both occupy
+    the maximal blocks whose "occ" uniform falls below their ratio."""
     _check_index("index", index)
     window = _plain(window)
     occupied = [b for b, r in zip(map(_plain, ratios), ratios.values())

@@ -58,6 +58,12 @@ def test_negative_activity_rejected():
         TailRule("nonsense")
 
 
+@pytest.mark.parametrize("ratio", [0.0, math.nan, math.inf, -math.inf])
+def test_geometric_tail_needs_a_finite_positive_ratio(ratio):
+    with pytest.raises(ValueError, match=f"finite ratio > 0, got ratio={ratio}"):
+        TailRule("geometric", ratio)
+
+
 # -- parametric --------------------------------------------------------------
 
 def test_parametric_formula():

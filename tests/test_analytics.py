@@ -20,7 +20,7 @@ from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  check_condition_ii,
                                  config_covariance, critical_mu, decay_profile,
                                  effective_activity, exact_marginal,
-                                 existence_report, log_tail_ratio,
+                                 existence_report, fragmentation_table, log_tail_ratio,
                                  occupation_ratio, pair_covariance,
                                  partition_function, partition_function_limit,
                                  pressure_profile, scale_profile,
@@ -130,6 +130,26 @@ def test_partition_limit_is_not_judged_by_size():
     m2 = Homogeneous.from_values(GEO2, {0: 1.0}, tail_down=TailRule("geometric", 0.01))
     res = partition_function_limit(m2, block(600, 0, 0))
     assert not res.converged and res.certificate.startswith("undecided")
+
+
+def test_fragmentation_table_caps_the_block_lane(monkeypatch):
+    # the block lane holds every block: 9**5 = 59,049 bottom blocks lie within
+    # BLOCK_LANE_MAX_BLOCKS = 2**16 and 9**6 do not, counted from the window's
+    # scale; the refusal comes before any system is built
+    m = Explicit.from_values(Geometry(2, 3), {}, default=0.5)
+    assert [r["depth"] for r in fragmentation_table(m, block(1, 0, 0), [0, 4])] == [0, 4]
+    assert fragmentation_table(m, block(9, 0, 0), []) == []
+    built = []
+    monkeypatch.setattr(analytics, "TruncatedSystem", lambda *args: built.append(args))
+    for window, depths, levels in [(block(0, 0, 0), [0, 1, 6], 6), (block(1, 0, 0), [5], 6),
+                                   (block(0, 0, 0), [8], 8)]:
+        with pytest.raises(UncertifiedComputation, match=rf"needs 9\*\*{levels} bottom blocks"):
+            fragmentation_table(m, window, depths)
+    assert built == []
+    # a scale-wise model is read in the scale lane at any depth
+    monkeypatch.undo()
+    h = Homogeneous.from_values(Geometry(2, 3), {0: 1.0}, tail_down=TailRule("geometric", 0.5))
+    assert len(fragmentation_table(h, block(0, 0, 0), [0, 40])) == 2
 
 
 @pytest.mark.parametrize("default", [1e-20, 1.0])

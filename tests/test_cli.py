@@ -420,6 +420,15 @@ def test_diagnose_builtin_tables(tmp_path):
     assert any("condensation" in n for n in names)
 
 
+def test_diagnose_block_lane_within_the_cap(tmp_path):
+    # 9**5 = 59,049 bottom blocks at depth 5, within BLOCK_LANE_MAX_BLOCKS
+    out = tmp_path / "o"
+    argv = ["diagnose", "--model", write_model(tmp_path, WIDE_EXPLICIT), "--depth", "5"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    rows = (out / "model.fragmentation.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows] == ["depth", "0", "1", "2", "3", "4", "5"]
+
+
 # -- inputs that must fail with a message, not a traceback -----------------------
 
 NO_START_SCALE = {"kind": "homogeneous", "d": 1, "table": {"0": 1.0, "-1": 0.8},
@@ -429,6 +438,11 @@ NO_DECAY = "condition (ii) is 'fails' (designed effective activities do not deca
     "(tail ratio 1.0 >= 1))"
 NO_DOWNWARD = "downward activity mass does not decay; partition functions are " \
     "infinite (condition (i) fails for this model)"
+# json writes NaN and Infinity, which the model loader reads back
+TWO_SCALE_TAIL = {"kind": "homogeneous", "d": 1, "table": {"0": 1.0, "-1": 0.5}}
+NO_RATIO = "error: geometric tail needs a finite ratio > 0, got ratio="
+# the block lane of 9**6 bottom blocks is past BLOCK_LANE_MAX_BLOCKS = 2**16
+WIDE_EXPLICIT = {"kind": "explicit", "d": 2, "M": 3, "entries": {}, "default": 0.5}
 
 
 @pytest.mark.parametrize("obj,argv,code,err", [
@@ -447,9 +461,21 @@ NO_DOWNWARD = "downward activity mass does not decay; partition functions are " 
     (NO_START_SCALE, ["analyze"], EXIT_UNDECIDED, f"refused: {NO_DOWNWARD}"),
     (NO_START_SCALE, ["diagnose"], EXIT_UNDECIDED, f"refused: {NO_DOWNWARD}"),
     (CONDENSING, CORRELATE, EXIT_UNDECIDED, f"refused: decay profile refused: {NO_DECAY}"),
+    ({**TWO_SCALE_TAIL, "tail_down": {"kind": "geometric", "ratio": math.nan}}, ["analyze"],
+     EXIT_VALIDATION, f"{NO_RATIO}nan"),
+    ({**TWO_SCALE_TAIL, "tail_down": {"kind": "geometric", "ratio": math.inf}}, ["analyze"],
+     EXIT_VALIDATION, f"{NO_RATIO}inf"),
+    ({**CONDENSING, "zhat_tail_up": {"kind": "geometric", "ratio": math.nan}}, ["analyze"],
+     EXIT_VALIDATION, f"{NO_RATIO}nan"),
+    ({**CONDENSING, "zhat_tail_up": {"kind": "geometric", "ratio": math.inf}}, ["analyze"],
+     EXIT_VALIDATION, f"{NO_RATIO}inf"),
+    (WIDE_EXPLICIT, ["diagnose", "--depth", "6"], EXIT_UNDECIDED,
+     "refused: fragmentation table refused: depth 6 below 0:(0,0) needs 9**6 bottom "
+     "blocks, more than 65536 (BLOCK_LANE_MAX_BLOCKS)"),
 ], ids=["diagnose-depth", "correlate-jmax", "sample-depth", "sample-infinite-refused",
         "analyze-jmax", "analyze-overflow", "analyze-start-scale", "diagnose-start-scale",
-        "correlate-decay-refused"])
+        "correlate-decay-refused", "tail-down-ratio-nan", "tail-down-ratio-inf",
+        "zhat-tail-up-ratio-nan", "zhat-tail-up-ratio-inf", "diagnose-block-lane-cap"])
 def test_failed_runs_write_nothing(tmp_path, capsys, obj, argv, code, err):
     # a command that raises writes no file: no output directory is made
     out = tmp_path / "o"

@@ -419,6 +419,38 @@ def test_parent_indices_are_formed_in_blocks_alone():
     assert floor_divisions_by_M(sources) == []
 
 
+# a descendant index is formed in `blocks` alone, by the walker
+# `subtree_levels`: no other module raises the subdivision parameter M to a
+# power, as a name or an attribute
+def powers_of_M(sources: dict[str, str]) -> list[str]:
+    """The statements outside `blocks` with a power, `**` or `**=`, whose
+    base names `M`."""
+    return outside_blocks(sources, lambda n: (
+        isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Pow)
+        and names_in(n.left if isinstance(n, ast.BinOp) else n.target)["M"]))
+
+
+def test_powers_of_M_are_found():
+    sources = {"blocks": "def first(m, geo, k): return m * geo.M ** k\n",
+               "sampler": "def lookup(sys, window, j):\n"
+                          "    shift = sys.geo.M ** (window.scale - j)\n"
+                          "    return Block(j, tuple(m * shift for m in window.index))\n"
+                          "def square(n, B): return n ** 2 + B ** n\n",
+               "cli": "def pairs(geo, window, bottom):\n"
+                      "    return [m * geo.M ** (window.scale - bottom) for m in window.index]\n",
+               "render": "class Place:\n"
+                         "    def corner(self, b, w, geo):\n"
+                         "        return [m - x * geo.M ** (w.scale - b.scale) for m, x in b]\n"
+                         "M = 3\nM **= 2\nB = 2 ** M\n"}
+    assert powers_of_M(sources) == ["cli.pairs", "render.5", "render.Place", "sampler.lookup"]
+
+
+def test_descendant_indices_are_formed_in_blocks_alone():
+    # M**(alpha d j), a real-exponent power, is the parametric activity's
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert powers_of_M(sources) == ["activities._parametric_powers"]
+
+
 def volumes_formed(sources: dict[str, str]) -> list[str]:
     """The statements outside `blocks` with a power `**` whose base names
     `M` and whose exponent names `d`, or a call of `log` on an expression

@@ -676,6 +676,44 @@ def test_draws_are_pinned(case):
     assert draws_digest(draw(i) for i in range(n)) == digest
 
 
+# the Bernoulli-max sampler is the walk's exact reference: given the same
+# ratios, seed and index, both occupy exactly the maximal blocks whose "occ"
+# uniform falls below their ratio
+REFERENCE_SYSTEMS = {
+    # (model, window, depth): the scale lane, then the block lane
+    "scale-lane-d1": (unit_model(10), W, 10),
+    "scale-lane-d2": (Homogeneous.constant(Geometry(2), 0.4, range(-4, 1)), block(0, 0, 0), 4),
+    "scale-lane-d2-M3": (Homogeneous.constant(Geometry(2, 3), 0.3, range(-2, 1)),
+                         block(0, 1, 2), 2),
+    "block-lane-d2": (explicit_d2(), block(0, 0, 0), 3),
+}
+
+
+def reference_draws(draw, reference, n=100):
+    scales = set()
+    for i in range(n):
+        got = draw(i)
+        assert got == reference(i), i
+        scales.update(b.scale for b in got.blocks)
+    assert len(scales) > 1      # the draws stop at more than one scale
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SYSTEMS))
+def test_walk_equals_its_bernoulli_max_reference(name):
+    model, window, depth = REFERENCE_SYSTEMS[name]
+    geo = model.geometry
+    sys = TruncatedSystem(model, window, depth)
+    ratios = {b: sys.rho(b) for b in sys.blocks()}
+    reference_draws(lambda i: sample_gibbs(model, window, depth, seed=21, index=i),
+                    lambda i: sample_bernoulli_max(ratios, geo, window, depth, seed=21, index=i))
+
+
+def test_mandelbrot_equals_its_bernoulli_max_reference():
+    ratios = {b: 0.35 for b in descendants(W, -8, GEO)}
+    reference_draws(lambda i: sample_mandelbrot(0.35, GEO, W, 8, seed=22, index=i),
+                    lambda i: sample_bernoulli_max(ratios, GEO, W, 8, seed=22, index=i))
+
+
 ESTIMATE_HITS = {"top": 0, "mid": 8, "pair": 19, "deep": 160}
 ESTIMATE_EMPTY = 0
 
@@ -780,9 +818,10 @@ def test_finite_and_infinite_draws_share_the_system(monkeypatch):
     sample_gibbs(model, window, depth, seed=10, index=0)
     estimate(model, window, depth, 5, {}, seed=10)
     assert len(systems) == 1
-    # scales 0..-2 of the system; at most the chain's rows 1..80 and p_none on top
+    # scales 0..-2 of the system; at most the chain's rows 1..80 and p_none,
+    # the infinite entry reading the finite one from the memo
     assert sampler_entries(model) == {("finite", window, depth): 3,
-                                      ("infinite", window, depth): 3 + 81}
+                                      ("infinite", window, depth): 81}
 
 
 def test_refusals_leave_no_draw_function():
