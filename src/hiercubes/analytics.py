@@ -1,9 +1,10 @@
 """Exact log-space analytics for the hierarchical hard-core gas.
 
 Everything extensive lives in log domain.  Inhomogeneous models use a block
-lane at small truncation depth: one pass per level over the (scale, index)
-tuples of the system, bottom level first, reads the level's activities in one
+lane, capped in size: one pass per level over the (scale, index) tuples of
+the system, bottom level first, reads the level's activities in one
 `level_log_activities` call and tabulates log Xi and log zhat of every block.
+`_system_size` alone picks a system's lane, counts its entries and caps it.
 For scale-wise constant activities z_j the tree recursion is one scalar
 recursion, built only by `_build_profile` into a `ScaleProfile` that the
 scale lane of `TruncatedSystem` and every infinite-volume quantity read.
@@ -49,18 +50,18 @@ reads only the scales up to j; one up to a higher scale is built and
 replaces it.  The bound is MEMO_SCALES memoized scales per model, the sum of
 the entries' weights, each at least the number of scales or blocks it
 tabulates, since that sets the memory: j_hi - j_lo + 1 for a profile, the
-system's scales (scale lane) or blocks (block lane) for a finite draw
+system's scales or blocks, as `_system_size` counts them, for a finite draw
 function, a bound on the chain's rows alone for an infinite one, and one
-for any other entry.  The memo keeps no recency order: an
-entry that would take the sum past the bound clears the memo first, so a
-full memo starts over, and an entry heavier than the bound (a profile
-longer than it, or a block-lane system of more blocks) is not kept.
+for any other entry.  The memo keeps no recency order: an entry that would
+take the sum past the bound clears the memo first, so a full memo starts
+over, and an entry heavier than the bound (a profile longer than it, or a
+block-lane system of more blocks) is not kept.
 The clearing guards memory, not speed: a model's memo in the benchmark
 workloads holds a few entries and a few hundred scales.  An exception is
 never kept, so neither is a refusal, and a model without `__dict__` is not
 memoized.  Threads may share a model: two that miss one key both build it
-and either value is kept, and a block-lane ratio lookup fills its dict on
-first visit, each thread writing the same ratio.  The memo's
+and either value is kept, and a block-lane system's `level_rhos` fills its
+dict on first visit, each thread writing the same ratio.  The memo's
 profiles are shared by every reader and are read only: `scale_profile`
 returns a copy, so edits to its result never reach the memo.
 """
@@ -77,8 +78,8 @@ from itertools import repeat
 from typing import Callable, Optional
 
 from .blocks import (Block, Geometry, ancestor_levels, ancestors, children,
-                     contains, covering_block, descendants, lcs, overlaps,
-                     subtree_levels)
+                     contains, covering_block, descendants, lcs, least_indices,
+                     overlaps, subtree_levels)
 from .activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                          Homogeneous, Parametric, ScaleTruncated,
                          VolumeTruncated)
@@ -87,7 +88,7 @@ from .logreal import (LogReal, log1p_exp, log_expm1, logaddexp, logsumexp_iter,
 
 DEFAULT_TOL = 1e-12
 LIMIT_MAX_DEPTH = 4096   # deepest truncation partition_function_limit evaluates
-BLOCK_LANE_MAX_BLOCKS = 2**16   # most bottom blocks partition_function_limit tabulates per block
+BLOCK_LANE_MAX_BLOCKS = 2**16   # most bottom blocks below a block-lane window
 CHAIN_CUT = 1e-14   # ancestor zhat mass left beyond the infinite-volume chain
 CHAIN_SCALES = 80   # scales of the chain profile above max(block scale, 0)
 # work limits of the condition (i) scan of inhomogeneous activities
@@ -165,6 +166,25 @@ def _check_system(geo: Geometry, window: Block, depth: int) -> None:
         raise ValueError(f"depth {depth} does not reach below window scale {window.scale}")
 
 
+def _system_size(model: ActivityModel, window: Block, depth: int,
+                 what: str = "block lane") -> tuple[bool, int]:
+    """(scale-wise, entries) of the system of `window` down to scale -depth:
+    whether the model is scale-wise constant in the window (the scale lane)
+    and the system's scales there, else its blocks.  After the system check,
+    a block lane of more than BLOCK_LANE_MAX_BLOCKS bottom blocks, counted
+    from the window's scale, raises UncertifiedComputation naming `what`."""
+    _check_system(model.geometry, window, depth)
+    levels = window.scale + depth
+    if model.homogeneous_within(window):
+        return True, levels + 1
+    B = model.geometry.branching
+    if B ** levels > BLOCK_LANE_MAX_BLOCKS:
+        raise UncertifiedComputation(
+            f"{what} refused: depth {depth} below {window} needs {B}**{levels} bottom "
+            f"blocks, more than {BLOCK_LANE_MAX_BLOCKS} (BLOCK_LANE_MAX_BLOCKS)")
+    return False, (B ** (levels + 1) - 1) // (B - 1)
+
+
 class TruncatedSystem:
     """The finite system of blocks inside `window` at scales >= -depth.
 
@@ -172,16 +192,15 @@ class TruncatedSystem:
     of the doubly truncated activity z_window^(depth).  Read from a table of
     every block filled bottom-up, one pass per level over index tuples, or,
     when the model is scale-wise constant inside the window, from one scale
-    profile from -depth up to the window.
+    profile from -depth up to the window, as `_system_size` decides.
     """
 
     def __init__(self, model: ActivityModel, window: Block, depth: int):
-        _check_system(model.geometry, window, depth)
+        self._scalewise = _system_size(model, window, depth)[0]
         self.model = model
         self.window = window
         self.depth = depth
         self.geo = model.geometry
-        self._scalewise = model.homogeneous_within(window)
 
     def in_system(self, b: Block) -> bool:
         return b.scale >= -self.depth and contains(self.window, b, self.geo)
@@ -262,6 +281,31 @@ class TruncatedSystem:
         """log(1 - rho) = -log(1 + zhat)."""
         return _log_one_minus_rho(self.log_zhat(b))
 
+    @cached_property
+    def _rhos(self) -> dict:
+        """The ratios `level_rhos` keeps, by scale or by (scale, index)."""
+        if not self._scalewise:
+            return {}
+        top, bottom = self.window.scale, -self.depth
+        firsts = least_indices(self.window, bottom, self.geo)
+        return {j: self.rho(Block(j, m)) for j, m in zip(range(top, bottom - 1, -1), firsts)}
+
+    def level_rhos(self, scale: int, indices: list) -> list[float]:
+        """The occupation ratio of each block (scale, index) for a list of
+        index tuples of one level, in order, the sampler's level read: `rho`
+        once per scale, on its first block in the window, in the scale lane,
+        and once per block, on its first visit, in the block lane."""
+        rhos = self._rhos
+        if self._scalewise:
+            return [rhos[scale]] * len(indices)
+        out = []
+        for m in indices:
+            r = rhos.get((scale, m))
+            if r is None:
+                r = rhos[scale, m] = self.rho(Block(scale, m))
+            out.append(r)
+        return out
+
     def blocks(self) -> list[Block]:
         """All blocks of the system, sorted top scale first."""
         return descendants(self.window, -self.depth, self.geo)
@@ -301,57 +345,50 @@ class LimitResult:
     certificate: str = ""
 
 
-def _block_lane_levels(geo: Geometry) -> int:
-    """The most levels below a block that the block lane tabulates: it holds
-    every block, branching**levels at the bottom, at most BLOCK_LANE_MAX_BLOCKS."""
-    levels = 0
-    while geo.branching ** (levels + 1) <= BLOCK_LANE_MAX_BLOCKS:
-        levels += 1
-    return levels
-
-
 def partition_function_limit(model: ActivityModel, window: Block) -> LimitResult:
     """Xi of `window` without downward truncation.
 
     Infinite in closed form where condition (i) fails (see
     `_downward_mass_diverges`).  Otherwise a model with a lowest active scale
     is evaluated once, at the depth that reaches it, where the truncation is
-    exact; beyond LIMIT_MAX_DEPTH (in the block lane also beyond the depth
-    with BLOCK_LANE_MAX_BLOCKS bottom blocks) the result is undecided, with
-    nothing evaluated and the value the trivial lower bound Xi >= 1.  A model
-    active at every scale below doubles the truncation depth until the log
-    increments fall below DEFAULT_TOL; a log that saturates at +inf never
-    does, and is undecided: divergence is not judged from its size.
+    exact; beyond LIMIT_MAX_DEPTH, or where `_system_size` refuses the block
+    lane, the result is undecided, with nothing evaluated and the value the
+    trivial lower bound Xi >= 1.  A model active at every scale below doubles
+    the truncation depth until the log increments fall below DEFAULT_TOL; a
+    log that saturates at +inf never does, and is undecided: divergence is
+    not judged from its size.
     """
     if _downward_mass_diverges(model, window):
         return LimitResult(LogReal(math.inf), True, 0,
                            "closed-form tail: sum of activities below window diverges")
-    max_depth = LIMIT_MAX_DEPTH
-    if not model.homogeneous_within(window):
-        max_depth = _block_lane_levels(model.geometry)
+
+    def refusal(depth: int) -> Optional[str]:     # why `depth` is not evaluated
+        if depth > LIMIT_MAX_DEPTH:
+            return f"depth {depth} is past LIMIT_MAX_DEPTH = {LIMIT_MAX_DEPTH}"
+        try:
+            _system_size(model, window, depth)
+        except UncertifiedComputation as exc:
+            return str(exc)
+        return None
 
     start = max(window.scale, 0) - window.scale  # reach at least the window scale
     lo = model.min_active_scale()
     if lo is not None:
         depth = max(1, start, -lo)
-        if depth > max_depth:
+        if (why := refusal(depth)) is not None:
             return LimitResult(LogReal(0.0), False, 0,
-                               f"undecided: lowest active scale {lo} lies below "
-                               f"depth {max_depth}")
+                               f"undecided: lowest active scale {lo}: {why}")
         return LimitResult(LogReal(TruncatedSystem(model, window, depth).log_xi(window)),
                            True, depth,
                            f"exact: depth {depth} reaches the lowest active scale {lo}")
-    prev = None
-    depth = max(1, start)
-    while depth <= max_depth:
+    prev, used, depth = 0.0, 0, max(1, start)
+    while (why := refusal(depth)) is None:
         cur = TruncatedSystem(model, window, depth).log_xi(window)
-        if prev is not None and abs(cur - prev) < DEFAULT_TOL:
+        if used and abs(cur - prev) < DEFAULT_TOL:
             return LimitResult(LogReal(cur), True, depth,
                                "depth-doubling increments below tolerance")
-        prev = cur
-        depth *= 2
-    return LimitResult(LogReal(prev if prev is not None else 0.0),
-                       False, depth // 2, "undecided: max depth exhausted")
+        prev, used, depth = cur, depth, depth * 2
+    return LimitResult(LogReal(prev), False, used, f"undecided: {why}")
 
 
 def _unwrap(model: ActivityModel) -> tuple[ActivityModel, list[Block], bool]:
@@ -837,14 +874,10 @@ def fragmentation_table(model: ActivityModel, window: Block,
                         depths: list[int]) -> list[dict]:
     """Scale-truncation limits: per depth n, the exact probability that the
     window is occupied, that its subtree is hit, and that it is empty
-    (= 1/Xi).  Refused before any work when the block lane would tabulate
-    more than BLOCK_LANE_MAX_BLOCKS bottom blocks at some depth."""
-    levels = window.scale + max(depths, default=-window.scale)    # of the deepest system
-    if levels > _block_lane_levels(model.geometry) and not model.homogeneous_within(window):
-        raise UncertifiedComputation(
-            f"fragmentation table refused: depth {levels - window.scale} below {window} needs "
-            f"{model.geometry.branching}**{levels} bottom blocks, more than "
-            f"{BLOCK_LANE_MAX_BLOCKS} (BLOCK_LANE_MAX_BLOCKS)")
+    (= 1/Xi).  Refused by `_system_size` before any work when the deepest
+    system would be a block lane past its cap."""
+    if depths:
+        _system_size(model, window, max(depths), "fragmentation table")
     rows = []
     for n in depths:
         sys = TruncatedSystem(model, window, n)

@@ -7,13 +7,14 @@ split of a batch into sample-index ranges, produce bit-identical results.
 
 The top-down walk runs a level at a time, from the window down, on the
 index tuples of `blocks.subtree_levels`: each call of its level filter draws
-the uniforms of one level, reads that level's occupation ratios in one
-lookup, and returns the vacant tuples, whose children form the next level.
-A draw is the sorted list of its occupied (scale, index) pairs, with index a
-plain int tuple: the uniforms hash repr, so the walk starts from the window
-with a plain int scale and index (see `_plain`).  Every sampler but the
-reference `sample_bernoulli_max` draws through `_FiniteDraws`, from a ratio
-lookup to a validated `Configuration`, which holds a `Block` only for the
+the uniforms of one level, reads that level's occupation ratios in one call
+of `TruncatedSystem.level_rhos`, which picks the lane, and returns the
+vacant tuples, whose children form the next level.  A draw is the sorted
+list of its occupied (scale, index) pairs, with index a plain int tuple: the
+uniforms hash repr, so the walk starts from the window with a plain int
+scale and index (see `_plain`).  Every sampler but the reference
+`sample_bernoulli_max` draws through `_FiniteDraws`, from a level read of
+ratios to a validated `Configuration`, which holds a `Block` only for the
 occupied pairs; an infinite-volume draw that no ancestor covers reads the
 finite entry of the memo.  `estimate` builds no `Block`, and matches each
 probe, a frozenset of pairs, against the set of a draw's pairs.
@@ -45,11 +46,11 @@ from itertools import accumulate, groupby, starmap
 from typing import Callable, Iterable, Optional
 
 from .blocks import (Block, Geometry, ancestor_levels, ancestors, format_block,
-                     least_indices, subtree_levels)
+                     subtree_levels)
 from .activities import ActivityModel
-from .analytics import (CHAIN_SCALES, MEMO_SCALES, TruncatedSystem,
-                        _ancestor_chain, _check_system, _log_one_minus_rho,
-                        _log_rho, _memoized, _require_condition_ii)
+from .analytics import (CHAIN_SCALES, TruncatedSystem, _ancestor_chain,
+                        _check_system, _log_one_minus_rho, _log_rho, _memoized,
+                        _require_condition_ii, _system_size)
 
 
 class InvalidConfiguration(ValueError):
@@ -207,30 +208,6 @@ def _plain(b: Block) -> Block:
 _Ratios = Callable[[int, list], list]
 
 
-def _ratio_lookup(sys: TruncatedSystem) -> _Ratios:
-    """The (scale, level) -> occupation ratios lookup of a truncated system,
-    one ratio per index tuple of the level, in its order.
-
-    Scale lane (the model is scale-wise constant in the window): one
-    `sys.rho` per scale, on the scale's first block in the window (`least_indices`).
-    Block lane: `sys.rho` of each block, computed on its first visit and kept.
-    """
-    window = sys.window
-    if sys.model.homogeneous_within(window):
-        scales = range(window.scale, -sys.depth - 1, -1)
-        by_scale = {j: sys.rho(Block(j, m))
-                    for j, m in zip(scales, least_indices(window, -sys.depth, sys.geo))}
-        return lambda scale, level: [by_scale[scale]] * len(level)
-    memo: dict = {}
-
-    def block_rho(scale: int, m: tuple) -> float:
-        r = memo.get((scale, m))
-        if r is None:
-            r = memo[scale, m] = sys.rho(Block(scale, m))
-        return r
-    return lambda scale, level: [block_rho(scale, m) for m in level]
-
-
 def _sample_topdown(ratios: _Ratios, geo: Geometry, window: Block, depth: int,
                     seed: int, index: int) -> list[tuple[int, tuple]]:
     """One top-down draw: the occupied (scale, index) pairs, sorted as their
@@ -262,10 +239,10 @@ def _sample_topdown(ratios: _Ratios, geo: Geometry, window: Block, depth: int,
 
 
 class _FiniteDraws:
-    """The draws of one doubly truncated system, all read from one ratio
-    lookup: `pairs(seed, index)` is a draw's sorted occupied (scale, index)
-    pairs, and a call is the draw as a validated `Configuration`.  `window`
-    has a plain int scale and index (see `_plain`)."""
+    """The draws of one doubly truncated system, all read from one level
+    read of its ratios: `pairs(seed, index)` is a draw's sorted occupied
+    (scale, index) pairs, and a call is the draw as a validated
+    `Configuration`.  `window` has a plain int scale and index (see `_plain`)."""
 
     def __init__(self, ratios: _Ratios, geo: Geometry, window: Block, depth: int):
         self.geo, self.window, self.depth = geo, window, depth
@@ -276,36 +253,26 @@ class _FiniteDraws:
                             self.depth, seed, self.geo)
 
 
-def _system_weight(model: ActivityModel, window: Block, depth: int) -> int:
-    """The memo weight of a finite draw function: the system's scales in the
-    scale lane, its blocks in the block lane, counted over at most
-    MEMO_SCALES + 1 levels, which already pass the bound."""
-    levels = window.scale + depth + 1
-    if model.homogeneous_within(window):
-        return levels
-    B = model.geometry.branching
-    return (B ** min(max(levels, 0), MEMO_SCALES + 1) - 1) // (B - 1)
-
-
 def _draw_function(model: ActivityModel, window: Block, depth: int,
                    infinite: bool = False) -> Callable[[int, int], Configuration]:
     """`draw(seed, index)` from the law of the doubly truncated system or,
     when `infinite`, from the infinite-volume measure seen through `window`:
     built once per (model, window, depth) and kept in the model's memo (see
     the `analytics` module docstring).  Key ("finite", window, depth) holds a
-    `_FiniteDraws` over one `TruncatedSystem` and its ratio lookup; key
-    ("infinite", window, depth) holds the certified chain law, and each of
-    its draws that no ancestor covers reads the finite entry from here.  A
-    refusal raises from the build and is not kept.
+    `_FiniteDraws` over one `TruncatedSystem`'s `level_rhos`, weighing the
+    entries `analytics._system_size` counts, which refuses an oversized block
+    lane before any build; key ("infinite", window, depth) holds the
+    certified chain law, and each of its draws that no ancestor covers reads
+    the finite entry from here.  A refusal is not kept.
     """
     geo = model.geometry
     if not infinite:
         def build_finite() -> _FiniteDraws:
             plain = _plain(window)
-            ratios = _ratio_lookup(TruncatedSystem(model, plain, depth))
-            return _FiniteDraws(ratios, geo, plain, depth)
+            return _FiniteDraws(TruncatedSystem(model, plain, depth).level_rhos,
+                                geo, plain, depth)
         return _memoized(model, ("finite", window, depth),
-                         _system_weight(model, window, depth), build_finite)
+                         _system_size(model, window, depth)[1], build_finite)
 
     def build_infinite() -> Callable[[int, int], Configuration]:
         plain = _plain(window)

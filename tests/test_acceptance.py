@@ -26,7 +26,7 @@ from hiercubes.cli import main
 from hiercubes.oracle import (enumerate_system, gibbs_ratio_function,
                               mandelbrot_gnz_report, run_validation_suite,
                               verify_gnz)
-from hiercubes.sampler import (_ratio_lookup, _sample_topdown, estimate,
+from hiercubes.sampler import (_sample_topdown, estimate,
                                sample_bernoulli_max)
 
 from test_sampler import estimate_in_splits
@@ -85,7 +85,7 @@ def test_criterion_3_sampler_chi_square():
     crit = chi2.ppf(1 - 1e-3, len(dist.support) - 1)
     expected = {cfg: n * p for cfg, p in zip(dist.support, dist.probs)}
 
-    ratios = _ratio_lookup(TruncatedSystem(m, W, 2))
+    ratios = TruncatedSystem(m, W, 2).level_rhos
     h_top = Counter(frozenset(starmap(Block, _sample_topdown(ratios, GEO, W, 2, 1001, i)))
                     for i in range(n))
     stat_top = sum((h_top.get(cfg, 0) - e) ** 2 / e

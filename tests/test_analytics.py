@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 
@@ -191,6 +192,45 @@ def test_partition_limit_beyond_the_block_lane_is_undecided():
     reach = Explicit.from_values(Geometry(2), {block(0, 0, 0): 1.0, block(-8, 0, 0): 1.0})
     res = partition_function_limit(reach, block(0, 0, 0))
     assert res.converged and res.value.log == pytest.approx(math.log(3), rel=1e-12)
+
+
+def test_partition_limit_counts_the_block_lane_from_the_window_scale(monkeypatch):
+    # depth 5 below window 3:(0,0) at d=2, M=3 would tabulate 9**8 bottom
+    # blocks, and depth 16 below 6:(0) at d=1 2**22: undecided, with no
+    # system built
+    built = []
+    monkeypatch.setattr(analytics, "TruncatedSystem", lambda *args: built.append(args))
+    for model, window, levels in [
+            (Explicit.from_values(Geometry(2, 3), {block(-5, 0, 0): 1.0}), block(3, 0, 0),
+             "9\\*\\*8"),
+            (Explicit.from_values(GEO, {block(-16, 0): 1.0}), block(6, 0), "2\\*\\*22")]:
+        res = partition_function_limit(model, window)
+        assert not res.converged and res.value.log == 0.0 and res.depth_used == 0
+        assert re.search(rf"^undecided: .* needs {levels} bottom blocks", res.certificate)
+    assert built == []
+    monkeypatch.undo()
+    # depth 18 below window -3:(0) is 2**15 bottom blocks, within the cap:
+    # Xi = 1 + 1 + 1 for the window and the block at scale -18
+    below = Explicit.from_values(GEO, {block(-3, 0): 1.0, block(-18, 0): 1.0})
+    res = partition_function_limit(below, block(-3, 0))
+    assert res.converged and res.depth_used == 18
+    assert abs(res.value.log - math.log(3)) < 1e-12
+
+
+def test_truncated_system_caps_the_block_lane(monkeypatch):
+    # 9**5 = 59,049 bottom blocks are within BLOCK_LANE_MAX_BLOCKS = 2**16,
+    # 9**6 are not: the system refuses when it is made, before any table
+    m = Explicit.from_values(Geometry(2, 3), {}, default=0.5)
+    window = block(0, 0, 0)
+    assert TruncatedSystem(m, window, 5).log_xi(window) > 0
+    levels = []
+    monkeypatch.setattr(analytics, "subtree_levels", lambda *args: levels.append(args))
+    with pytest.raises(UncertifiedComputation, match=r"depth 6 below 0:\(0,0\) needs 9\*\*6 "):
+        TruncatedSystem(m, window, 6)
+    assert levels == []
+    # a scale-wise model is read in the scale lane at any depth
+    h = Homogeneous.from_values(Geometry(2, 3), {0: 1.0}, tail_down=TailRule("geometric", 0.01))
+    assert TruncatedSystem(h, window, 40).log_xi(window) > 0
 
 
 # -- effective activities and occupation ratios --------------------------------

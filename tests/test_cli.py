@@ -165,7 +165,7 @@ def test_sample_outputs_and_determinism(tmp_path):
 
 
 def test_sample_builds_one_system(tmp_path, monkeypatch):
-    # one TruncatedSystem and ratio lookup serve the command's draws, which
+    # one TruncatedSystem and its level read serve the command's draws, which
     # each equal a draw of their own
     builds = []
     init = TruncatedSystem.__init__
@@ -441,8 +441,11 @@ NO_DOWNWARD = "downward activity mass does not decay; partition functions are " 
 # json writes NaN and Infinity, which the model loader reads back
 TWO_SCALE_TAIL = {"kind": "homogeneous", "d": 1, "table": {"0": 1.0, "-1": 0.5}}
 NO_RATIO = "error: geometric tail needs a finite ratio > 0, got ratio="
-# the block lane of 9**6 bottom blocks is past BLOCK_LANE_MAX_BLOCKS = 2**16
+# the block lane of 9**6 bottom blocks is past BLOCK_LANE_MAX_BLOCKS = 2**16:
+# every command that reads it refuses before building it
 WIDE_EXPLICIT = {"kind": "explicit", "d": 2, "M": 3, "entries": {}, "default": 0.5}
+WIDE_DEPTH_6 = "depth 6 below 0:(0,0) needs 9**6 bottom blocks, more than 65536 " \
+    "(BLOCK_LANE_MAX_BLOCKS)"
 
 
 @pytest.mark.parametrize("obj,argv,code,err", [
@@ -472,10 +475,15 @@ WIDE_EXPLICIT = {"kind": "explicit", "d": 2, "M": 3, "entries": {}, "default": 0
     (WIDE_EXPLICIT, ["diagnose", "--depth", "6"], EXIT_UNDECIDED,
      "refused: fragmentation table refused: depth 6 below 0:(0,0) needs 9**6 bottom "
      "blocks, more than 65536 (BLOCK_LANE_MAX_BLOCKS)"),
+    (WIDE_EXPLICIT, ["sample", "--window", "0:(0,0)", "--depth", "6", "--seed", "1"],
+     EXIT_UNDECIDED, f"refused: block lane refused: {WIDE_DEPTH_6}"),
+    (WIDE_EXPLICIT, ["correlate", "--window", "0:(0,0)", "--depth", "6", "--seed", "1"],
+     EXIT_UNDECIDED, f"refused: block lane refused: {WIDE_DEPTH_6}"),
 ], ids=["diagnose-depth", "correlate-jmax", "sample-depth", "sample-infinite-refused",
         "analyze-jmax", "analyze-overflow", "analyze-start-scale", "diagnose-start-scale",
         "correlate-decay-refused", "tail-down-ratio-nan", "tail-down-ratio-inf",
-        "zhat-tail-up-ratio-nan", "zhat-tail-up-ratio-inf", "diagnose-block-lane-cap"])
+        "zhat-tail-up-ratio-nan", "zhat-tail-up-ratio-inf", "diagnose-block-lane-cap",
+        "sample-block-lane-cap", "correlate-block-lane-cap"])
 def test_failed_runs_write_nothing(tmp_path, capsys, obj, argv, code, err):
     # a command that raises writes no file: no output directory is made
     out = tmp_path / "o"

@@ -309,8 +309,9 @@ def test_chain_ratio_of_two_sets_has_one_caller():
 
 
 # a system's sampler is built once per model: in `sampler` and `cli`, only the
-# memoized getter builds a system, its ratio lookup or its chain law
-SAMPLER_BUILDS = ("TruncatedSystem", "_ratio_lookup", "ancestor_chain_cdf")
+# memoized getter builds a system, whose `level_rhos` the draws read, or its
+# chain law
+SAMPLER_BUILDS = ("TruncatedSystem", "ancestor_chain_cdf")
 DRAW_GETTER = {("sampler", "_draw_function")}
 
 
@@ -321,17 +322,16 @@ def sampler_builds_outside_the_getter(sources: dict[str, str]) -> list[str]:
 
 def test_sampler_builds_outside_the_getter_are_found():
     sources = {"sampler": "from .analytics import TruncatedSystem as TS\n"
-                          "def _ratio_lookup(sys): return sys\n"
                           "def ancestor_chain_cdf(m, w, d): return [], 1.0\n"
                           "def _draw_function(m, w, d):\n"
                           "    def build():\n"
-                          "        return _ratio_lookup(TS(m, w, d)), ancestor_chain_cdf(m, w, d)\n"
+                          "        return TS(m, w, d).level_rhos, ancestor_chain_cdf(m, w, d)\n"
                           "    return build\n"
-                          "def sample_gibbs(m, w, d): return _ratio_lookup(TS(m, w, d))\n"
+                          "def sample_gibbs(m, w, d): return TS(m, w, d).level_rhos\n"
                           "def estimate(m, w, d): return ancestor_chain_cdf(m, w, d)\n",
                "cli": "from . import sampler\n"
                       "from .analytics import TruncatedSystem\n"
-                      "def cmd_sample(args): return sampler._ratio_lookup(None)\n"
+                      "def cmd_sample(args): return sampler.ancestor_chain_cdf(None, None, 0)\n"
                       "def cmd_analyze(args): return TruncatedSystem(None, None, 0)\n"}
     assert sampler_builds_outside_the_getter(sources) == [
         "cli.cmd_analyze", "cli.cmd_sample", "sampler.estimate", "sampler.sample_gibbs"]
@@ -340,6 +340,33 @@ def test_sampler_builds_outside_the_getter_are_found():
 def test_sampler_builds_only_in_the_getter():
     sources = {m: (PACKAGE / f"{m}.py").read_text() for m in ("sampler", "cli")}
     assert sampler_builds_outside_the_getter(sources) == []
+
+
+# a system's lane is decided in `analytics` alone, by the one function that
+# also counts and bounds its size: outside `activities`, which defines the
+# question, only `analytics._system_size` asks a model `homogeneous_within`
+LANE_DECIDER = {("analytics", "_system_size")}
+
+
+def lane_decisions(sources: dict[str, str]) -> list[str]:
+    return calls_outside({m: s for m, s in sources.items() if m != "activities"},
+                         "homogeneous_within", LANE_DECIDER)
+
+
+def test_lane_decisions_are_found():
+    sources = {"activities": "class Model:\n"
+                             "    def homogeneous_within(self, w): return True\n"
+                             "class Cut(Model):\n"
+                             "    def homogeneous_within(self, w): return self.inner.homogeneous_within(w)\n",
+               "analytics": "def _system_size(m, w, d): return m.homogeneous_within(w)\n"
+                            "def partition_function_limit(m, w): return m.homogeneous_within(w)\n",
+               "sampler": "def _weight(m, w, d): return m.homogeneous_within(w)\n"}
+    assert lane_decisions(sources) == ["analytics.partition_function_limit", "sampler._weight"]
+
+
+def test_only_the_system_size_decides_a_lane():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert lane_decisions(sources) == []
 
 
 # the CLI has one write point: each `cmd_*` returns its files and `main`

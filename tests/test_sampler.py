@@ -20,7 +20,7 @@ from hiercubes.sampler import (Configuration, InvalidConfiguration,
                                SampleBatch, ancestor_chain_cdf, estimate,
                                sample_bernoulli_max,
                                sample_gibbs, sample_gibbs_infinite,
-                               sample_mandelbrot, _ratio_lookup, _sample_topdown,
+                               sample_mandelbrot, _sample_topdown,
                                _uniform)
 from hiercubes.analytics import (TruncatedSystem, UncertifiedComputation,
                                  effective_activity, exact_marginal, occupation_ratio)
@@ -391,7 +391,7 @@ def mixed_systems(draw):
 def test_topdown_draws_match_a_depth_first_walk(system, seed):
     model, window, depth = system
     geo = model.geometry
-    ratios = _ratio_lookup(TruncatedSystem(model, window, depth))
+    ratios = TruncatedSystem(model, window, depth).level_rhos
     for index in range(8):
         got = _sample_topdown(ratios, geo, window, depth, seed, index)
         want = _depth_first_draw(ratios, geo, window, depth, seed, index)
