@@ -20,18 +20,19 @@ with M**(d j) read from `Geometry.volumes` (blocks), the one source of the
 volume and its log; where it underflows to 0.0 the term is exp(log log(1 +
 zhat_j) - `Geometry.log_volume(j)`), saturating.  So rho_j = zhat_j / (1 +
 zhat_j) = z_j / Xi_j, built from log zhat only by `_log_rho` and
-`_log_one_minus_rho`.  p_j equals M**(-d j) log Xi_j
-but is accumulated, not divided out, so it saturates where log Xi_j overflows.
-`_log_R` folds the `_R_terms` of a profile into R_j = prod_{k >= j} (1 +
-zhat_k) - 1; `decay_profile` computes the terms once per call and folds a
-suffix of them per row.
+`_log_one_minus_rho`.  p_j equals M**(-d j) log Xi_j but is accumulated, not
+divided out, so it saturates where log Xi_j overflows.  `_log_R` folds the
+`_R_terms` of a profile into R_j = prod_{k >= j} (1 + zhat_k) - 1;
+`decay_profile` computes the terms once per call and folds a suffix per row.
 
 The infinite-volume ancestor chain of a block is cut by `_ancestor_chain`
 alone: one profile from -depth up to CHAIN_SCALES above the block or above
 scale 0, whichever is higher (the chain of scale 0 is the one condition (ii)
 certifies), cut just above the highest scale whose zhat reaches
 CHAIN_CUT / e.  The marginals and the sampler's law of the lowest occupied
-ancestor both read it.  Every public infinite-volume reader calls the gate
+ancestor both read it.  The strict ancestors of a block set are read by
+`_strict_ancestors` alone, in `Block` order, so every sum over them runs in
+that order.  Every public infinite-volume reader calls the gate
 `_require_condition_ii` on entry; only `scale_profile` and
 `pressure_profile` read a profile uncertified.
 
@@ -73,13 +74,13 @@ import operator
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, reduce
+from itertools import chain, repeat
 from typing import Callable, Optional
 
-from .blocks import (Block, Geometry, ancestor_levels, ancestors, children,
-                     contains, covering_block, descendants, lcs, least_indices,
-                     overlaps, subtree_levels)
+from .blocks import (Block, Geometry, ancestor_levels, children, contains,
+                     covering_block, descendants, lcs, least_indices, overlaps,
+                     subtree_levels)
 from .activities import (ActivityModel, EffectiveDesign, Explicit, Formula,
                          Homogeneous, Parametric, ScaleTruncated,
                          VolumeTruncated)
@@ -904,15 +905,12 @@ def condensation_table(model: ActivityModel, b: Block,
         if not contains(w, b, geo):
             raise ValueError(f"window {w} does not contain probe block {b}")
         sys = TruncatedSystem(model, w, depth)
-        chain = [b] + ancestors(b, w.scale, geo)
-        log_none = ordered_sum(sys.log_one_minus_rho(a) for a in chain)
+        above = [sys.log_one_minus_rho(a) for a in _strict_ancestors([b], w.scale, geo)]
         rows.append({
             "window": str(w),
-            "chain_length": len(chain),
-            "p_block": math.exp(sys.log_rho(b)
-                                + ordered_sum(sys.log_one_minus_rho(a)
-                                              for a in chain if a != b)),
-            "p_chain_hit": -math.expm1(log_none),
+            "chain_length": len(above) + 1,
+            "p_block": math.exp(sys.log_rho(b) + ordered_sum(above)),
+            "p_chain_hit": -math.expm1(ordered_sum([sys.log_one_minus_rho(b), *above])),
         })
     return rows
 
@@ -921,13 +919,20 @@ def condensation_table(model: ActivityModel, b: Block,
 # marginals and covariances of hierarchical measures
 # ---------------------------------------------------------------------------
 
-def _hard_core(blocks, geo: Geometry) -> bool:
-    """Whether no block of `blocks` is a strict ancestor of another."""
+def _strict_ancestors(blocks, top: int, geo: Geometry) -> Optional[list[Block]]:
+    """The strict ancestors of `blocks` at scales up to `top`, in `Block`
+    order, from one `ancestor_levels` walk up to `top` or the highest block;
+    None when one block is a strict ancestor of another."""
     levels: dict = {}
     for b in blocks:
         levels.setdefault(b.scale, set()).add(b.index)
-    return all(above.isdisjoint(levels.get(scale, ()))
-               for scale, above in ancestor_levels(levels, max(levels), geo))
+    found = []
+    for scale, above in ancestor_levels(levels, max([top, *levels]), geo):
+        if not above.isdisjoint(levels.get(scale, ())):
+            return None
+        if scale <= top:
+            found += [Block(scale, m) for m in sorted(above)]
+    return found
 
 
 def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
@@ -947,41 +952,28 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
     for b in blocks:
         if b.d != geo.d:
             raise ValueError(f"block {b} has dimension {b.d}, not {geo.d}")
-    if not _hard_core(blocks, geo):
+    # ancestors up to the window, or to the covering block in infinite volume
+    cover = window if window is not None else reduce(
+        lambda c, b: covering_block(c, b, geo), blocks)
+    anc = _strict_ancestors(blocks, cover.scale, geo)
+    if anc is None:
         return 0.0
     if window is not None:
         sys = TruncatedSystem(model, window, depth)
         if not all(sys.in_system(b) for b in blocks):
             return 0.0
         log_zhat = [sys.log_zhat(b) for b in blocks]
-        above = [sys.log_zhat(a) for a in _strict_ancestor_set(blocks, window.scale, geo)]
+        above = [sys.log_zhat(a) for a in anc]
     else:
-        # infinite volume: the chain of the covering block
-        cover = covering_block(blocks[0], blocks[0], geo)
-        for b in blocks[1:]:
-            cover = covering_block(cover, b, geo)
         if cover.scale < -depth:
             return 0.0      # every block lies below the depth truncation
         _check_system(geo, cover, depth)
         prof, j_cut = _ancestor_chain(model, cover.scale, depth)
         by_scale = prof.log_zhat.get          # no scale below -depth is active
         log_zhat = [by_scale(b.scale, -math.inf) for b in blocks]
-        # the strict ancestors up to the covering block, then its ancestors
-        # out to the chain cut, scale-wise
         above = [by_scale(j, -math.inf) for j in
-                 [a.scale for a in _strict_ancestor_set(blocks, cover.scale, geo)]
-                 + list(range(cover.scale + 1, j_cut + 1))]
-    log_p = ordered_sum(map(_log_rho, log_zhat))
-    for lzh in above:
-        log_p += _log_one_minus_rho(lzh)
-    return math.exp(log_p)
-
-
-def _strict_ancestor_set(blocks, up_to_scale: int, geo: Geometry) -> set:
-    anc = set()
-    for b in blocks:
-        anc.update(ancestors(b, up_to_scale, geo))
-    return anc - set(blocks)
+                 [a.scale for a in anc] + list(range(cover.scale + 1, j_cut + 1))]
+    return math.exp(ordered_sum(chain(map(_log_rho, log_zhat), map(_log_one_minus_rho, above))))
 
 
 def _ancestor_chain(model: ActivityModel, j0: int, depth: int) -> tuple[ScaleProfile, int]:
@@ -1019,15 +1011,19 @@ def pair_covariance(model: ActivityModel, b1: Block, b2: Block,
 
 def _common_chain_R(model: ActivityModel, set1, set2,
                     window: Optional[Block], depth: int) -> float:
-    """R over the common strict-ancestor set of two disjoint block sets."""
+    """R over the common strict-ancestor chain of two disjoint sorted block
+    sets; 0 if one is empty (no ancestors), -1 if the union is not hard-core."""
+    if not (set1 and set2):
+        return 0.0
     geo = model.geometry
+    # the hard-core test alone: no strict ancestor lies at the lowest block's scale
+    if _strict_ancestors(set1 + set2, min(set1[0], set2[0]).scale, geo) is None:
+        return -1.0
     if window is not None:
         sys = TruncatedSystem(model, window, depth)
-        anc2 = {a for b in set2 for a in ancestors(b, window.scale, geo)}
-        anc1 = {a for b in set1 for a in ancestors(b, window.scale, geo)}
-        common = (anc1 & anc2) - set(set1) - set(set2)
-        s = ordered_sum(log1p_exp(sys.log_zhat(a)) for a in common)
-        return math.expm1(s)
+        anc1 = set(_strict_ancestors(set1, window.scale, geo))
+        common = [a for a in _strict_ancestors(set2, window.scale, geo) if a in anc1]
+        return math.expm1(ordered_sum(log1p_exp(sys.log_zhat(a)) for a in common))
     # infinite volume: common strict ancestors are the chain above (and
     # including) the covering block; R equals the homogeneous tail ratio
     return tail_ratio_R(model, min(lcs(a, b, geo) for a in set1 for b in set2))
@@ -1047,8 +1043,7 @@ def config_covariance(model: ActivityModel, set1, set2,
     p1 = exact_marginal(model, set1, window, depth)
     p2 = exact_marginal(model, set2, window, depth)
     joint = exact_marginal(model, set1 + set2, window, depth)
-    R = _common_chain_R(model, set1, set2, window, depth) \
-        if _hard_core(set1 + set2, model.geometry) else -1.0
+    R = _common_chain_R(model, set1, set2, window, depth)
     return {"cov": joint - p1 * p2, "factored_cov": p1 * p2 * R, "joint": joint,
             "factored_joint": p1 * p2 * (1 + R),
             "p1": p1, "p2": p2, "min_size": min(len(set1), len(set2))}

@@ -272,7 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    words = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(words) - 1)):
+        # "--window W" as "--window=W": argparse reads a W below scale 0 as a flag
+        if words[i] == "--window":
+            words[i:i + 2] = [f"--window={words[i + 1]}"]
+    args = build_parser().parse_args(words)
     tol = getattr(args, "tol", 1.0)
     if not (math.isfinite(tol) and tol > 0):
         print("tol must be finite and > 0", file=sys.stderr)

@@ -10,8 +10,8 @@ import threading
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hiercubes.blocks import (Block, Geometry, IndexRangeError, block, children,
-                              descendants, overlaps)
+from hiercubes.blocks import (Block, Geometry, IndexRangeError, ancestors, block,
+                              children, descendants, overlaps)
 from hiercubes.activities import (EffectiveDesign, Explicit, Formula,
                                   Homogeneous, Parametric, ScaleTruncated,
                                   TailRule, VolumeTruncated)
@@ -536,6 +536,39 @@ def test_config_covariance_of_overlapping_sets_has_R_minus_one():
         assert cv["p1"] > 0.0 and cv["p2"] > 0.0
         assert cv["joint"] == cv["factored_joint"] == 0.0
         assert cv["factored_cov"] == -cv["p1"] * cv["p2"] == cv["cov"]
+
+
+@pytest.mark.parametrize("set1,set2", [
+    ([], [block(0, 1)]), ([block(0, 1)], []), ([], []), ([], [W, block(-1, 0)])],
+    ids=["first-empty", "second-empty", "both-empty", "empty-and-nested"])
+def test_config_covariance_of_an_empty_set_has_R_zero(set1, set2):
+    # an empty set has no ancestors: R = 0, so the factorised joint is the
+    # marginal of the other set, in a window and in infinite volume
+    m = Parametric(GEO, -1.0, 1.0, 0.5)
+    for window in (block(1, 0), None):
+        cv = config_covariance(m, set1, set2, window, 2)
+        p = exact_marginal(m, set1 + set2, window, 2)
+        assert cv["joint"] == cv["factored_joint"] == p
+        assert cv["cov"] == cv["factored_cov"] == 0.0
+        assert cv["min_size"] == 0
+    # the gate still refuses first
+    with pytest.raises(UncertifiedComputation):
+        config_covariance(Parametric(GEO, 2.0, 1.0, 0.5), set1, set2, None, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(geo=st.sampled_from([GEO, GEO2, Geometry(1, 3)]), data=st.data())
+def test_strict_ancestors_are_the_union_of_the_ancestor_chains(geo, data):
+    # the one upward walk against `ancestors` of each block: the same blocks
+    # in Block order, and None exactly when one block lies above another
+    pool = descendants(Block(1, (1,) * geo.d), -2, geo)
+    blocks = data.draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+    top = data.draw(st.integers(-3, 3))
+    got = analytics._strict_ancestors(blocks, top, geo)
+    if any(overlaps(a, b, geo) for a, b in itertools.combinations(blocks, 2)):
+        assert got is None
+    else:
+        assert got == sorted({a for b in blocks for a in ancestors(b, top, geo)})
 
 
 def test_infinite_marginal_certified():

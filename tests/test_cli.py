@@ -184,6 +184,31 @@ def test_sample_builds_one_system(tmp_path, monkeypatch):
         json.dumps(c.to_json_obj(), sort_keys=True) + "\n" for c in draws)
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("sample", ["--samples", "5", "--format", "csv,json,svg"]),
+    ("correlate", ["--samples", "50", "--jmax", "4"])])
+def test_window_below_scale_zero_as_a_separate_word(tmp_path, command, extra):
+    # "--window -3:(0,0)" reads the word after --window as its value, as
+    # "--window=-3:(0,0)" does, and writes the same files
+    m = write_model(tmp_path, {"kind": "homogeneous", "d": 2, "M": 2,
+                               "table": {"-3": 0.5, "-4": 0.4, "-5": 0.3}})
+    outs = []
+    for window in (["--window", "-3:(0,0)"], ["--window=-3:(0,0)"]):
+        outs.append(tmp_path / f"o{len(outs)}")
+        assert main([command, "--model", m, "--out", str(outs[-1]), *window,
+                     "--depth", "5", "--seed", "1", *extra]) == EXIT_OK
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files and files == sorted(p.name for p in outs[1].iterdir())
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # the command line itself, read from sys.argv
+    res = run_cli(command, "--model", m, "--out", str(tmp_path / "argv"), "--window",
+                  "-3:(0,0)", "--depth", "5", "--seed", "1", *extra)
+    assert res.returncode == EXIT_OK, res.stderr
+    for name in files:
+        assert (tmp_path / "argv" / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
 def test_sample_seed_required(tmp_path):
     m = write_model(tmp_path, UNIT_DEPTH8)
     with pytest.raises(SystemExit) as e:

@@ -308,6 +308,38 @@ def test_chain_ratio_of_two_sets_has_one_caller():
     assert calls_outside(sources, "_common_chain_R", {("analytics", "config_covariance")}) == []
 
 
+# strict ancestors are read through the one upward walk: outside `blocks`,
+# only the sampler's rejection message and its reference sampler walk a
+# block's chain with `blocks.ancestors`
+ANCESTOR_CHAINS = {("sampler", "Configuration"), ("sampler", "sample_bernoulli_max")}
+
+
+def ancestor_chains(sources: dict[str, str]) -> list[str]:
+    return calls_outside({m: s for m, s in sources.items() if m != "blocks"},
+                         "ancestors", ANCESTOR_CHAINS)
+
+
+def test_ancestor_chains_are_found():
+    sources = {"blocks": "def ancestors(b, top, geo): return []\n"
+                         "def lcs(b1, b2, geo): return len(ancestors(b1, 0, geo))\n",
+               "sampler": "from .blocks import ancestors\n"
+                          "class Configuration:\n"
+                          "    def validate(self): return ancestors(None, 0, None)\n"
+                          "def sample_bernoulli_max(b): return ancestors(b, 0, None)\n"
+                          "def draw(b): return ancestors(b, 0, None)\n",
+               "analytics": "from . import blocks\n"
+                            "from .blocks import ancestors as chain\n"
+                            "def exact_marginal(bs): return [chain(b, 0, None) for b in bs]\n"
+                            "def condensation_table(b): return blocks.ancestors(b, 0, None)\n"}
+    assert ancestor_chains(sources) == ["analytics.condensation_table",
+                                        "analytics.exact_marginal", "sampler.draw"]
+
+
+def test_ancestor_chains_are_walked_in_the_sampler_alone():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert ancestor_chains(sources) == []
+
+
 # a system's sampler is built once per model: in `sampler` and `cli`, only the
 # memoized getter builds a system, whose `level_rhos` the draws read, or its
 # chain law
