@@ -26,14 +26,18 @@ divided out, so it saturates where log Xi_j overflows.  `_log_R` folds the
 `decay_profile` computes the terms once per call and folds a suffix per row.
 
 The infinite-volume ancestor chain of a block is cut by `_ancestor_chain`
-alone: one profile from -depth up to CHAIN_SCALES above the block or above
-scale 0, whichever is higher (the chain of scale 0 is the one condition (ii)
-certifies), cut just above the highest scale whose zhat reaches
-CHAIN_CUT / e.  The marginals and the sampler's law of the lowest occupied
-ancestor both read it.  The strict ancestors of a block set are read by
-`_strict_ancestors` alone, in `Block` order, so every sum over them runs in
-that order.  Every public infinite-volume reader calls the gate
-`_require_condition_ii` on entry; only `scale_profile` and
+alone: one profile from -depth up to the chain reach, CHAIN_SCALES above
+the block or above scale 0, whichever is higher (the chain of scale 0 is the
+one condition (ii) certifies), cut just above the highest scale whose zhat
+reaches CHAIN_CUT / e.  The marginals and the sampler's law of the lowest
+occupied ancestor both read it.  The reach is formed by `_chain_reach`
+alone, which `log_tail_ratio` and the sampler's memo weight read too.  The
+strict ancestors of a block set are read by `_strict_ancestors` alone, in
+`Block` order, so every sum over them runs in that order, and are walked
+once per block set and query: `config_covariance` reads its R from the
+walks of its three marginals, and `condensation_table` walks its probe's
+chain once for all its windows.  Every public infinite-volume reader calls
+the gate `_require_condition_ii` on entry; only `scale_profile` and
 `pressure_profile` read a profile uncertified.
 
 What the analytics derive from a model at more cost than a lookup is
@@ -74,7 +78,7 @@ import operator
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import chain, repeat
 from typing import Callable, Optional
 
@@ -900,12 +904,13 @@ def condensation_table(model: ActivityModel, b: Block,
     hit (1 - prod 1/(1+zhat) over the chain, including the block itself)."""
     geo = model.geometry
     depth = max(0, -b.scale)
+    probe_chain = _strict_ancestors([b], max((w.scale for w in windows), default=b.scale), geo)
     rows = []
     for w in windows:
         if not contains(w, b, geo):
             raise ValueError(f"window {w} does not contain probe block {b}")
         sys = TruncatedSystem(model, w, depth)
-        above = [sys.log_one_minus_rho(a) for a in _strict_ancestors([b], w.scale, geo)]
+        above = [sys.log_one_minus_rho(a) for a in probe_chain if a.scale <= w.scale]
         rows.append({
             "window": str(w),
             "chain_length": len(above) + 1,
@@ -943,11 +948,19 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
     window=None, the infinite-volume measure (scale-wise constant models only,
     refused unless condition (ii) is certified, for any `blocks`).
     """
+    return _marginal(model, blocks, window, depth, partial(TruncatedSystem, model, window, depth))[0]
+
+
+def _marginal(model: ActivityModel, blocks, window: Optional[Block], depth: int,
+              system: Callable[[], TruncatedSystem]) -> tuple[float, Optional[list[Block]]]:
+    """`exact_marginal` of `blocks` and the strict ancestors it walked, up to
+    the window or the covering block (None when the set is not hard-core);
+    `system()` gives the window's system, called once a block is read."""
     if window is None:
         _require_condition_ii(model, "infinite-volume marginal")
     blocks = sorted(set(blocks))
     if not blocks:
-        return 1.0
+        return 1.0, []
     geo = model.geometry
     for b in blocks:
         if b.d != geo.d:
@@ -957,23 +970,28 @@ def exact_marginal(model: ActivityModel, blocks, window: Optional[Block],
         lambda c, b: covering_block(c, b, geo), blocks)
     anc = _strict_ancestors(blocks, cover.scale, geo)
     if anc is None:
-        return 0.0
+        return 0.0, None
     if window is not None:
-        sys = TruncatedSystem(model, window, depth)
+        sys = system()
         if not all(sys.in_system(b) for b in blocks):
-            return 0.0
+            return 0.0, anc
         log_zhat = [sys.log_zhat(b) for b in blocks]
         above = [sys.log_zhat(a) for a in anc]
     else:
         if cover.scale < -depth:
-            return 0.0      # every block lies below the depth truncation
+            return 0.0, anc     # every block lies below the depth truncation
         _check_system(geo, cover, depth)
         prof, j_cut = _ancestor_chain(model, cover.scale, depth)
         by_scale = prof.log_zhat.get          # no scale below -depth is active
         log_zhat = [by_scale(b.scale, -math.inf) for b in blocks]
         above = [by_scale(j, -math.inf) for j in
                  [a.scale for a in anc] + list(range(cover.scale + 1, j_cut + 1))]
-    return math.exp(ordered_sum(chain(map(_log_rho, log_zhat), map(_log_one_minus_rho, above))))
+    return math.exp(ordered_sum(chain(map(_log_rho, log_zhat), map(_log_one_minus_rho, above)))), anc
+
+
+def _chain_reach(j: int) -> int:
+    """The top scale of the chain profile of scale j: CHAIN_SCALES above max(j, 0)."""
+    return max(j, 0) + CHAIN_SCALES
 
 
 def _ancestor_chain(model: ActivityModel, j0: int, depth: int) -> tuple[ScaleProfile, int]:
@@ -985,7 +1003,7 @@ def _ancestor_chain(model: ActivityModel, j0: int, depth: int) -> tuple[ScalePro
     marginals and by the sampler's law of the lowest occupied ancestor.  A
     zhat tail still above the cut at the profile's top is cut there.
     """
-    prof = _scale_profile(model, max(j0, 0) + CHAIN_SCALES, depth=depth)
+    prof = _scale_profile(model, _chain_reach(j0), depth=depth)
     cut, j = math.log(CHAIN_CUT) - 1, prof.j_hi
     while j > j0 + 1 and prof.log_zhat[j] < cut:
         j -= 1
@@ -1009,26 +1027,6 @@ def pair_covariance(model: ActivityModel, b1: Block, b2: Block,
             "mode": "pair"}
 
 
-def _common_chain_R(model: ActivityModel, set1, set2,
-                    window: Optional[Block], depth: int) -> float:
-    """R over the common strict-ancestor chain of two disjoint sorted block
-    sets; 0 if one is empty (no ancestors), -1 if the union is not hard-core."""
-    if not (set1 and set2):
-        return 0.0
-    geo = model.geometry
-    # the hard-core test alone: no strict ancestor lies at the lowest block's scale
-    if _strict_ancestors(set1 + set2, min(set1[0], set2[0]).scale, geo) is None:
-        return -1.0
-    if window is not None:
-        sys = TruncatedSystem(model, window, depth)
-        anc1 = set(_strict_ancestors(set1, window.scale, geo))
-        common = [a for a in _strict_ancestors(set2, window.scale, geo) if a in anc1]
-        return math.expm1(ordered_sum(log1p_exp(sys.log_zhat(a)) for a in common))
-    # infinite volume: common strict ancestors are the chain above (and
-    # including) the covering block; R equals the homogeneous tail ratio
-    return tail_ratio_R(model, min(lcs(a, b, geo) for a in set1 for b in set2))
-
-
 def config_covariance(model: ActivityModel, set1, set2,
                       window: Optional[Block], depth: int) -> dict:
     """Covariance of two disjoint finite sub-configurations, two ways: the
@@ -1040,10 +1038,21 @@ def config_covariance(model: ActivityModel, set1, set2,
     set1, set2 = sorted(set(set1)), sorted(set(set2))
     if set(set1) & set(set2):
         raise ValueError("configuration sets must be disjoint as sets")
-    p1 = exact_marginal(model, set1, window, depth)
-    p2 = exact_marginal(model, set2, window, depth)
-    joint = exact_marginal(model, set1 + set2, window, depth)
-    R = _common_chain_R(model, set1, set2, window, depth)
+    system = cache(partial(TruncatedSystem, model, window, depth))
+    (p1, anc1), (p2, anc2), (joint, anc) = [_marginal(model, s, window, depth, system)
+                                            for s in (set1, set2, set1 + set2)]
+    if not (set1 and set2):
+        R = 0.0         # an empty set has no ancestors
+    elif anc is None:
+        R = -1.0        # the union is not hard-core
+    elif window is not None:
+        anc1 = set(anc1)
+        common = [a for a in anc2 if a in anc1]
+        R = math.expm1(ordered_sum(log1p_exp(system().log_zhat(a)) for a in common))
+    else:
+        # infinite volume: common strict ancestors are the chain above (and
+        # including) the covering block; R equals the homogeneous tail ratio
+        R = tail_ratio_R(model, min(lcs(a, b, model.geometry) for a in set1 for b in set2))
     return {"cov": joint - p1 * p2, "factored_cov": p1 * p2 * R, "joint": joint,
             "factored_joint": p1 * p2 * (1 + R),
             "p1": p1, "p2": p2, "min_size": min(len(set1), len(set2))}
@@ -1129,7 +1138,7 @@ def log_tail_ratio(model: ActivityModel, j: int) -> float:
     double underflow, from the profile up to scale max(j, 0) + CHAIN_SCALES;
     refused unless condition (ii) is certified."""
     _require_condition_ii(model, "tail ratio")
-    prof = _scale_profile(model, max(j, 0) + CHAIN_SCALES)
+    prof = _scale_profile(model, _chain_reach(j))
     r = _log_R(_R_terms(prof, j)[1])
     return -math.inf if r is None else r[0]
 

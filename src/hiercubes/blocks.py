@@ -233,6 +233,9 @@ def overlaps(b1: Block, b2: Block, geo: Geometry) -> bool:
 
 def lcs(b1: Block, b2: Block, geo: Geometry) -> int:
     """Lowest scale at which a single block covers both b1 and b2."""
+    if b1.d != b2.d:
+        # chains of index tuples of different lengths never meet
+        raise ValueError(f"blocks {b1} and {b2} have different dimensions")
     j = max(b1.scale, b2.scale)
     a1, a2 = ancestor_at(b1, j, geo), ancestor_at(b2, j, geo)
     while a1 != a2:

@@ -274,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     words = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(words) - 1)):
-        # "--window W" as "--window=W": argparse reads a W below scale 0 as a flag
-        if words[i] == "--window":
+        # "--window W" as "--window=W": argparse reads a W below scale 0 as a
+        # flag; it takes any prefix of --window from "--w" on for --window
+        if len(words[i]) >= 3 and "--window".startswith(words[i]):
             words[i:i + 2] = [f"--window={words[i + 1]}"]
     args = build_parser().parse_args(words)
     tol = getattr(args, "tol", 1.0)

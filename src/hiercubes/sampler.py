@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Optional
 from .blocks import (Block, Geometry, ancestor_levels, ancestors, format_block,
                      subtree_levels)
 from .activities import ActivityModel
-from .analytics import (CHAIN_SCALES, TruncatedSystem, _ancestor_chain,
+from .analytics import (TruncatedSystem, _ancestor_chain, _chain_reach,
                         _check_system, _log_one_minus_rho, _log_rho, _memoized,
                         _require_condition_ii, _system_size)
 
@@ -286,9 +286,8 @@ def _draw_function(model: ActivityModel, window: Block, depth: int,
                 return _draw_function(model, window, depth)(seed, index)
             return _make_config([], plain, depth, seed, geo, covered=rows[min(i, len(rows)) - 1][0])
         return draw
-    # the chain's rows lie above the window, up to CHAIN_SCALES above scale
-    # max(window.scale, 0), and p_none
-    chain = max(window.scale, 0) + CHAIN_SCALES - window.scale + 1
+    # the chain's rows lie above the window, up to its reach, and p_none
+    chain = _chain_reach(window.scale) - window.scale + 1
     return _memoized(model, ("infinite", window, depth), chain, build_infinite)
 
 

@@ -556,6 +556,27 @@ def test_config_covariance_of_an_empty_set_has_R_zero(set1, set2):
         config_covariance(Parametric(GEO, 2.0, 1.0, 0.5), set1, set2, None, 2)
 
 
+def test_each_block_set_is_walked_once(monkeypatch):
+    # a covariance walks set1, set2 and their union once each and builds
+    # one system; the condensation table walks its probe's chain once
+    walks, systems = [], []
+    walk, init = analytics.ancestor_levels, TruncatedSystem.__init__
+    monkeypatch.setattr(analytics, "ancestor_levels",
+                        lambda *args: walks.append(args) or walk(*args))
+    monkeypatch.setattr(TruncatedSystem, "__init__",
+                        lambda self, *args: systems.append(args) or init(self, *args))
+    m = Parametric(GEO, -1.0, 1.0, 0.5)
+    config_covariance(m, [block(-2, 0)], [block(-2, 3)], block(1, 0), 2)
+    assert (len(walks), len(systems)) == (3, 1)
+    walks.clear()
+    config_covariance(m, [block(-2, 0)], [block(-2, 3)], None, 2)
+    assert len(walks) == 3
+    walks.clear()
+    analytics.condensation_table(Homogeneous.constant(GEO, 0.7, range(-4, 1)), block(-4, 0),
+                                 [block(j, 0) for j in range(13)])
+    assert len(walks) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(geo=st.sampled_from([GEO, GEO2, Geometry(1, 3)]), data=st.data())
 def test_strict_ancestors_are_the_union_of_the_ancestor_chains(geo, data):

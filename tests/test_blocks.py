@@ -149,6 +149,12 @@ def test_lcs_symmetric_and_covering(gbb):
         assert ancestor_at(b1, s - 1, geo) != ancestor_at(b2, s - 1, geo)
 
 
+@pytest.mark.parametrize("reader", [lcs, covering_block, hierarchical_distance])
+def test_lcs_refuses_blocks_of_two_dimensions(reader):
+    with pytest.raises(ValueError, match=r"blocks 0:\(0\) and 0:\(0,0\)"):
+        reader(block(0, 0), block(0, 0, 0), Geometry(1))
+
+
 @given(geo_and_two_blocks())
 def test_distance_ultrametric(gbb):
     geo, b1, b2 = gbb

@@ -301,11 +301,47 @@ def test_scalewise_refusal_has_two_direct_callers():
     assert calls_outside(sources, SCALEWISE, SCALEWISE_CALLERS) == []
 
 
-def test_chain_ratio_of_two_sets_has_one_caller():
-    # one covariance: the pair mode reads config_covariance, which alone
-    # folds R over the common chain of two sets
+# each block set's strict ancestors are walked once per query: the marginal
+# reader walks them and returns its walk, which the covariance's R reads, and
+# the condensation table walks its probe's chain once for all its windows
+STRICT_ANCESTOR_WALKS = {("analytics", "_marginal"), ("analytics", "condensation_table")}
+
+
+def test_strict_ancestors_are_walked_by_the_marginal_and_the_condensation_table():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert calls_outside(sources, "_common_chain_R", {("analytics", "config_covariance")}) == []
+    assert calls_outside(sources, "_strict_ancestors", STRICT_ANCESTOR_WALKS) == []
+
+
+def readers_of(sources: dict[str, str], name: str) -> list[str]:
+    """`module.name` of each top-level statement (its line number when it
+    defines no name) that reads `name`: loads it as a name or an attribute,
+    or imports it.  Its assignment does not read it."""
+    found = set()
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            if any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                   or isinstance(n, ast.Attribute) and n.attr == name
+                   or isinstance(n, ast.alias) and n.name == name for n in ast.walk(node)):
+                found.add(f"{mod}.{getattr(node, 'name', node.lineno)}")
+    return sorted(found)
+
+
+def test_readers_of_a_constant_are_found():
+    sources = {"analytics": "REACH = 80\n"
+                            "def _reach(j): return max(j, 0) + REACH\n"
+                            "def tail(j): return j + REACH\n",
+               "sampler": "from . import analytics\n"
+                          "from .analytics import REACH as R\n"
+                          "def weight(w): return analytics.REACH - w\n"}
+    assert readers_of(sources, "REACH") == ["analytics._reach", "analytics.tail",
+                                            "sampler.2", "sampler.weight"]
+
+
+def test_the_chain_reach_is_formed_in_one_place():
+    # CHAIN_SCALES above max(j, 0): the top of every chain profile and the
+    # sampler's memo weight of a chain law
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert readers_of(sources, "CHAIN_SCALES") == ["analytics._chain_reach"]
 
 
 # strict ancestors are read through the one upward walk: outside `blocks`,
